@@ -162,6 +162,39 @@ def _cmd_run(args) -> int:
     return EXIT_OK if state.stopped else EXIT_NO_CLEVEL
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _selected_row(name: str, report) -> tuple[dict, list, dict]:
+    """(summary, level rows, row of the convergence level) of a loaded run
+    report; raises ValueError naming the run when a part is missing."""
+    summary = report.get("summary") if isinstance(report, dict) else None
+    if not isinstance(summary, dict):
+        raise ValueError(f"run {name!r}: report has no summary")
+    rows = report.get("levels")
+    if not isinstance(rows, list):
+        raise ValueError(f"run {name!r}: report has no levels")
+    clevel = summary.get("clevel")
+    if not summary.get("stopped") or clevel is None:
+        raise ValueError(f"run {name!r} never reached its convergence level")
+    wlevel = summary.get("wlevel")
+    if not isinstance(clevel, int) or not (wlevel is None or isinstance(wlevel, int)):
+        raise ValueError(f"run {name!r}: summary levels are not integers")
+    for index, row in enumerate(rows):
+        if not (isinstance(row, dict) and isinstance(row.get("level"), int)
+                and _is_number(row.get("alpha"))
+                and isinstance(row.get("converged"), bool)):
+            raise ValueError(f"run {name!r}: level row {index} lacks level, alpha "
+                             "or converged")
+    for row in rows:
+        if row["level"] == clevel:
+            if not all(_is_number(row.get(k)) for k in ("a", "b", "c")):
+                raise ValueError(f"run {name!r}: level {clevel} lacks its parameters")
+            return summary, rows, row
+    raise ValueError(f"run {name!r}: no level row matches clevel {clevel}")
+
+
 def _cmd_evaluate(args) -> int:
     run_paths = [p for p in args.runs.split(",") if p]
     truth_paths = [p for p in args.truth.split(",") if p]
@@ -179,11 +212,7 @@ def _cmd_evaluate(args) -> int:
     for name, run_path, truth_path in zip(names, run_paths, truth_paths):
         with open(run_path, encoding="utf-8") as fh:
             report = json.load(fh)
-        summary = report["summary"]
-        if not summary.get("stopped") or summary.get("clevel") is None:
-            raise ValueError(f"run {name!r} never reached its convergence level")
-        selected = next(row for row in report["levels"]
-                        if row["level"] == summary["clevel"])
+        summary, rows, selected = _selected_row(name, report)
         params = PowerLawParams(selected["a"], selected["b"], selected["c"])
         truth = read_observations(truth_path)
         truth_map = {p.position: p.accuracy for p in truth.points}
@@ -195,7 +224,7 @@ def _cmd_evaluate(args) -> int:
         )
         if summary["wlevel"] is not None:
             segments[name] = [
-                row["alpha"] for row in report["levels"]
+                row["alpha"] for row in rows
                 if summary["wlevel"] <= row["level"] <= summary["clevel"]
                 and row["converged"]
             ]
@@ -252,8 +281,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ObservationFileError, InsufficientDataError, ValueError, OSError,
-            json.JSONDecodeError, KeyError, StopIteration) as exc:
+    except (ObservationFileError, InsufficientDataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

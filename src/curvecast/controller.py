@@ -6,18 +6,34 @@ retracted, which gives downstream consumers a stable reference frame. With
 canonical anchoring, the levels between the working level and the moment it
 became verifiable are refitted with anchors on declaration, so the stored
 trace always matches the canonical chain regardless of arrival timing.
+
+Because milestones are one-time and a stored trend never changes after that
+one rebuild, each ingest checks only what its new level can change: the one
+look-ahead window ending at the newest converged level while the working
+level is open, then the newest trend alone for the prediction and
+convergence levels. All levels from the working level on are scanned once,
+on the ingest that declares it, so no ingest rescans the trace. The
+offline path folds the same ingests, so it stops fitting at the ingest
+where the online run stops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .anchoring import AnchorPolicy, next_canonical_anchor
 from .errors import NotStoppedError, SequencingError
 from .fitting import DEFAULT_CONFIG, FitConfig
 from .levels import LevelParams, prediction_level, working_level
 from .model import LearningTrend, Observation, ObservationSeries, eval_pattern
-from .trace import LearningTrace, convergence_layer, convergence_layer_bounded, extend_trace
+from .trace import (
+    LearningTrace,
+    anchored_chain,
+    convergence_layer,
+    convergence_layer_bounded,
+    extend_trace,
+)
 
 FIRST_LEVEL = 3
 
@@ -72,7 +88,7 @@ def new_run(config: RunConfig) -> RunState:
     return RunState(
         config=config,
         series=ObservationSeries.from_points(()),
-        trace=LearningTrace(anchored=anchored, end_position=config.end_position),
+        trace=LearningTrace(anchored=anchored),
     )
 
 
@@ -102,76 +118,87 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     level = len(state.series)
     if level < FIRST_LEVEL:
         return state
-
-    policy = state.config.anchor_policy
-    use_anchor = (
-        policy.mode == "canonical" and state.wlevel is not None and level > state.wlevel
-    )
-    anchor = next_canonical_anchor(state.trace, state.wlevel) if use_anchor else None
-    extend_trace(
-        state.trace,
-        state.series,
-        level,
-        anchor=anchor,
-        policy=policy if use_anchor else None,
-        config=state.config.fit_config,
-    )
-    _update_milestones(state)
+    _extend(state, level)
+    if state.wlevel is None:
+        omega = _newest_working_level(state.trace, state.config.level_params)
+        if omega is not None:
+            _declare_working_level(state, omega)
+    else:
+        _declare_later_milestones(state, (level,))
     return state
 
 
-def _update_milestones(state: RunState) -> None:
-    trace = state.trace
-    levels, alphas, positions = trace.converged_view()
+def _extend(state: RunState, level: int) -> None:
+    """Fit ``level`` onto the run's trace, anchored past the working level
+    when the policy asks for it."""
+    policy = state.config.anchor_policy
+    if policy.mode == "canonical" and state.wlevel is not None:
+        anchor = next_canonical_anchor(state.trace, state.wlevel)
+        extend_trace(state.trace, state.series, level, anchor=anchor, policy=policy,
+                     config=state.config.fit_config)
+    else:
+        extend_trace(state.trace, state.series, level, config=state.config.fit_config)
 
-    if state.wlevel is None:
-        omega = working_level(alphas, positions, state.config.level_params, levels=levels)
-        if omega is not None:
-            state.wlevel = omega
-            state.wposition = trace.trends[omega].position
-            if state.config.anchor_policy.mode == "canonical":
-                _rebuild_with_anchors(state)
-                levels, alphas, positions = state.trace.converged_view()
-                trace = state.trace
 
-    if state.wlevel is not None and state.plevel is None:
-        rho = prediction_level(alphas, state.wlevel, levels=levels)
-        if rho is not None:
-            state.plevel = rho
-            state.pposition = trace.trends[rho].position
+def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | None:
+    """Working level judged on the one window that ends at the newest level.
 
-    if state.plevel is not None and state.clevel is None:
-        for level in levels:
-            if level < state.plevel:
-                continue
-            trend = trace.trends[level]
-            if stopping_layer(trend, state.config.end_position) <= state.config.tau:
-                state.clevel = level
-                state.cposition = trend.position
-                state.stopped = True
+    Every earlier window was judged, and failed, when its last level
+    arrived, and no trend changes before the working level is declared; so
+    only a converged newest trend can complete a new window.
+    """
+    if not trace.trends[trace.last_level].converged:
+        return None
+    needed = params.lookahead + 2
+    levels: list[int] = []
+    for level in range(trace.last_level, trace.start_level - 1, -1):
+        if trace.trends[level].converged:
+            levels.append(level)
+            if len(levels) == needed:
                 break
+    levels.reverse()
+    alphas = [trace.alpha(level) for level in levels]
+    positions = [trace.trends[level].position for level in levels]
+    return working_level(alphas, positions, params, levels=levels)
 
 
-def _rebuild_with_anchors(state: RunState) -> None:
-    """Refit every level past the working level with the canonical anchor
-    chain; levels up to the working level are kept as fitted."""
-    old = state.trace
-    rebuilt = LearningTrace(anchored=True, end_position=old.end_position)
-    for level in old.levels():
-        if level <= state.wlevel:
-            rebuilt.trends[level] = old.trends[level]
-            rebuilt.backbone.append(old.backbone[level - old.start_level])
-        else:
-            anchor = next_canonical_anchor(rebuilt, state.wlevel)
-            extend_trace(
-                rebuilt,
-                state.series,
-                level,
-                anchor=anchor,
-                policy=state.config.anchor_policy,
-                config=state.config.fit_config,
-            )
-    state.trace = rebuilt
+def _declare_working_level(state: RunState, omega: int) -> None:
+    """Record the working level, rebuild the anchored chain when requested
+    and scan every level from ``omega`` for the later milestones once."""
+    state.wlevel = omega
+    state.wposition = state.trace.trends[omega].position
+    policy = state.config.anchor_policy
+    if policy.mode == "canonical":
+        state.trace = anchored_chain(state.trace, state.series, omega, policy,
+                                     state.config.fit_config)
+    _declare_later_milestones(state, range(omega, state.trace.last_level + 1))
+
+
+def _declare_later_milestones(state: RunState, fresh: Iterable[int]) -> None:
+    """Prediction and convergence checks on the levels in ``fresh``.
+
+    Stored trends never change after the working level is declared, so a
+    level that failed a check once fails it for good: each ingest only
+    needs to look at the trend it added.
+    """
+    trace = state.trace
+    levels = [level for level in fresh if trace.trends[level].converged]
+    if state.plevel is None:
+        rho = prediction_level([trace.alpha(level) for level in levels], state.wlevel,
+                               levels=levels)
+        if rho is None:
+            return
+        state.plevel = rho
+        state.pposition = trace.trends[rho].position
+    for level in levels:
+        if level < state.plevel:
+            continue
+        trend = trace.trends[level]
+        if stopping_layer(trend, state.config.end_position) <= state.config.tau:
+            state.clevel = level
+            state.cposition = trend.position
+            state.stopped = True
+            return
 
 
 def predict(state: RunState, position: float) -> float:
@@ -190,77 +217,14 @@ def run_stream(config: RunConfig, observations) -> RunState:
 
 
 def run_batch(config: RunConfig, observations) -> RunState:
-    """Offline path: build the whole trace first, then scan for milestones.
+    """Offline path over a finished log.
 
-    Produces a state identical to :func:`run_stream` on the same input; the
-    scan replays the chronology so freezing semantics match exactly.
+    The whole log is validated as one series, then folded through
+    :func:`run_stream`, so it stops fitting at the ingest where the online
+    run stops and yields the identical state from the same fits.
     """
-    all_points = tuple(observations)
-    full_series = ObservationSeries.from_points(all_points)
-    n = len(full_series)
-
-    # Phase 1: unanchored trends, watching for the working level.
-    reference = LearningTrace(anchored=False, end_position=config.end_position)
-    omega = None
-    declared_at = None
-    for level in range(FIRST_LEVEL, n + 1):
-        extend_trace(reference, full_series, level, config=config.fit_config)
-        if omega is None:
-            levels, alphas, positions = reference.converged_view()
-            omega = working_level(alphas, positions, config.level_params, levels=levels)
-            if omega is not None:
-                declared_at = level
-
-    # Phase 2: anchored chain past the working level, when requested.
-    trace = reference
-    if omega is not None and config.anchor_policy.mode == "canonical":
-        trace = LearningTrace(anchored=True, end_position=config.end_position)
-        for level in reference.levels():
-            if level <= omega:
-                trace.trends[level] = reference.trends[level]
-                trace.backbone.append(reference.backbone[level - reference.start_level])
-            else:
-                anchor = next_canonical_anchor(trace, omega)
-                extend_trace(
-                    trace, full_series, level,
-                    anchor=anchor, policy=config.anchor_policy, config=config.fit_config,
-                )
-
-    # Phase 3: replay the milestone chronology to find the stopping ingest.
-    state = RunState(config=config, series=full_series, trace=trace)
-    levels, alphas, positions = trace.converged_view()
-    if omega is not None:
-        state.wlevel = omega
-        state.wposition = trace.trends[omega].position
-        rho = prediction_level(alphas, omega, levels=levels)
-        if rho is not None:
-            state.plevel = rho
-            state.pposition = trace.trends[rho].position
-            for level in levels:
-                if level < rho:
-                    continue
-                trend = trace.trends[level]
-                if stopping_layer(trend, config.end_position) <= config.tau:
-                    state.clevel = level
-                    state.cposition = trend.position
-                    state.stopped = True
-                    break
-
-    if state.clevel is not None:
-        # The online run stops consuming at the ingest where the milestone
-        # chain completed; trim to that moment.
-        stop_ingest = max(declared_at, state.plevel, state.clevel)
-        state.ignored_after_stop = n - stop_ingest
-        if stop_ingest < n:
-            state.series = ObservationSeries.from_points(all_points[:stop_ingest])
-            trimmed = LearningTrace(anchored=trace.anchored, end_position=trace.end_position)
-            for level in trace.levels():
-                if level > stop_ingest:
-                    break
-                trimmed.trends[level] = trace.trends[level]
-                trimmed.backbone.append(trace.backbone[level - trace.start_level])
-            state.trace = trimmed
-    return state
+    series = ObservationSeries.from_points(observations)
+    return run_stream(config, series.points)
 
 
 def backbone_segment(state: RunState, from_level: int, to_level: int) -> list[float]:

@@ -74,8 +74,21 @@ class ObservationSeries:
         return self.points[:level]
 
     def with_point(self, obs: Observation) -> "ObservationSeries":
-        """New series with one observation appended (positions must grow)."""
-        return ObservationSeries.from_points(self.points + (obs,))
+        """New series with one observation appended (positions must grow).
+
+        Only the new point is checked against the last one. From two points
+        on, the inferred schedule is fixed, so it is carried over instead of
+        rebuilding and revalidating the whole series.
+        """
+        if len(self.points) < 2:
+            return ObservationSeries.from_points(self.points + (obs,))
+        if obs.position <= self.points[-1].position:
+            raise ValueError("positions must be strictly increasing")
+        grown = object.__new__(ObservationSeries)
+        object.__setattr__(grown, "points", self.points + (obs,))
+        object.__setattr__(grown, "kernel_size", self.kernel_size)
+        object.__setattr__(grown, "step", self.step)
+        return grown
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchoring import AnchorPolicy, next_canonical_anchor
+from .anchoring import AnchorPolicy
 from .fitting import DEFAULT_CONFIG, FitConfig
 from .levels import LevelParams, working_level
 from .model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from .trace import (
     LearningTrace,
+    anchored_chain,
     convergence_layer,
     extend_trace,
     trend_intersection,
@@ -154,15 +155,7 @@ def build_traces(
     omega = working_level(alphas, positions, level_params, levels=levels)
     anchored = None
     if omega is not None and policy.mode == "canonical":
-        anchored = LearningTrace(anchored=True)
-        for level in reference.levels():
-            if level <= omega:
-                anchored.trends[level] = reference.trends[level]
-                anchored.backbone.append(reference.backbone[level - reference.start_level])
-            else:
-                anchor = next_canonical_anchor(anchored, omega)
-                extend_trace(anchored, series, level, anchor=anchor, policy=policy,
-                             config=fit_config)
+        anchored = anchored_chain(reference, series, omega, policy, fit_config)
     return reference, omega, anchored
 
 

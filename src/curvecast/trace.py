@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .anchoring import AnchorPolicy, fit_anchored_trend
+from .anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
 from .errors import InsufficientDataError, SequencingError
 from .fitting import DEFAULT_CONFIG, FitConfig, fit_power_law
 from .model import LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
@@ -46,7 +46,6 @@ class LearningTrace:
     """
 
     anchored: bool = False
-    end_position: int | None = None
     start_level: int = 3
     trends: dict[int, LearningTrend] = field(default_factory=dict)
     backbone: list[float] = field(default_factory=list)
@@ -81,7 +80,6 @@ def extend_trace(
     anchor: float | None = None,
     policy: AnchorPolicy | None = None,
     config: FitConfig = DEFAULT_CONFIG,
-    warm_start: bool = True,
 ) -> LearningTrace:
     """Fit the prefix of length ``level`` and append the trend.
 
@@ -95,7 +93,7 @@ def extend_trace(
         raise InsufficientDataError(f"series has {len(series)} points, level {level} needs {level}")
     points = series.prefix(level)
     initial = None
-    if warm_start and trace.last_level is not None:
+    if trace.last_level is not None:
         previous = trace.trends[trace.last_level]
         if previous.converged:
             initial = previous.params
@@ -115,6 +113,30 @@ def extend_trace(
     trace.trends[level] = trend
     trace.backbone.append(trend.params.c)
     return trace
+
+
+def anchored_chain(
+    reference: LearningTrace,
+    series: ObservationSeries,
+    omega: int,
+    policy: AnchorPolicy,
+    config: FitConfig = DEFAULT_CONFIG,
+) -> LearningTrace:
+    """Canonical anchor chain over the levels of ``reference``.
+
+    Levels up to the working level ``omega`` are copied as fitted; every
+    later level is refitted with the anchor chained from the one before.
+    Extending the result with :func:`next_canonical_anchor` continues the
+    same chain.
+    """
+    chain = LearningTrace(anchored=True, start_level=reference.start_level)
+    for level in range(reference.start_level, omega + 1):
+        chain.trends[level] = reference.trends[level]
+        chain.backbone.append(reference.alpha(level))
+    for level in range(omega + 1, reference.last_level + 1):
+        anchor = next_canonical_anchor(chain, omega)
+        extend_trace(chain, series, level, anchor=anchor, policy=policy, config=config)
+    return chain
 
 
 def convergence_layer(trend: LearningTrend) -> float:

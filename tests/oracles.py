@@ -1,7 +1,9 @@
 """Brute-force reference computations used to cross-check the package.
 
 Everything here is deliberately independent of the production code paths:
-plain Python / raw numpy, no imports from the package.
+plain Python / raw numpy, no imports from the package. The one exception is
+``full_rescan_run``, which drives the package's fitting layer so that its
+trends are the controller's; its milestone bookkeeping is its own.
 """
 
 import math
@@ -84,3 +86,92 @@ def longest_monotone_bruteforce(values):
         ):
             best = max(best, len(sub))
     return best
+
+
+def _working_level_scan(levels, alphas, positions, nu, slowdown, lookahead):
+    """First level whose whole window of lookahead + 1 backbone slopes stays
+    under the verticality limit."""
+    limit = nu ** (1.0 / slowdown) / (1.0 - nu)
+    slopes = [abs(alphas[i + 1] - alphas[i]) / (positions[i + 1] - positions[i])
+              for i in range(len(alphas) - 1)]
+    window = lookahead + 1
+    for start in range(len(slopes) - window + 1):
+        if all(s <= limit for s in slopes[start:start + window]):
+            return levels[start]
+    return None
+
+
+def _stopping_layer(a, b, c, position, end_position):
+    value = c - a * float(position) ** (-b)
+    if end_position is not None and end_position > position:
+        return abs(value - (c - a * float(end_position) ** (-b)))
+    return abs(value - c)
+
+
+def full_rescan_run(config, points):
+    """Controller reference that rescans the whole trace for every milestone
+    on every ingest, with the canonical rebuild on the working level.
+
+    Returns ``(milestones, trace)``: a dict of the ``RunState`` milestone
+    fields plus ``stopped`` and ``ignored_after_stop``, and the final trace.
+    """
+    from curvecast.anchoring import next_canonical_anchor
+    from curvecast.model import ObservationSeries
+    from curvecast.trace import LearningTrace, extend_trace
+
+    policy = config.anchor_policy
+    canonical = policy.mode == "canonical"
+    lp = config.level_params
+    m = dict(wlevel=None, wposition=None, plevel=None, pposition=None,
+             clevel=None, cposition=None, stopped=False, ignored_after_stop=0)
+    trace = LearningTrace(anchored=canonical)
+    seen = []
+    for obs in points:
+        if m["stopped"]:
+            m["ignored_after_stop"] += 1
+            continue
+        seen.append(obs)
+        level = len(seen)
+        if level < 3:
+            continue
+        series = ObservationSeries.from_points(seen)
+        if canonical and m["wlevel"] is not None:
+            extend_trace(trace, series, level, anchor=next_canonical_anchor(trace, m["wlevel"]),
+                         policy=policy, config=config.fit_config)
+        else:
+            extend_trace(trace, series, level, config=config.fit_config)
+
+        if m["wlevel"] is None:
+            conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
+            omega = _working_level_scan(
+                conv, [trace.trends[lv].params.c for lv in conv],
+                [trace.trends[lv].position for lv in conv], lp.nu, lp.slowdown, lp.lookahead)
+            if omega is not None:
+                m["wlevel"], m["wposition"] = omega, trace.trends[omega].position
+                if canonical:
+                    rebuilt = LearningTrace(anchored=True)
+                    for lv in trace.levels():
+                        if lv <= omega:
+                            rebuilt.trends[lv] = trace.trends[lv]
+                            rebuilt.backbone.append(trace.backbone[lv - trace.start_level])
+                        else:
+                            extend_trace(rebuilt, series, lv,
+                                         anchor=next_canonical_anchor(rebuilt, omega),
+                                         policy=policy, config=config.fit_config)
+                    trace = rebuilt
+
+        conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
+        if m["wlevel"] is not None and m["plevel"] is None:
+            for lv in conv:
+                if lv >= m["wlevel"] and trace.trends[lv].params.c <= 100.0:
+                    m["plevel"], m["pposition"] = lv, trace.trends[lv].position
+                    break
+        if m["plevel"] is not None and m["clevel"] is None:
+            for lv in conv:
+                t = trace.trends[lv]
+                if lv >= m["plevel"] and _stopping_layer(
+                        t.params.a, t.params.b, t.params.c, t.position,
+                        config.end_position) <= config.tau:
+                    m["clevel"], m["cposition"], m["stopped"] = lv, t.position, True
+                    break
+    return m, trace

@@ -246,3 +246,35 @@ class TestEvaluate:
         rc = main(["evaluate", "--runs", f"{obs},{obs}", "--truth", str(obs),
                    "--controls", "100000"])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda report: report.pop("summary"), "report has no summary"),
+        (lambda report: report.pop("levels"), "report has no levels"),
+        (lambda report: report["levels"].clear(), "no level row matches clevel"),
+        (lambda report: report["levels"][0].pop("converged"),
+         "level row 0 lacks level, alpha or converged"),
+    ])
+    def test_malformed_report_is_input_error(self, tmp_path, capsys, damage, message):
+        obs = make_obs_file(tmp_path, count=40)
+        out = tmp_path / "damaged.json"
+        assert main(["run", "--input", str(obs), "--tau", "6.0",
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        damage(report)
+        out.write_text(json.dumps(report))
+        rc = main(["evaluate", "--runs", str(out), "--truth", str(obs),
+                   "--controls", "100000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'damaged'" in err and message in err
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    import curvecast.cli as cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_simulate", broken)
+    with pytest.raises(KeyError):
+        main(["simulate", "--a", "500", "--b", "0.45", "--c", "96"])

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import curvecast.anchoring
+import curvecast.trace
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import (
     RunConfig,
@@ -12,11 +16,14 @@ from curvecast.controller import (
     stopping_layer,
 )
 from curvecast.errors import NotStoppedError, SequencingError
-from curvecast.model import Observation, eval_pattern
+from curvecast.fitting import FitConfig
+from curvecast.levels import LevelParams
+from curvecast.model import Observation, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import convergence_layer, convergence_layer_bounded
 
 from conftest import REFERENCE_FIT, exact_series_points, steep_params
+from oracles import full_rescan_run
 
 
 def noisy_points(true, rng, count=40, sigma=0.05):
@@ -161,6 +168,81 @@ class TestDeterminismAndEquivalence:
         points = noisy_points(true, rng, count=25)
         config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical"))
         assert run_stream(config, points) == run_batch(config, points)
+
+    def test_online_equals_offline_without_working_level(self):
+        # too few levels for a look-ahead window: the trace is never rebuilt
+        config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical"))
+        points = exact_series_points(REFERENCE_FIT, count=5)
+        online = run_stream(config, points)
+        assert online.wlevel is None
+        assert online == run_batch(config, points)
+
+    @pytest.mark.parametrize("mode", ["none", "canonical"])
+    def test_offline_makes_the_online_fits(self, mode, rng, monkeypatch):
+        calls = []
+        for module in (curvecast.trace, curvecast.anchoring):
+            fit = module.fit_power_law
+
+            def counted(*args, _fit=fit, **kwargs):
+                calls.append(1)
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(module, "fit_power_law", counted)
+        true = steep_params(rng)
+        points = noisy_points(true, rng, count=40)
+        config = RunConfig(tau=tau_mid(true, points, frac=0.4),
+                           anchor_policy=AnchorPolicy(mode=mode))
+        online = run_stream(config, points)
+        online_fits = len(calls)
+        offline = run_batch(config, points)
+        assert online.stopped and online.ignored_after_stop > 0
+        assert online == offline
+        assert len(calls) - online_fits == online_fits
+
+
+_MILESTONES = ("wlevel", "wposition", "plevel", "pposition", "clevel", "cposition",
+               "stopped", "ignored_after_stop")
+
+
+@st.composite
+def _run_inputs(draw, mode):
+    true = PowerLawParams(draw(st.floats(400.0, 900.0)), draw(st.floats(0.35, 0.5)),
+                          draw(st.floats(90.0, 99.9)))
+    count = draw(st.integers(8, 30))
+    sigma = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    points = generate_series(SynthSpec(true, count=count,
+                                       noise=NoiseSpec("gaussian", sigma=sigma),
+                                       seed=draw(st.integers(0, 2 ** 31 - 1)))).points
+    # tau from the true layer somewhere along the series: 0 never stops,
+    # a huge factor stops at the prediction level.
+    x = points[draw(st.integers(count // 3, count - 1))].position
+    tau = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e9])) * true.a * x ** (-true.b)
+    # a horizon past every trend, one inside the series (the plain layer
+    # takes over past it), or none
+    end = draw(st.sampled_from([None, points[count // 2].position, 2 * points[-1].position]))
+    config = RunConfig(
+        tau=tau,
+        level_params=LevelParams(nu=draw(st.sampled_from([2e-5, 2e-4])),
+                                 lookahead=draw(st.sampled_from([0, 2, 5]))),
+        anchor_policy=AnchorPolicy(mode=mode),
+        end_position=end,
+        # 15 iterations leave some fits non-converged, 2 leave all of them
+        fit_config=draw(st.sampled_from([FitConfig(), FitConfig(max_iterations=15),
+                                         FitConfig(max_iterations=2)])),
+    )
+    return config, points
+
+
+@pytest.mark.parametrize("mode", ["none", "canonical"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_incremental_milestones_match_full_rescan(mode, data):
+    config, points = data.draw(_run_inputs(mode))
+    state = run_stream(config, points)
+    expected, trace = full_rescan_run(config, points)
+    assert {name: getattr(state, name) for name in _MILESTONES} == expected
+    assert state.trace == trace
+    assert run_batch(config, points) == state
 
 
 class TestAnchoredRuns:

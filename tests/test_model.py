@@ -145,6 +145,16 @@ class TestDomainTypes:
         assert len(series) == 2
         assert series.kernel_size == 5000 and series.step == 5000
 
+    def test_with_point_equals_rebuilding_the_series(self):
+        pts = tuple(Observation(5000 + 4000 * i + i * i, 90.0 + i * 0.01) for i in range(6))
+        series = ObservationSeries.from_points(())
+        for k, point in enumerate(pts):
+            series = series.with_point(point)
+            assert series == ObservationSeries.from_points(pts[:k + 1])
+        for late in (pts[-1].position, pts[-1].position - 1):
+            with pytest.raises(ValueError):
+                series.with_point(Observation(late, 95.0))
+
     def test_prefix(self):
         pts = tuple(Observation(5000 * i, 90.0 + i * 0.01) for i in range(1, 6))
         series = ObservationSeries.from_points(pts)
