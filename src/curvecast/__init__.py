@@ -11,7 +11,7 @@ from .controller import (
     run_stream,
 )
 from .errors import InsufficientDataError, NotStoppedError, SequencingError
-from .fitting import FitConfig, FitResult, fit_power_law, initial_guess
+from .fitting import FitConfig, FitResult, fit_power_law
 from .levels import LevelParams, prediction_level, verticality_limit, working_level
 from .metrics import (
     ControlSequence,
@@ -79,7 +79,6 @@ __all__ = [
     "fit_power_law",
     "generate_series",
     "ingest",
-    "initial_guess",
     "mape",
     "new_run",
     "next_canonical_anchor",

@@ -48,15 +48,12 @@ class RunConfig:
     anchor_policy: AnchorPolicy = field(default_factory=AnchorPolicy)
     end_position: int | None = None
     fit_config: FitConfig = DEFAULT_CONFIG
-    min_level: int = FIRST_LEVEL
 
     def __post_init__(self):
         # tau == 0 is allowed and means "never stop": layers are strictly
         # positive, so the threshold is unreachable.
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.min_level != FIRST_LEVEL:
-            raise ValueError("runs start at the first operative level (3)")
 
 
 @dataclass

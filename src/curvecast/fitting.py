@@ -1,16 +1,23 @@
-"""Nonlinear least-squares fitting of the power-family curve.
+"""Separable least-squares fitting of the power-family curve.
 
-A Levenberg-Marquardt loop with adaptive damping minimizes the summed
-squared residuals over (log a, log b, c); the log reparameterization keeps
-a and b strictly positive without constrained steps. An optional anchor
-adds one extra residual: either analytically against the asymptote, or as a
-literal pseudo-observation at a far position.
+For a fixed decay ``b`` the curve ``c - a*x**(-b)`` is linear in ``(a, c)``,
+and so is the optional anchor row. The fit therefore iterates only
+``v = log b`` (variable projection, Golub & Pereyra 1973): at each ``v``,
+``(a, c)`` come from an exact two-column least-squares solve, and a damped
+Gauss-Newton step on ``v`` uses Kaufman's (1975) derivative of the projected
+residual. The anchor adds one row, either analytically against the
+asymptote (its power term has weight 0) or as a literal pseudo-observation
+at a far position (weight ``anchor_x**(-b)``).
+
+A fit has no optimum inside the family when its best ``a`` is <= 0 (flat or
+decreasing data) or when ``v`` ends on a rail of its range; such a fit is
+returned with ``converged=False``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,29 +25,29 @@ import numpy as np
 from .errors import InsufficientDataError
 from .model import Observation, PowerLawParams
 
-# Safety rails for the log-space walk; generous enough never to bind on
-# plausible accuracy data, tight enough to avoid overflow.
-_LOG_A_RANGE = (-46.0, 46.0)
+# Range of the log-decay walk; generous enough never to bind on an
+# identified fit, tight enough to keep x**(-b) away from overflow.
 _LOG_B_RANGE = (-23.0, 6.0)
-_C_RANGE = (-1e6, 1e6)
-_LAMBDA_MAX = 1e13
+_START_B = 0.5
+# Reported scale of a degenerate fit (best a <= 0): the family needs a > 0.
+_DEGENERATE_A = 1e-20
+# Halving a step this often shrinks it below any useful change of log b.
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Convergence knobs for the trust-region loop."""
+    """Convergence knobs for the Gauss-Newton loop on ``log b``."""
 
     max_iterations: int = 200
     cost_tolerance: float = 1e-12
     param_tolerance: float = 1e-10
-    initial_trust_radius: float = 1.0
-    multistart: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if min(self.cost_tolerance, self.param_tolerance, self.initial_trust_radius) <= 0:
-            raise ValueError("tolerances and trust radius must be > 0")
+        if min(self.cost_tolerance, self.param_tolerance) <= 0:
+            raise ValueError("tolerances must be > 0")
 
 
 DEFAULT_CONFIG = FitConfig()
@@ -58,139 +65,50 @@ class FitResult:
     final_cost: float
 
 
-def initial_guess(points: Sequence[Observation]) -> PowerLawParams:
-    """Starting parameters: asymptote slightly above the last accuracy,
-    decay 0.5, scale matched to the first observation."""
-    if len(points) < 3:
-        raise InsufficientDataError("need at least 3 points for an initial guess")
-    y_first = points[0].accuracy
-    y_last = points[-1].accuracy
-    c0 = y_last + 0.5 * (y_last - y_first)
-    if c0 <= y_last:  # flat or decreasing input
-        c0 = y_last + 0.1
-    c0 = min(c0, 110.0)
-    b0 = 0.5
-    a0 = max((c0 - y_first) * points[0].position ** b0, 1e-9)
-    return PowerLawParams(a=a0, b=b0, c=c0)
+def _basis(b, lx, free_last):
+    """Power term ``x**(-b)`` of every row; 0 for an analytic anchor row."""
+    w = np.exp(-b * lx)
+    if free_last:
+        w[-1] = 0.0
+    return w
 
 
-def _residuals_and_jacobian(theta, lx, ys, anchor, anchor_lx, with_jac=True):
-    """Residual vector (and Jacobian) at theta = (log a, log b, c)."""
-    u, v, c = theta
-    a = math.exp(u)
-    b = math.exp(v)
-    w = np.exp(-b * lx)  # x**(-b)
-    r = ys - c + a * w
-    if anchor is not None:
-        if anchor_lx is None:
-            r_anch = anchor - c
-            row = (0.0, 0.0)
-        else:
-            w_x = math.exp(-b * anchor_lx)
-            r_anch = anchor - c + a * w_x
-            row = (a * w_x, -a * b * anchor_lx * w_x)
-        r = np.append(r, r_anch)
-    if not with_jac:
-        return r, None
-    n = lx.size
-    jac = np.empty((r.size, 3))
-    aw = a * w
-    jac[:n, 0] = aw
-    jac[:n, 1] = -b * lx * aw
-    jac[:n, 2] = -1.0
-    if anchor is not None:
-        jac[n, 0], jac[n, 1], jac[n, 2] = row[0], row[1], -1.0
-    return r, jac
+class _Projection:
+    """Exact ``(a, c)`` and the projected residual at one ``v = log b``,
+    with ``v`` clipped into its range.
 
-
-def _clip_theta(theta):
-    theta[0] = min(max(theta[0], _LOG_A_RANGE[0]), _LOG_A_RANGE[1])
-    theta[1] = min(max(theta[1], _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
-    theta[2] = min(max(theta[2], _C_RANGE[0]), _C_RANGE[1])
-    return theta
-
-
-def _profile_c(theta, lx, ys, anchor, anchor_lx):
-    """Exact partial minimization over c for fixed (a, b).
-
-    The objective is quadratic in c, so the optimum is the mean of the
-    shifted targets; applying it after every accepted step keeps the
-    residual sum at machine zero regardless of how the loop exits.
+    ``lx`` holds the log positions of all rows; ``free_last`` marks an
+    analytic anchor row, whose power term has weight 0.
     """
-    a = math.exp(theta[0])
-    b = math.exp(theta[1])
-    total = float(np.sum(ys + a * np.exp(-b * lx)))
-    count = lx.size
-    if anchor is not None:
-        if anchor_lx is None:
-            total += anchor
-        else:
-            total += anchor + a * math.exp(-b * anchor_lx)
-        count += 1
-    theta[2] = min(max(total / count, _C_RANGE[0]), _C_RANGE[1])
-    return theta
 
+    __slots__ = ("v", "a", "w", "wc", "ww", "r", "cost")
 
-def _levenberg_marquardt(theta0, lx, ys, anchor, anchor_lx, config):
-    theta = _profile_c(_clip_theta(np.asarray(theta0, dtype=float).copy()),
-                       lx, ys, anchor, anchor_lx)
-    r, jac = _residuals_and_jacobian(theta, lx, ys, anchor, anchor_lx)
-    cost = float(r @ r)
-    lam = 1.0 / config.initial_trust_radius
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.maximum(np.diag(jtj), 1e-12)
-        accepted = False
-        while lam <= _LAMBDA_MAX:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = _profile_c(_clip_theta(theta + delta), lx, ys, anchor, anchor_lx)
-            r_trial, _ = _residuals_and_jacobian(trial, lx, ys, anchor, anchor_lx, with_jac=False)
-            cost_trial = float(r_trial @ r_trial)
-            if math.isfinite(cost_trial) and cost_trial <= cost:
-                lam_used = lam
-                step = trial - theta
-                theta = trial
-                cost_drop = cost - cost_trial
-                cost = cost_trial
-                lam = max(lam * 0.3, 1e-14)
-                accepted = True
-                # Heavily damped steps are tiny by construction; only trust
-                # the tolerance tests when the quadratic model was in charge.
-                if lam_used <= 1e6:
-                    if cost_drop <= config.cost_tolerance * max(cost, 1e-300):
-                        converged = True
-                    elif float(np.linalg.norm(step)) <= config.param_tolerance * (
-                        1.0 + float(np.linalg.norm(theta))
-                    ):
-                        converged = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # Damping exhausted: no descent direction left, we are at a
-            # (numerical) stationary point.
-            converged = True
-            break
-        if converged:
-            break
-        r, jac = _residuals_and_jacobian(theta, lx, ys, anchor, anchor_lx)
-    r_final, _ = _residuals_and_jacobian(theta, lx, ys, anchor, anchor_lx, with_jac=False)
-    return theta, float(r_final @ r_final), converged, iterations
+    def __init__(self, v, lx, tc, free_last):
+        self.v = v = min(max(v, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
+        w = _basis(math.exp(v), lx, free_last)
+        wc = w - w.mean()
+        ww = float(wc @ wc)
+        # r = tc + a*wc is the targets' residual off span{1, w}.
+        self.a = -float(wc @ tc) / ww if ww > 0.0 else 0.0
+        self.w, self.wc, self.ww = w, wc, ww
+        self.r = tc + self.a * wc
+        self.cost = float(self.r @ self.r)
 
+    def step(self, lx):
+        """Gauss-Newton step on ``v``, or None when the Jacobian vanishes.
 
-def _perturbed_guesses(base: PowerLawParams, y_last: float):
-    """Five deterministic restarts around the base guess."""
-    yield replace(base, b=base.b * 0.3)
-    yield replace(base, b=min(base.b * 3.0, math.exp(_LOG_B_RANGE[1])))
-    yield replace(base, a=base.a * 10.0)
-    yield replace(base, a=max(base.a * 0.1, 1e-9))
-    yield PowerLawParams(a=base.a, b=base.b, c=y_last + 1.0)
+        Kaufman's Jacobian is ``J = a * p`` with ``p = P dw/dv`` and ``P``
+        the projector off span{1, w}; the step is ``-(J.r) / (J.J)``.
+        """
+        if self.a == 0.0:  # also covers ww == 0
+            return None
+        d = -math.exp(self.v) * lx * self.w
+        p = d - d.mean()
+        p -= (float(p @ self.wc) / self.ww) * self.wc
+        scale = self.a * float(p @ p)
+        if scale == 0.0:
+            return None
+        return -float(p @ self.r) / scale
 
 
 def fit_power_law(
@@ -205,13 +123,14 @@ def fit_power_law(
 
     ``anchor`` adds one pseudo-observation: at infinity (residual against
     the asymptote) when ``anchor_x`` is None, else at the finite position
-    ``anchor_x``. Returns a result whose ``converged`` flag is False when
-    the iteration cap was hit; the caller decides what to do with it.
+    ``anchor_x``. Only ``initial.b`` is used as a start (default 0.5).
+    ``converged`` is False when the iteration cap was hit or the data have
+    no optimum inside the family; the caller decides what to do with it.
     """
     if len(points) < 3:
         raise InsufficientDataError(f"need at least 3 points, got {len(points)}")
     xs = np.array([p.position for p in points], dtype=float)
-    ys = np.array([p.accuracy for p in points], dtype=float)
+    targets = np.array([p.accuracy for p in points], dtype=float)
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
     if anchor_x is not None:
@@ -220,26 +139,52 @@ def fit_power_law(
         if anchor_x <= xs[-1]:
             raise ValueError("anchor_x must lie beyond every observation")
     lx = np.log(xs)
-    anchor_lx = math.log(anchor_x) if anchor_x is not None else None
+    free_last = anchor is not None and anchor_x is None
+    if anchor is not None:
+        targets = np.append(targets, anchor)
+        lx = np.append(lx, math.log(anchor_x) if anchor_x is not None else 0.0)
+    t_mean = float(targets.mean())
+    tc = targets - t_mean
 
-    guess = initial if initial is not None else initial_guess(points)
-    starts = [guess]
-    if config.multistart:
-        starts.extend(_perturbed_guesses(guess, ys[-1]))
+    start_b = initial.b if initial is not None else _START_B
+    fit = _Projection(math.log(start_b), lx, tc, free_last)
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        step = fit.step(lx)
+        if step is None or abs(step) <= config.param_tolerance * (1.0 + abs(fit.v)):
+            converged = True
+            break
+        for _ in range(_MAX_HALVINGS):
+            trial = _Projection(fit.v + step, lx, tc, free_last)
+            if trial.cost <= fit.cost:
+                break
+            step *= 0.5
+        else:
+            # No descent along v: a (numerical) stationary point.
+            converged = True
+            break
+        moved = abs(trial.v - fit.v)
+        drop = fit.cost - trial.cost
+        fit = trial
+        if (drop <= config.cost_tolerance * max(fit.cost, 1e-300)
+                or moved <= config.param_tolerance * (1.0 + abs(fit.v))):
+            converged = True
+            break
 
-    best = None
-    for start in starts:
-        theta0 = (math.log(start.a), math.log(start.b), start.c)
-        outcome = _levenberg_marquardt(theta0, lx, ys, anchor, anchor_lx, config)
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-    theta, cost, converged, iterations = best
-    params = PowerLawParams(a=math.exp(theta[0]), b=math.exp(theta[1]), c=float(theta[2]))
-    residuals, _ = _residuals_and_jacobian(theta, lx, ys, anchor, anchor_lx, with_jac=False)
+    if fit.a > 0.0:
+        params = PowerLawParams(a=fit.a, b=math.exp(fit.v), c=t_mean + fit.a * float(fit.w.mean()))
+        converged = converged and fit.v not in _LOG_B_RANGE
+        w = fit.w
+    else:
+        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=t_mean)
+        converged = False
+        w = _basis(start_b, lx, free_last)
+    residuals = targets - params.c + params.a * w
     return FitResult(
         params=params,
         residuals=tuple(float(v) for v in residuals),
         converged=converged,
         iterations=iterations,
-        final_cost=cost,
+        final_cost=float(residuals @ residuals),
     )

@@ -91,7 +91,6 @@ def _config_block(config: RunConfig) -> dict:
         "anchor_mode": config.anchor_policy.representation,
         "anchor_x": config.anchor_policy.finite_x,
         "end_position": config.end_position,
-        "min_level": config.min_level,
     }
 
 

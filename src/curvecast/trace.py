@@ -239,10 +239,10 @@ def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
     current, previous = trace.trends[i], trace.trends[i - 1]
     if not (current.converged and previous.converged):
         return None
-    if current.params.c > previous.params.c:  # locally increasing branch
-        return None
     if _params_close(current.params, previous.params):
         return 0.0
+    if current.params.c > previous.params.c:  # locally increasing branch
+        return None
     crossing = trend_intersection(current.params, previous.params)
     if crossing.last is None:
         return None

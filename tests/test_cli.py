@@ -114,6 +114,13 @@ class TestFit:
         monkeypatch.setattr(cli, "fit_power_law", stuck_fit)
         assert main(["fit", "--input", str(path)]) == 4
 
+    def test_flat_series_is_exit_four(self, tmp_path, capsys):
+        # a flat series has no increasing curve to fit: the best scale is 0
+        flat = tmp_path / "flat.csv"
+        flat.write_text("position,accuracy\n5000,95\n10000,95\n15000,95\n20000,95\n")
+        assert main(["fit", "--input", str(flat)]) == 4
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("position,accuracy\n10,90\n5,91\n")

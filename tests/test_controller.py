@@ -226,9 +226,10 @@ def _run_inputs(draw, mode):
                                  lookahead=draw(st.sampled_from([0, 2, 5]))),
         anchor_policy=AnchorPolicy(mode=mode),
         end_position=end,
-        # 15 iterations leave some fits non-converged, 2 leave all of them
-        fit_config=draw(st.sampled_from([FitConfig(), FitConfig(max_iterations=15),
-                                         FitConfig(max_iterations=2)])),
+        # 4 iterations leave some fits non-converged; 1 leaves all of them,
+        # unless the start b = 0.5 is already optimal
+        fit_config=draw(st.sampled_from([FitConfig(), FitConfig(max_iterations=4),
+                                         FitConfig(max_iterations=1)])),
     )
     return config, points
 
@@ -278,5 +279,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tau=-0.1)
     RunConfig(tau=0.0)  # "never stop" is allowed
-    with pytest.raises(ValueError):
-        RunConfig(tau=1.0, min_level=4)

@@ -192,6 +192,17 @@ class TestEpsilonBound:
         for level in range(4, 9):
             assert epsilon_bound(trace, level) == 0.0
 
+    def test_coincident_trends_with_rounding_rise_give_zero(self):
+        # coincidence is tested before the increasing-branch check, so a
+        # rounding-level rise of the asymptote still reads as "same trend"
+        trace = LearningTrace()
+        for level, c in ((3, 99.0), (4, 99.0 + 1e-13)):
+            trace.trends[level] = make_trend(500.0, 0.4, c, level=level,
+                                             position=5000 * level)
+            trace.backbone.append(c)
+        assert trace.trends[4].params.c > trace.trends[3].params.c
+        assert epsilon_bound(trace, 4) == 0.0
+
     def test_requires_level_four(self):
         trace, _ = build_noiseless_trace(count=5)
         with pytest.raises(ValueError):
