@@ -117,9 +117,9 @@ def _cmd_fit(args) -> int:
     result = fit_power_law(points)
     payload = {
         "level": level,
-        "a": round(result.params.a, 6),
-        "b": round(result.params.b, 6),
-        "c": round(result.params.c, 6),
+        "a": result.params.a,
+        "b": result.params.b,
+        "c": result.params.c,
         "converged": result.converged,
         "iterations": result.iterations,
         "final_cost": result.final_cost,

@@ -81,11 +81,10 @@ class RunState:
 
 
 def new_run(config: RunConfig) -> RunState:
-    anchored = config.anchor_policy.mode == "canonical"
     return RunState(
         config=config,
         series=ObservationSeries.from_points(()),
-        trace=LearningTrace(anchored=anchored),
+        trace=LearningTrace(),
     )
 
 

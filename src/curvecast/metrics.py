@@ -77,32 +77,16 @@ def rer(run1: Sequence[Pair], run2: Sequence[Pair]) -> float:
     return 100.0 * preserved / len(run1)
 
 
-def dmr(
-    run: Sequence[Pair],
-    others: Sequence[Sequence[Pair]],
-    *,
-    denominator: str = "others",
-    sequence_size: int | None = None,
-) -> float:
+def dmr(run: Sequence[Pair], others: Sequence[Sequence[Pair]]) -> float:
     """Percentage of comparison runs against which the ordering is preserved
-    at every control level.
-
-    ``denominator="sequence"`` divides by the control-sequence size instead
-    (the literal but table-inconsistent variant, kept behind a switch).
-    """
+    at every control level."""
     if not others:
         raise ValueError("dmr needs at least one comparison run")
     fully_preserved = sum(
         1 for other in others
         if sum(reliability_estimation(p, q) for p, q in zip(run, other)) == len(run)
     )
-    if denominator == "others":
-        denom = len(others)
-    elif denominator == "sequence":
-        denom = sequence_size if sequence_size is not None else len(run)
-    else:
-        raise ValueError(f"unknown denominator mode {denominator!r}")
-    return 100.0 * fully_preserved / denom
+    return 100.0 * fully_preserved / len(others)
 
 
 def longest_monotone_length(values: Sequence[float], *, contiguous: bool = False) -> int:

@@ -20,8 +20,10 @@ from .levels import LevelParams, working_level
 from .model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from .trace import (
     LearningTrace,
+    _params_close,
     anchored_chain,
     convergence_layer,
+    epsilon_bound,
     extend_trace,
     trend_intersection,
 )
@@ -148,7 +150,7 @@ def build_traces(
     """Reference (unanchored) trace over the whole series, the working
     level found on it, and the canonically anchored trace past that level
     (None when no working level emerged or anchoring is off)."""
-    reference = LearningTrace(anchored=False)
+    reference = LearningTrace()
     for level in range(3, len(series) + 1):
         extend_trace(reference, series, level, config=fit_config)
     levels, alphas, positions = reference.converged_view()
@@ -246,8 +248,6 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
 
 
 def _epsilon_sequence(trace: LearningTrace) -> list[float]:
-    from .trace import epsilon_bound  # local import keeps module load light
-
     values = []
     last = trace.last_level or 3
     for level in range(4, last + 1):
@@ -261,11 +261,7 @@ def _true_curve_crossing_gaps(trace: LearningTrace, true_params: PowerLawParams)
     gaps = []
     for level in trace.levels():
         trend = trace.trends[level]
-        if not trend.converged or trend.params == true_params:
-            continue
-        if (abs(trend.params.a - true_params.a) <= 1e-9
-                and abs(trend.params.b - true_params.b) <= 1e-9
-                and abs(trend.params.c - true_params.c) <= 1e-9):
+        if not trend.converged or _params_close(trend.params, true_params):
             continue
         crossing = trend_intersection(trend.params, true_params)
         if crossing.last is not None:

@@ -11,12 +11,10 @@ from .errors import InsufficientDataError, SequencingError
 from .fitting import DEFAULT_CONFIG, FitConfig, fit_power_law
 from .model import LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
 
-# Root search domain for trend intersections: log-spaced cells covering all
-# realistic training sizes with wide margin.
+# Root search domain for trend intersections: covers all realistic training
+# sizes with wide margin; crossings outside it are not reported.
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e12
-_BRACKET_CELLS = 2048
-_ROOT_TOL = 1e-10
 _SAME_PARAMS_TOL = 1e-9
 
 
@@ -45,7 +43,6 @@ class LearningTrace:
     not; consumers that need clean data filter through ``converged_view``.
     """
 
-    anchored: bool = False
     start_level: int = 3
     trends: dict[int, LearningTrend] = field(default_factory=dict)
     backbone: list[float] = field(default_factory=list)
@@ -129,7 +126,7 @@ def anchored_chain(
     Extending the result with :func:`next_canonical_anchor` continues the
     same chain.
     """
-    chain = LearningTrace(anchored=True, start_level=reference.start_level)
+    chain = LearningTrace(start_level=reference.start_level)
     for level in range(reference.start_level, omega + 1):
         chain.trends[level] = reference.trends[level]
         chain.backbone.append(reference.alpha(level))
@@ -165,12 +162,19 @@ def _params_close(t1: PowerLawParams, t2: PowerLawParams, tol: float = _SAME_PAR
 
 
 def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints:
-    """Crossing points of two distinct curves on (0, inf).
+    """Crossing points of two distinct curves on ``[_BRACKET_LO, _BRACKET_HI]``.
 
-    The difference of two members of the family has at most two roots;
-    they are bracketed on a fixed log grid and polished by bisection.
+    Trends within ``_SAME_PARAMS_TOL`` of each other count as one trend, as
+    in :func:`epsilon_bound`, and are rejected: near coincidence rounding
+    decides the sign of their difference and makes spurious roots.
+
+    In ``t = log x`` the difference is ``g(t) = dc - a1 e^(-b1 t) + a2 e^(-b2 t)``,
+    whose derivative vanishes at most once, at
+    ``t* = ln(a1 b1 / (a2 b2)) / (b1 - b2)``. Cutting the domain there leaves
+    at most two monotone pieces, each holding at most one root, which
+    bisection finds. Crossings outside the domain are not reported.
     """
-    if t1 == t2:
+    if _params_close(t1, t2):
         raise ValueError("cannot intersect a trend with itself")
     log_a1, log_a2 = math.log(t1.a), math.log(t2.a)
 
@@ -186,22 +190,21 @@ def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints
             return -math.inf if e1 > e2 else math.inf
         return (t1.c - t2.c) - math.exp(e1) + math.exp(e2)
 
-    log_lo, log_hi = math.log(_BRACKET_LO), math.log(_BRACKET_HI)
-    grid = [math.exp(log_lo + (log_hi - log_lo) * i / _BRACKET_CELLS) for i in range(_BRACKET_CELLS + 1)]
-    values = [diff(x) for x in grid]
+    cuts = [_BRACKET_LO, _BRACKET_HI]
+    if t1.b != t2.b:
+        t_turn = (log_a1 + math.log(t1.b) - log_a2 - math.log(t2.b)) / (t1.b - t2.b)
+        if math.log(_BRACKET_LO) < t_turn < math.log(_BRACKET_HI):
+            cuts.insert(1, math.exp(t_turn))
+    values = [diff(x) for x in cuts]
 
     roots: list[float] = []
-    for i in range(_BRACKET_CELLS):
-        lo, hi = grid[i], grid[i + 1]
-        flo, fhi = values[i], values[i + 1]
+    for lo, hi, flo, fhi in zip(cuts, cuts[1:], values, values[1:]):
         if flo == 0.0:
-            if not roots or roots[-1] != lo:
-                roots.append(lo)
-            continue
-        if flo * fhi < 0.0:
+            roots.append(lo)
+        elif flo * fhi < 0.0:
             roots.append(_bisect(diff, lo, hi, flo))
     if values[-1] == 0.0:
-        roots.append(grid[-1])
+        roots.append(cuts[-1])
 
     if not roots:
         return CrossingPoints(first=None, last=None)
@@ -211,17 +214,24 @@ def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints
     return CrossingPoints(first=points[0], last=points[-1])
 
 
-def _bisect(fn, lo, hi, flo, max_iter=200):
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)  # bisection in log space
+def _bisect(fn, lo, hi, flo):
+    """Log-space bisection of the sign change of ``fn`` on ``(lo, hi)``.
+
+    Stops at an exact zero or when no float lies strictly between ``lo``
+    and ``hi``; it then returns ``lo``, which stays below the piece's end,
+    so the roots of two neighbouring pieces never coincide.
+    """
+    while True:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return lo
         fmid = fn(mid)
-        if abs(fmid) < _ROOT_TOL:
+        if fmid == 0.0:
             return mid
         if (flo < 0.0) == (fmid < 0.0):
             lo, flo = mid, fmid
         else:
             hi = mid
-    return math.sqrt(lo * hi)
 
 
 def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
@@ -230,7 +240,10 @@ def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
 
     Exposed only on the practically usable branch: the local backbone must
     be non-increasing, and the two trends must actually cross. Returns 0
-    when the consecutive trends coincide, None when unavailable.
+    when the consecutive trends coincide, None when unavailable, which
+    includes trends whose only crossing lies outside the search domain of
+    :func:`trend_intersection` (e.g. ``(500, .4, 99)`` and
+    ``(400, .4, 99 - 1e-4)``, which cross near ``x = 1e15``).
     """
     if i < 4:
         raise ValueError("the bound needs two consecutive trends, so level >= 4")

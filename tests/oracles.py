@@ -124,7 +124,7 @@ def full_rescan_run(config, points):
     lp = config.level_params
     m = dict(wlevel=None, wposition=None, plevel=None, pposition=None,
              clevel=None, cposition=None, stopped=False, ignored_after_stop=0)
-    trace = LearningTrace(anchored=canonical)
+    trace = LearningTrace()
     seen = []
     for obs in points:
         if m["stopped"]:
@@ -149,7 +149,7 @@ def full_rescan_run(config, points):
             if omega is not None:
                 m["wlevel"], m["wposition"] = omega, trace.trends[omega].position
                 if canonical:
-                    rebuilt = LearningTrace(anchored=True)
+                    rebuilt = LearningTrace()
                     for lv in trace.levels():
                         if lv <= omega:
                             rebuilt.trends[lv] = trace.trends[lv]

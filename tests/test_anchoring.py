@@ -42,7 +42,7 @@ class TestCanonicalAnchorSequence:
     def test_chains_previous_anchored_asymptote(self):
         series = noiseless_series(8)
         policy = AnchorPolicy(mode="canonical")
-        trace = LearningTrace(anchored=True)
+        trace = LearningTrace()
         for level in range(3, 6):
             extend_trace(trace, series, level)
         omega = 5
@@ -53,7 +53,7 @@ class TestCanonicalAnchorSequence:
     def test_skips_nonconverged_links(self):
         series = noiseless_series(8)
         policy = AnchorPolicy(mode="canonical")
-        trace = LearningTrace(anchored=True)
+        trace = LearningTrace()
         for level in range(3, 6):
             extend_trace(trace, series, level)
         anchor = next_canonical_anchor(trace, 5)

@@ -119,7 +119,9 @@ class TestFit:
         flat = tmp_path / "flat.csv"
         flat.write_text("position,accuracy\n5000,95\n10000,95\n15000,95\n20000,95\n")
         assert main(["fit", "--input", str(flat)]) == 4
-        assert json.loads(capsys.readouterr().out)["converged"] is False
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["a"] > 0  # the family needs a > 0; no rounding to 0.0
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

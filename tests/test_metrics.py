@@ -112,12 +112,6 @@ class TestDmr:
         assert f"{dmr(run, [good] * 8 + [bad]):.2f}" == "88.89"
         assert f"{dmr(run, [good] * 7 + [bad]):.2f}" == "87.50"
 
-    def test_sequence_denominator_switch(self):
-        run = [(96.0, 96.1), (96.5, 96.6)]
-        good = [(95.0, 95.1), (95.5, 95.6)]
-        assert dmr(run, [good], denominator="sequence") == 50.0
-        assert dmr(run, [good], denominator="sequence", sequence_size=4) == 25.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dmr([(96, 96)], [])

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecast.errors import InsufficientDataError, SequencingError
 from curvecast.model import LearningTrend, ObservationSeries, PowerLawParams
 from curvecast.trace import (
     CrossingPoints,
     LearningTrace,
+    _params_close,
     convergence_layer,
     convergence_layer_bounded,
     epsilon_bound,
@@ -151,10 +154,38 @@ class TestTrendIntersection:
             assert abs(curve_value(*  (t1.a, t1.b, t1.c), x)
                        - curve_value(*(t2.a, t2.b, t2.c), x)) < 1e-9
 
+    def test_close_double_crossing(self):
+        # the roots are 0.16% apart: a log-grid scan with coarser cells sees
+        # no sign change at all
+        t1 = PowerLawParams(100, 1.0, 99.0)
+        t2 = PowerLawParams(50, 0.5, 99.0 + 6.25 - 1e-6)
+        cp = trend_intersection(t1, t2)
+        assert cp.count == 2
+        for x, _ in (cp.first, cp.last):
+            assert x == pytest.approx(16.0, rel=2e-3)
+            assert abs(curve_value(t1.a, t1.b, t1.c, x)
+                       - curve_value(t2.a, t2.b, t2.c, x)) <= 1e-9
+
+    def test_crossing_beyond_domain_is_not_reported(self):
+        # the true root is near x = 1e15, past the search domain's 1e12 end
+        t3 = PowerLawParams(500, 0.4, 99.0)
+        t4 = PowerLawParams(400, 0.4, 99.0 - 1e-4)
+        assert trend_intersection(t4, t3).count == 0
+        trace = LearningTrace()
+        for level, p in ((3, t3), (4, t4)):
+            trace.trends[level] = make_trend(p.a, p.b, p.c, level=level,
+                                             position=5000 * level)
+            trace.backbone.append(p.c)
+        assert epsilon_bound(trace, 4) is None
+
     def test_identical_params_rejected(self):
         p = PowerLawParams(500, 0.4, 99)
         with pytest.raises(ValueError):
             trend_intersection(p, p)
+        # one ulp apart in a: rounding alone used to yield two crossings
+        with pytest.raises(ValueError):
+            trend_intersection(PowerLawParams(400.0, 0.5, 90.0),
+                               PowerLawParams(400.00000000000006, 0.5, 90.0))
 
     def test_matches_sign_scan_oracle(self, rng):
         for _ in range(15):
@@ -172,6 +203,36 @@ class TestTrendIntersection:
     def test_crossing_points_ordering_enforced(self):
         with pytest.raises(ValueError):
             CrossingPoints(first=(10.0, 95.0), last=(5.0, 94.0))
+
+
+def _params_st(a, b, c):
+    return st.builds(PowerLawParams, st.floats(*a), st.floats(*b), st.floats(*c))
+
+
+# the ranges of conftest.steep_params and conftest.sample_params
+_REGIMES = {
+    "steep": _params_st(a=(400, 900), b=(0.35, 0.5), c=(90, 99)),
+    "sampled": _params_st(a=(10, 1000), b=(0.2, 1.5), c=(85, 100)),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_intersection_matches_sign_scan_property(regime, data):
+    p1, p2 = data.draw(_REGIMES[regime]), data.draw(_REGIMES[regime])
+    if _params_close(p1, p2):
+        with pytest.raises(ValueError):
+            trend_intersection(p1, p2)
+        return
+    cp = trend_intersection(p1, p2)
+    # 50,000 log cells: a cell's midpoint is within a ratio of 1 + 4.2e-4 of
+    # any root inside it, well within the 1e-3 tolerance
+    flips, approx_roots = sign_scan_crossings((p1.a, p1.b, p1.c), (p2.a, p2.b, p2.c),
+                                              n=50_000)
+    assert cp.count == flips
+    found = [x for x, _ in filter(None, (cp.first, cp.last))]
+    assert found == pytest.approx(approx_roots, rel=1e-3)
 
 
 def decreasing_synthetic_trace(levels=12):
