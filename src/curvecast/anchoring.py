@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import SequencingError
 from .fitting import DEFAULT_CONFIG, FitConfig, fit_power_law
-from .model import LearningTrend, Observation, PowerLawParams
+from .model import LearningTrend, Observation, ObservationSeries, PowerLawParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace import LearningTrace
@@ -65,21 +65,23 @@ def next_canonical_anchor(trace: "LearningTrace", omega: int) -> float:
 
 
 def fit_anchored_trend(
-    points: Sequence[Observation],
+    points: ObservationSeries | Sequence[Observation],
     anchor: float,
     policy: AnchorPolicy,
     config: FitConfig = DEFAULT_CONFIG,
     *,
     initial: PowerLawParams | None = None,
 ) -> LearningTrend:
-    """Fit a trend to ``points`` plus one anchor pseudo-observation."""
+    """Fit a trend to ``points`` (a series, or observations made into one)
+    plus one anchor pseudo-observation."""
+    series = ObservationSeries.from_points(points)
     anchor_x = policy.finite_x if policy.representation == "finite" else None
-    result = fit_power_law(points, anchor=anchor, config=config, anchor_x=anchor_x, initial=initial)
+    result = fit_power_law(series, anchor=anchor, config=config, anchor_x=anchor_x, initial=initial)
     return LearningTrend(
-        level=len(points),
+        level=len(series),
         params=result.params,
         residuals=result.residuals[:-1],
-        position=points[-1].position,
+        position=series.points[-1].position,
         anchor_residual=anchor - result.params.c,
         converged=result.converged,
     )

@@ -113,8 +113,7 @@ def _parse_noise(text: str) -> NoiseSpec:
 def _cmd_fit(args) -> int:
     series = read_observations(args.input)
     level = args.level if args.level is not None else len(series)
-    points = series.prefix(level)
-    result = fit_power_law(points)
+    result = fit_power_law(series.prefix(level))
     payload = {
         "level": level,
         "a": result.params.a,

@@ -9,6 +9,12 @@ residual. The anchor adds one row, either analytically against the
 asymptote (its power term has weight 0) or as a literal pseudo-observation
 at a far position (weight ``anchor_x**(-b)``).
 
+The rows come from the series' float64 columns (``log_positions`` and
+``accuracies``), which a prefix of a series shares with its parent, so a
+prefix fit builds no arrays from ``Observation`` objects. Means are taken as
+``sum / size``, numpy's own definition of ``mean`` without its call
+overhead.
+
 A fit has no optimum inside the family when its best ``a`` is <= 0 (flat or
 decreasing data) or when ``v`` ends on a rail of its range; such a fit is
 returned with ``converged=False``.
@@ -23,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .model import Observation, PowerLawParams
+from .model import Observation, ObservationSeries, PowerLawParams
 
 # Range of the log-decay walk; generous enough never to bind on an
 # identified fit, tight enough to keep x**(-b) away from overflow.
@@ -86,7 +92,7 @@ class _Projection:
     def __init__(self, v, lx, tc, free_last):
         self.v = v = min(max(v, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
         w = _basis(math.exp(v), lx, free_last)
-        wc = w - w.mean()
+        wc = w - w.sum() / w.size
         ww = float(wc @ wc)
         # r = tc + a*wc is the targets' residual off span{1, w}.
         self.a = -float(wc @ tc) / ww if ww > 0.0 else 0.0
@@ -103,7 +109,7 @@ class _Projection:
         if self.a == 0.0:  # also covers ww == 0
             return None
         d = -math.exp(self.v) * lx * self.w
-        p = d - d.mean()
+        p = d - d.sum() / d.size
         p -= (float(p @ self.wc) / self.ww) * self.wc
         scale = self.a * float(p @ p)
         if scale == 0.0:
@@ -112,14 +118,15 @@ class _Projection:
 
 
 def fit_power_law(
-    points: Sequence[Observation],
+    points: ObservationSeries | Sequence[Observation],
     anchor: float | None = None,
     config: FitConfig = DEFAULT_CONFIG,
     *,
     anchor_x: float | None = None,
     initial: PowerLawParams | None = None,
 ) -> FitResult:
-    """Least-squares fit of the curve to ``points``.
+    """Least-squares fit of the curve to ``points``, a series or any
+    sequence of observations (which is first made a series).
 
     ``anchor`` adds one pseudo-observation: at infinity (residual against
     the asymptote) when ``anchor_x`` is None, else at the finite position
@@ -127,23 +134,23 @@ def fit_power_law(
     ``converged`` is False when the iteration cap was hit or the data have
     no optimum inside the family; the caller decides what to do with it.
     """
-    if len(points) < 3:
-        raise InsufficientDataError(f"need at least 3 points, got {len(points)}")
-    xs = np.array([p.position for p in points], dtype=float)
-    targets = np.array([p.accuracy for p in points], dtype=float)
+    series = ObservationSeries.from_points(points)
+    if len(series) < 3:
+        raise InsufficientDataError(f"need at least 3 points, got {len(series)}")
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
     if anchor_x is not None:
         if anchor is None:
             raise ValueError("anchor_x given without an anchor value")
-        if anchor_x <= xs[-1]:
+        if anchor_x <= series.points[-1].position:
             raise ValueError("anchor_x must lie beyond every observation")
-    lx = np.log(xs)
+    lx = series.log_positions
+    targets = series.accuracies
     free_last = anchor is not None and anchor_x is None
     if anchor is not None:
         targets = np.append(targets, anchor)
         lx = np.append(lx, math.log(anchor_x) if anchor_x is not None else 0.0)
-    t_mean = float(targets.mean())
+    t_mean = float(targets.sum() / targets.size)
     tc = targets - t_mean
 
     start_b = initial.b if initial is not None else _START_B
@@ -173,7 +180,8 @@ def fit_power_law(
             break
 
     if fit.a > 0.0:
-        params = PowerLawParams(a=fit.a, b=math.exp(fit.v), c=t_mean + fit.a * float(fit.w.mean()))
+        c = t_mean + fit.a * float(fit.w.sum() / fit.w.size)
+        params = PowerLawParams(a=fit.a, b=math.exp(fit.v), c=c)
         converged = converged and fit.v not in _LOG_B_RANGE
         w = fit.w
     else:
@@ -183,7 +191,7 @@ def fit_power_law(
     residuals = targets - params.c + params.a * w
     return FitResult(
         params=params,
-        residuals=tuple(float(v) for v in residuals),
+        residuals=tuple(residuals.tolist()),
         converged=converged,
         iterations=iterations,
         final_cost=float(residuals @ residuals),

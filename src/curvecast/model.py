@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,11 @@ class Observation:
             raise ValueError(f"accuracy must be in (0, 100], got {self.accuracy!r}")
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Ordered observations produced by a kernel + constant-step schedule.
@@ -33,6 +41,12 @@ class ObservationSeries:
     actual positions are authoritative and only need to be strictly
     increasing (schedules snapped to sentence boundaries are not exactly
     regular).
+
+    ``log_positions`` and ``accuracies`` are the points as read-only float64
+    columns, built on first use and not part of ``==`` or ``repr``. A series
+    grown by :meth:`with_point` extends its parent's columns, and a
+    :meth:`prefix` reads views of them, so fitting a prefix never walks the
+    ``Observation`` objects again.
     """
 
     points: tuple[Observation, ...]
@@ -50,7 +64,10 @@ class ObservationSeries:
 
     @classmethod
     def from_points(cls, points) -> "ObservationSeries":
-        """Build a series inferring the nominal schedule from the data."""
+        """Build a series inferring the nominal schedule from the data; a
+        series is returned as it is."""
+        if isinstance(points, ObservationSeries):
+            return points
         pts = tuple(points)
         if not pts:
             return cls(pts, kernel_size=1, step=1)
@@ -64,31 +81,59 @@ class ObservationSeries:
     def positions(self) -> tuple[int, ...]:
         return tuple(p.position for p in self.points)
 
-    def accuracies(self) -> tuple[float, ...]:
-        return tuple(p.accuracy for p in self.points)
+    @cached_property
+    def log_positions(self) -> np.ndarray:
+        """Natural log of every position, as a read-only float64 column."""
+        return _read_only(np.log(np.array([p.position for p in self.points], dtype=float)))
 
-    def prefix(self, level: int) -> tuple[Observation, ...]:
-        """First ``level`` observations."""
-        if level > len(self.points):
+    @cached_property
+    def accuracies(self) -> np.ndarray:
+        """Every accuracy, as a read-only float64 column."""
+        return _read_only(np.array([p.accuracy for p in self.points], dtype=float))
+
+    def _derived(self, points, columns=None) -> "ObservationSeries":
+        """Series of already validated ``points`` on this schedule; the
+        ``(log_positions, accuracies)`` columns are built on first use unless
+        given."""
+        derived = object.__new__(ObservationSeries)
+        object.__setattr__(derived, "points", points)
+        object.__setattr__(derived, "kernel_size", self.kernel_size)
+        object.__setattr__(derived, "step", self.step)
+        if columns is not None:
+            derived.__dict__["log_positions"], derived.__dict__["accuracies"] = columns
+        return derived
+
+    def prefix(self, level: int) -> "ObservationSeries":
+        """First ``level`` observations, whose columns are views of this
+        series' columns."""
+        if not 1 <= level <= len(self.points):
             raise ValueError(f"series has {len(self.points)} points, prefix {level} requested")
-        return self.points[:level]
+        if level == len(self.points):
+            return self
+        return self._derived(self.points[:level],
+                             (self.log_positions[:level], self.accuracies[:level]))
 
     def with_point(self, obs: Observation) -> "ObservationSeries":
         """New series with one observation appended (positions must grow).
 
         Only the new point is checked against the last one. From two points
         on, the inferred schedule is fixed, so it is carried over instead of
-        rebuilding and revalidating the whole series.
+        rebuilding and revalidating the whole series, and columns already
+        built are extended by one value each.
         """
         if len(self.points) < 2:
             return ObservationSeries.from_points(self.points + (obs,))
         if obs.position <= self.points[-1].position:
             raise ValueError("positions must be strictly increasing")
-        grown = object.__new__(ObservationSeries)
-        object.__setattr__(grown, "points", self.points + (obs,))
-        object.__setattr__(grown, "kernel_size", self.kernel_size)
-        object.__setattr__(grown, "step", self.step)
-        return grown
+        points = self.points + (obs,)
+        if "log_positions" not in self.__dict__:
+            return self._derived(points)
+        # numpy's log, as for a whole column: math.log differs from it in
+        # the last bit for some positions.
+        return self._derived(points, (
+            _read_only(np.append(self.log_positions, np.log(float(obs.position)))),
+            _read_only(np.append(self.accuracies, obs.accuracy)),
+        ))
 
 
 @dataclass(frozen=True)

@@ -88,24 +88,24 @@ def extend_trace(
         raise SequencingError(f"expected level {expected}, got {level}")
     if len(series) < level:
         raise InsufficientDataError(f"series has {len(series)} points, level {level} needs {level}")
-    points = series.prefix(level)
+    prefix = series.prefix(level)
     initial = None
     if trace.last_level is not None:
         previous = trace.trends[trace.last_level]
         if previous.converged:
             initial = previous.params
     if anchor is None:
-        result = fit_power_law(points, config=config, initial=initial)
+        result = fit_power_law(prefix, config=config, initial=initial)
         trend = LearningTrend(
             level=level,
             params=result.params,
             residuals=result.residuals,
-            position=points[-1].position,
+            position=prefix.points[-1].position,
             converged=result.converged,
         )
     else:
         trend = fit_anchored_trend(
-            points, anchor, policy or AnchorPolicy(mode="canonical"), config, initial=initial
+            prefix, anchor, policy or AnchorPolicy(mode="canonical"), config, initial=initial
         )
     trace.trends[level] = trend
     trace.backbone.append(trend.params.c)

@@ -97,6 +97,12 @@ class TestFit:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0 and payload["level"] == 3
 
+    @pytest.mark.parametrize("level", ["-2", "0", "2", "11"])
+    def test_level_outside_the_file_is_input_error(self, tmp_path, capsys, level):
+        path = make_obs_file(tmp_path, count=10)
+        assert main(["fit", "--input", str(path), "--level", level]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv"]) == 2
 

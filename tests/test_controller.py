@@ -119,6 +119,29 @@ class TestIngestProtocol:
         assert len(state.series) == series_len
         assert state.ignored_after_stop == before + 1
 
+    def test_ingest_reads_a_constant_number_of_observation_fields(self, rng):
+        # Prefix fits read the series' columns, so each ingest touches the
+        # new observation and the last one, not every point of the prefix.
+        reads = [0]
+
+        class CountingObservation(Observation):
+            def __getattribute__(self, name):
+                if name in ("position", "accuracy"):
+                    reads[0] += 1
+                return super().__getattribute__(name)
+
+        true = steep_params(rng)
+        points = [CountingObservation(p.position, p.accuracy)
+                  for p in noisy_points(true, rng, count=200)]
+        state = new_run(RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical")))
+        per_ingest = []
+        for point in points:
+            before = reads[0]
+            ingest(state, point)
+            per_ingest.append(reads[0] - before)
+        assert state.wlevel is not None and len(state.trace.backbone) == 198
+        assert max(per_ingest) <= 20, per_ingest
+
     def test_predict_requires_stop(self):
         state = run_stream(RunConfig(tau=0.0), exact_series_points(REFERENCE_FIT, 8))
         with pytest.raises(NotStoppedError):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvecast.fitting import fit_power_law
 from curvecast.model import (
     Observation,
     ObservationSeries,
@@ -158,6 +160,57 @@ class TestDomainTypes:
     def test_prefix(self):
         pts = tuple(Observation(5000 * i, 90.0 + i * 0.01) for i in range(1, 6))
         series = ObservationSeries.from_points(pts)
-        assert series.prefix(3) == pts[:3]
-        with pytest.raises(ValueError):
-            series.prefix(9)
+        assert series.prefix(3).points == pts[:3]
+        assert series.prefix(5) is series
+        for level in (9, 6, 0, -2):
+            with pytest.raises(ValueError):
+                series.prefix(level)
+
+
+@st.composite
+def _grown_series(draw):
+    """Points of a noisy curve on an irregular schedule, the length at
+    which the columns are first read while the series grows, and a prefix
+    length."""
+    true = draw(params_st)
+    count = draw(st.integers(3, 40))
+    gaps = draw(st.lists(st.integers(1, 50_000), min_size=count, max_size=count))
+    noise = draw(st.lists(st.floats(-0.5, 0.5), min_size=count, max_size=count))
+    position, points = 0, []
+    for gap, jitter in zip(gaps, noise):
+        position += gap
+        value = eval_pattern(true, position) + jitter
+        points.append(Observation(position, min(max(value, 0.01), 100.0)))
+    return points, draw(st.integers(1, count)), draw(st.integers(3, count))
+
+
+class TestSeriesColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(_grown_series())
+    def test_grown_columns_and_prefix_fits_match_rebuilt_points(self, drawn):
+        points, first_read, k = drawn
+        series = ObservationSeries.from_points(())
+        for point in points:
+            series = series.with_point(point)
+            if len(series) == first_read:
+                series.log_positions  # later points extend the built columns
+        rebuilt = ObservationSeries.from_points(points)
+        for name in ("log_positions", "accuracies"):
+            grown, fresh = getattr(series, name), getattr(rebuilt, name)
+            assert grown.dtype == fresh.dtype == np.float64
+            assert grown.tobytes() == fresh.tobytes()
+
+        prefix = series.prefix(k)
+        assert prefix.points == tuple(points[:k])
+        for name in ("log_positions", "accuracies"):
+            column = getattr(prefix, name)
+            assert len(column) == k and np.shares_memory(column, getattr(series, name))
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+        plain = fit_power_law(prefix)
+        assert plain == fit_power_law(points[:k])
+        anchor = abs(plain.params.c) + 0.1
+        for anchor_x in (None, 1e200):
+            assert (fit_power_law(prefix, anchor=anchor, anchor_x=anchor_x)
+                    == fit_power_law(points[:k], anchor=anchor, anchor_x=anchor_x))
