@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import SequencingError
-from .fitting import DEFAULT_CONFIG, FitConfig, fit_power_law
+from .fitting import fit_power_law
 from .model import LearningTrend, Observation, ObservationSeries, PowerLawParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +68,6 @@ def fit_anchored_trend(
     points: ObservationSeries | Sequence[Observation],
     anchor: float,
     policy: AnchorPolicy,
-    config: FitConfig = DEFAULT_CONFIG,
     *,
     initial: PowerLawParams | None = None,
 ) -> LearningTrend:
@@ -76,7 +75,7 @@ def fit_anchored_trend(
     plus one anchor pseudo-observation."""
     series = ObservationSeries.from_points(points)
     anchor_x = policy.finite_x if policy.representation == "finite" else None
-    result = fit_power_law(series, anchor=anchor, config=config, anchor_x=anchor_x, initial=initial)
+    result = fit_power_law(series, anchor=anchor, anchor_x=anchor_x, initial=initial)
     return LearningTrend(
         level=len(series),
         params=result.params,

@@ -24,9 +24,8 @@ from typing import Iterable
 
 from .anchoring import AnchorPolicy, next_canonical_anchor
 from .errors import NotStoppedError, SequencingError
-from .fitting import DEFAULT_CONFIG, FitConfig
 from .levels import LevelParams, prediction_level, working_level
-from .model import LearningTrend, Observation, ObservationSeries, eval_pattern
+from .model import FIRST_LEVEL, LearningTrend, Observation, ObservationSeries, eval_pattern
 from .trace import (
     LearningTrace,
     anchored_chain,
@@ -34,8 +33,6 @@ from .trace import (
     convergence_layer_bounded,
     extend_trace,
 )
-
-FIRST_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class RunConfig:
     level_params: LevelParams = field(default_factory=LevelParams)
     anchor_policy: AnchorPolicy = field(default_factory=AnchorPolicy)
     end_position: int | None = None
-    fit_config: FitConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         # tau == 0 is allowed and means "never stop": layers are strictly
@@ -130,10 +126,9 @@ def _extend(state: RunState, level: int) -> None:
     policy = state.config.anchor_policy
     if policy.mode == "canonical" and state.wlevel is not None:
         anchor = next_canonical_anchor(state.trace, state.wlevel)
-        extend_trace(state.trace, state.series, level, anchor=anchor, policy=policy,
-                     config=state.config.fit_config)
+        extend_trace(state.trace, state.series, level, anchor=anchor, policy=policy)
     else:
-        extend_trace(state.trace, state.series, level, config=state.config.fit_config)
+        extend_trace(state.trace, state.series, level)
 
 
 def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | None:
@@ -147,7 +142,7 @@ def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | No
         return None
     needed = params.lookahead + 2
     levels: list[int] = []
-    for level in range(trace.last_level, trace.start_level - 1, -1):
+    for level in range(trace.last_level, FIRST_LEVEL - 1, -1):
         if trace.trends[level].converged:
             levels.append(level)
             if len(levels) == needed:
@@ -165,8 +160,7 @@ def _declare_working_level(state: RunState, omega: int) -> None:
     state.wposition = state.trace.trends[omega].position
     policy = state.config.anchor_policy
     if policy.mode == "canonical":
-        state.trace = anchored_chain(state.trace, state.series, omega, policy,
-                                     state.config.fit_config)
+        state.trace = anchored_chain(state.trace, state.series, omega, policy)
     _declare_later_milestones(state, range(omega, state.trace.last_level + 1))
 
 

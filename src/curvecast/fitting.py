@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .model import Observation, ObservationSeries, PowerLawParams
+from .model import FIRST_LEVEL, Observation, ObservationSeries, PowerLawParams
 
 # Range of the log-decay walk; generous enough never to bind on an
 # identified fit, tight enough to keep x**(-b) away from overflow.
@@ -39,24 +39,11 @@ _START_B = 0.5
 _DEGENERATE_A = 1e-20
 # Halving a step this often shrinks it below any useful change of log b.
 _MAX_HALVINGS = 40
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Convergence knobs for the Gauss-Newton loop on ``log b``."""
-
-    max_iterations: int = 200
-    cost_tolerance: float = 1e-12
-    param_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if min(self.cost_tolerance, self.param_tolerance) <= 0:
-            raise ValueError("tolerances must be > 0")
-
-
-DEFAULT_CONFIG = FitConfig()
+# Convergence of the Gauss-Newton loop on log b: an iteration cap, and the
+# relative drop of cost and change of log b that count as no progress.
+_MAX_ITERATIONS = 200
+_COST_TOLERANCE = 1e-12
+_PARAM_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,7 +107,6 @@ class _Projection:
 def fit_power_law(
     points: ObservationSeries | Sequence[Observation],
     anchor: float | None = None,
-    config: FitConfig = DEFAULT_CONFIG,
     *,
     anchor_x: float | None = None,
     initial: PowerLawParams | None = None,
@@ -135,8 +121,8 @@ def fit_power_law(
     no optimum inside the family; the caller decides what to do with it.
     """
     series = ObservationSeries.from_points(points)
-    if len(series) < 3:
-        raise InsufficientDataError(f"need at least 3 points, got {len(series)}")
+    if len(series) < FIRST_LEVEL:
+        raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(series)}")
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
     if anchor_x is not None:
@@ -157,9 +143,9 @@ def fit_power_law(
     fit = _Projection(math.log(start_b), lx, tc, free_last)
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         step = fit.step(lx)
-        if step is None or abs(step) <= config.param_tolerance * (1.0 + abs(fit.v)):
+        if step is None or abs(step) <= _PARAM_TOLERANCE * (1.0 + abs(fit.v)):
             converged = True
             break
         for _ in range(_MAX_HALVINGS):
@@ -174,8 +160,8 @@ def fit_power_law(
         moved = abs(trial.v - fit.v)
         drop = fit.cost - trial.cost
         fit = trial
-        if (drop <= config.cost_tolerance * max(fit.cost, 1e-300)
-                or moved <= config.param_tolerance * (1.0 + abs(fit.v))):
+        if (drop <= _COST_TOLERANCE * max(fit.cost, 1e-300)
+                or moved <= _PARAM_TOLERANCE * (1.0 + abs(fit.v))):
             converged = True
             break
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-FIRST_OPERATIVE_LEVEL = 3
+from .model import FIRST_LEVEL
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,15 @@ def working_level(
     the verticality limit, or None if no window passes yet.
 
     ``levels`` maps backbone entries to their level numbers; by default the
-    first entry is level 3 and entries are consecutive. A window is only
-    judged once all of it is observable, so the answer is stable under data
-    growth: later entries can never retract an already-reported level.
+    first entry is level ``model.FIRST_LEVEL`` (3) and entries are
+    consecutive. A window is only judged once all of it is observable, so
+    the answer is stable under data growth: later entries can never retract
+    an already-reported level.
     """
     if len(backbone) != len(positions):
         raise ValueError("backbone and positions must have equal length")
     if levels is None:
-        levels = range(FIRST_OPERATIVE_LEVEL, FIRST_OPERATIVE_LEVEL + len(backbone))
+        levels = range(FIRST_LEVEL, FIRST_LEVEL + len(backbone))
     limit = verticality_limit(params)
     n = len(backbone)
     slopes = [
@@ -74,7 +75,7 @@ def prediction_level(
 ) -> int | None:
     """Smallest level >= ``omega`` whose asymptote is <= 100, or None."""
     if levels is None:
-        levels = range(FIRST_OPERATIVE_LEVEL, FIRST_OPERATIVE_LEVEL + len(backbone))
+        levels = range(FIRST_LEVEL, FIRST_LEVEL + len(backbone))
     for level, alpha in zip(levels, backbone):
         if level >= omega and alpha <= 100.0:
             return level

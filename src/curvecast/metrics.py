@@ -89,19 +89,9 @@ def dmr(run: Sequence[Pair], others: Sequence[Sequence[Pair]]) -> float:
     return 100.0 * fully_preserved / len(others)
 
 
-def longest_monotone_length(values: Sequence[float], *, contiguous: bool = False) -> int:
+def longest_monotone_length(values: Sequence[float]) -> int:
     """Length of the longest monotonic (non-decreasing or non-increasing)
-    subsequence; contiguous runs only when ``contiguous`` is set."""
-    n = len(values)
-    if n == 0:
-        return 0
-    if contiguous:
-        best = up = down = 1
-        for prev, cur in zip(values, values[1:]):
-            up = up + 1 if cur >= prev else 1
-            down = down + 1 if cur <= prev else 1
-            best = max(best, up, down)
-        return best
+    subsequence."""
     return max(_longest_non_decreasing(values), _longest_non_decreasing([-v for v in values]))
 
 
@@ -118,12 +108,12 @@ def _longest_non_decreasing(values: Sequence[float]) -> int:
     return len(tails)
 
 
-def rr(backbone_segment: Sequence[float], *, contiguous: bool = False) -> float:
+def rr(backbone_segment: Sequence[float]) -> float:
     """Robustness rate: share of the segment covered by its longest
     monotonic subsequence."""
     if not backbone_segment:
         raise ValueError("robustness rate needs a non-empty segment")
-    mono = longest_monotone_length(backbone_segment, contiguous=contiguous)
+    mono = longest_monotone_length(backbone_segment)
     return 100.0 * mono / len(backbone_segment)
 
 

@@ -13,6 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
+# The first level of a run: a trend needs three observations.
+FIRST_LEVEL = 3
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -35,51 +38,36 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Ordered observations produced by a kernel + constant-step schedule.
-
-    ``kernel_size`` and ``step`` describe the nominal sampling schedule; the
-    actual positions are authoritative and only need to be strictly
-    increasing (schedules snapped to sentence boundaries are not exactly
-    regular).
+    """Observations with strictly increasing positions; a series is its
+    points, however they were sampled.
 
     ``log_positions`` and ``accuracies`` are the points as read-only float64
-    columns, built on first use and not part of ``==`` or ``repr``. A series
-    grown by :meth:`with_point` extends its parent's columns, and a
-    :meth:`prefix` reads views of them, so fitting a prefix never walks the
-    ``Observation`` objects again.
+    columns, built on first use and not part of ``==``, ``repr`` or the
+    pickled state. A series grown by :meth:`with_point` extends its parent's
+    columns, and a :meth:`prefix` reads views of them, so fitting a prefix
+    never walks the ``Observation`` objects again.
     """
 
     points: tuple[Observation, ...]
-    kernel_size: int
-    step: int
 
     def __post_init__(self):
-        if self.kernel_size < 1 or self.step < 1:
-            raise ValueError("kernel_size and step must be positive")
         pos = [p.position for p in self.points]
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("positions must be strictly increasing")
-        if pos and pos[0] < self.kernel_size:
-            raise ValueError("first position must be >= kernel_size")
+
+    def __getstate__(self):
+        # A copy or an unpickled series rebuilds its columns read-only.
+        return {"points": self.points}
 
     @classmethod
     def from_points(cls, points) -> "ObservationSeries":
-        """Build a series inferring the nominal schedule from the data; a
-        series is returned as it is."""
+        """Series of ``points``; a series is returned as it is."""
         if isinstance(points, ObservationSeries):
             return points
-        pts = tuple(points)
-        if not pts:
-            return cls(pts, kernel_size=1, step=1)
-        kernel = pts[0].position
-        step = pts[1].position - pts[0].position if len(pts) > 1 else kernel
-        return cls(pts, kernel_size=kernel, step=max(step, 1))
+        return cls(tuple(points))
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(p.position for p in self.points)
 
     @cached_property
     def log_positions(self) -> np.ndarray:
@@ -92,13 +80,10 @@ class ObservationSeries:
         return _read_only(np.array([p.accuracy for p in self.points], dtype=float))
 
     def _derived(self, points, columns=None) -> "ObservationSeries":
-        """Series of already validated ``points`` on this schedule; the
-        ``(log_positions, accuracies)`` columns are built on first use unless
-        given."""
+        """Series of already validated ``points``; the ``(log_positions,
+        accuracies)`` columns are built on first use unless given."""
         derived = object.__new__(ObservationSeries)
         object.__setattr__(derived, "points", points)
-        object.__setattr__(derived, "kernel_size", self.kernel_size)
-        object.__setattr__(derived, "step", self.step)
         if columns is not None:
             derived.__dict__["log_positions"], derived.__dict__["accuracies"] = columns
         return derived
@@ -116,14 +101,10 @@ class ObservationSeries:
     def with_point(self, obs: Observation) -> "ObservationSeries":
         """New series with one observation appended (positions must grow).
 
-        Only the new point is checked against the last one. From two points
-        on, the inferred schedule is fixed, so it is carried over instead of
-        rebuilding and revalidating the whole series, and columns already
-        built are extended by one value each.
+        Only the new point is checked against the last one, and columns
+        already built are extended by one value each.
         """
-        if len(self.points) < 2:
-            return ObservationSeries.from_points(self.points + (obs,))
-        if obs.position <= self.points[-1].position:
+        if self.points and obs.position <= self.points[-1].position:
             raise ValueError("positions must be strictly increasing")
         points = self.points + (obs,)
         if "log_positions" not in self.__dict__:
@@ -176,8 +157,8 @@ class LearningTrend:
     converged: bool = True
 
     def __post_init__(self):
-        if self.level < 3:
-            raise ValueError("a trend needs at least three observations")
+        if self.level < FIRST_LEVEL:
+            raise ValueError(f"a trend needs at least {FIRST_LEVEL} observations")
         if len(self.residuals) != self.level:
             raise ValueError("residual count must equal the trend level")
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchoring import AnchorPolicy
-from .fitting import DEFAULT_CONFIG, FitConfig
 from .levels import LevelParams, working_level
-from .model import Observation, ObservationSeries, PowerLawParams, eval_pattern
+from .model import FIRST_LEVEL, Observation, ObservationSeries, PowerLawParams, eval_pattern
 from .trace import (
     LearningTrace,
     _params_close,
@@ -80,7 +79,7 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
     points = tuple(
         Observation(x, float(y)) for x, y in zip(positions, values)
     )
-    return ObservationSeries(points, kernel_size=spec.kernel, step=spec.step)
+    return ObservationSeries(points)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,9 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class TheoremSuiteConfig:
-    """True curve plus tolerances for the convergence checks.
+    """True curve, level detection and anchoring settings, and tolerances
+    for the convergence checks; the fits use the fitter's fixed convergence
+    constants.
 
     ``violation_budget`` is the fraction of monotonicity steps allowed to
     fail on distorted data; ``monotone_tolerance`` is the absolute backbone
@@ -126,7 +127,6 @@ class TheoremSuiteConfig:
     true_params: PowerLawParams
     level_params: LevelParams = field(default_factory=LevelParams)
     anchor_policy: AnchorPolicy = field(default_factory=lambda: AnchorPolicy(mode="canonical"))
-    fit_config: FitConfig = DEFAULT_CONFIG
     tolerance: float = 1e-6
     violation_budget: float = 0.0
     monotone_tolerance: float = 0.0
@@ -145,19 +145,18 @@ def build_traces(
     series: ObservationSeries,
     level_params: LevelParams,
     policy: AnchorPolicy,
-    fit_config: FitConfig = DEFAULT_CONFIG,
 ) -> tuple[LearningTrace, int | None, LearningTrace | None]:
     """Reference (unanchored) trace over the whole series, the working
     level found on it, and the canonically anchored trace past that level
     (None when no working level emerged or anchoring is off)."""
     reference = LearningTrace()
-    for level in range(3, len(series) + 1):
-        extend_trace(reference, series, level, config=fit_config)
+    for level in range(FIRST_LEVEL, len(series) + 1):
+        extend_trace(reference, series, level)
     levels, alphas, positions = reference.converged_view()
     omega = working_level(alphas, positions, level_params, levels=levels)
     anchored = None
     if omega is not None and policy.mode == "canonical":
-        anchored = anchored_chain(reference, series, omega, policy, fit_config)
+        anchored = anchored_chain(reference, series, omega, policy)
     return reference, omega, anchored
 
 
@@ -182,9 +181,7 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
     c_true = config.true_params.c
     budget = config.violation_budget
     tol = config.tolerance
-    reference, omega, anchored = build_traces(
-        series, config.level_params, config.anchor_policy, config.fit_config
-    )
+    reference, omega, anchored = build_traces(series, config.level_params, config.anchor_policy)
     results: dict[str, CheckResult] = {}
 
     def record(name, violations, checks, detail=""):
@@ -249,8 +246,8 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
 
 def _epsilon_sequence(trace: LearningTrace) -> list[float]:
     values = []
-    last = trace.last_level or 3
-    for level in range(4, last + 1):
+    last = trace.last_level or FIRST_LEVEL
+    for level in range(FIRST_LEVEL + 1, last + 1):
         eps = epsilon_bound(trace, level)
         if eps is not None:
             values.append(eps)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 from .anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
 from .errors import InsufficientDataError, SequencingError
-from .fitting import DEFAULT_CONFIG, FitConfig, fit_power_law
-from .model import LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
+from .fitting import fit_power_law
+from .model import FIRST_LEVEL, LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
 
 # Root search domain for trend intersections: covers all realistic training
 # sizes with wide margin; crossings outside it are not reported.
@@ -37,25 +37,30 @@ class CrossingPoints:
 
 @dataclass
 class LearningTrace:
-    """Append-only sequence of trends, one per level starting at 3.
+    """Append-only sequence of trends, one per level from ``FIRST_LEVEL``
+    on, kept in level order.
 
-    ``backbone`` mirrors the asymptote of every stored trend, converged or
-    not; consumers that need clean data filter through ``converged_view``.
+    The trends are the whole trace: the last level, the level list and the
+    asymptote ``backbone`` (every stored trend's, converged or not) are read
+    off them. Consumers that need clean data filter through
+    ``converged_view``.
     """
 
-    start_level: int = 3
     trends: dict[int, LearningTrend] = field(default_factory=dict)
-    backbone: list[float] = field(default_factory=list)
 
     @property
     def last_level(self) -> int | None:
-        return self.start_level + len(self.backbone) - 1 if self.backbone else None
+        return next(reversed(self.trends), None)
+
+    @property
+    def backbone(self) -> tuple[float, ...]:
+        return tuple(trend.params.c for trend in self.trends.values())
 
     def levels(self) -> list[int]:
-        return list(range(self.start_level, self.start_level + len(self.backbone)))
+        return list(self.trends)
 
     def alpha(self, level: int) -> float:
-        return self.backbone[level - self.start_level]
+        return self.trends[level].params.c
 
     def converged_view(self) -> tuple[list[int], list[float], list[int]]:
         """(levels, asymptotes, positions) of converged trends only."""
@@ -76,14 +81,13 @@ def extend_trace(
     *,
     anchor: float | None = None,
     policy: AnchorPolicy | None = None,
-    config: FitConfig = DEFAULT_CONFIG,
 ) -> LearningTrace:
     """Fit the prefix of length ``level`` and append the trend.
 
     Levels must arrive consecutively. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
     """
-    expected = trace.start_level if trace.last_level is None else trace.last_level + 1
+    expected = FIRST_LEVEL if trace.last_level is None else trace.last_level + 1
     if level != expected:
         raise SequencingError(f"expected level {expected}, got {level}")
     if len(series) < level:
@@ -95,7 +99,7 @@ def extend_trace(
         if previous.converged:
             initial = previous.params
     if anchor is None:
-        result = fit_power_law(prefix, config=config, initial=initial)
+        result = fit_power_law(prefix, initial=initial)
         trend = LearningTrend(
             level=level,
             params=result.params,
@@ -105,10 +109,9 @@ def extend_trace(
         )
     else:
         trend = fit_anchored_trend(
-            prefix, anchor, policy or AnchorPolicy(mode="canonical"), config, initial=initial
+            prefix, anchor, policy or AnchorPolicy(mode="canonical"), initial=initial
         )
     trace.trends[level] = trend
-    trace.backbone.append(trend.params.c)
     return trace
 
 
@@ -117,7 +120,6 @@ def anchored_chain(
     series: ObservationSeries,
     omega: int,
     policy: AnchorPolicy,
-    config: FitConfig = DEFAULT_CONFIG,
 ) -> LearningTrace:
     """Canonical anchor chain over the levels of ``reference``.
 
@@ -126,13 +128,12 @@ def anchored_chain(
     Extending the result with :func:`next_canonical_anchor` continues the
     same chain.
     """
-    chain = LearningTrace(start_level=reference.start_level)
-    for level in range(reference.start_level, omega + 1):
+    chain = LearningTrace()
+    for level in range(FIRST_LEVEL, omega + 1):
         chain.trends[level] = reference.trends[level]
-        chain.backbone.append(reference.alpha(level))
     for level in range(omega + 1, reference.last_level + 1):
         anchor = next_canonical_anchor(chain, omega)
-        extend_trace(chain, series, level, anchor=anchor, policy=policy, config=config)
+        extend_trace(chain, series, level, anchor=anchor, policy=policy)
     return chain
 
 
@@ -245,8 +246,9 @@ def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
     :func:`trend_intersection` (e.g. ``(500, .4, 99)`` and
     ``(400, .4, 99 - 1e-4)``, which cross near ``x = 1e15``).
     """
-    if i < 4:
-        raise ValueError("the bound needs two consecutive trends, so level >= 4")
+    if i < FIRST_LEVEL + 1:
+        raise ValueError(
+            f"the bound needs two consecutive trends, so level >= {FIRST_LEVEL + 1}")
     if i not in trace.trends or (i - 1) not in trace.trends:
         raise ValueError(f"levels {i - 1} and {i} must both be present")
     current, previous = trace.trends[i], trace.trends[i - 1]

@@ -137,9 +137,9 @@ def full_rescan_run(config, points):
         series = ObservationSeries.from_points(seen)
         if canonical and m["wlevel"] is not None:
             extend_trace(trace, series, level, anchor=next_canonical_anchor(trace, m["wlevel"]),
-                         policy=policy, config=config.fit_config)
+                         policy=policy)
         else:
-            extend_trace(trace, series, level, config=config.fit_config)
+            extend_trace(trace, series, level)
 
         if m["wlevel"] is None:
             conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
@@ -153,11 +153,10 @@ def full_rescan_run(config, points):
                     for lv in trace.levels():
                         if lv <= omega:
                             rebuilt.trends[lv] = trace.trends[lv]
-                            rebuilt.backbone.append(trace.backbone[lv - trace.start_level])
                         else:
                             extend_trace(rebuilt, series, lv,
                                          anchor=next_canonical_anchor(rebuilt, omega),
-                                         policy=policy, config=config.fit_config)
+                                         policy=policy)
                     trace = rebuilt
 
         conv = [lv for lv in trace.levels() if trace.trends[lv].converged]

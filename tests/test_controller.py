@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvecast.anchoring
+import curvecast.fitting
 import curvecast.trace
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import (
@@ -16,7 +19,6 @@ from curvecast.controller import (
     stopping_layer,
 )
 from curvecast.errors import NotStoppedError, SequencingError
-from curvecast.fitting import FitConfig
 from curvecast.levels import LevelParams
 from curvecast.model import Observation, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
@@ -249,24 +251,24 @@ def _run_inputs(draw, mode):
                                  lookahead=draw(st.sampled_from([0, 2, 5]))),
         anchor_policy=AnchorPolicy(mode=mode),
         end_position=end,
-        # 4 iterations leave some fits non-converged; 1 leaves all of them,
-        # unless the start b = 0.5 is already optimal
-        fit_config=draw(st.sampled_from([FitConfig(), FitConfig(max_iterations=4),
-                                         FitConfig(max_iterations=1)])),
     )
-    return config, points
+    # the fitter's iteration cap: 4 iterations leave some fits
+    # non-converged; 1 leaves all of them, unless the start b = 0.5 is
+    # already optimal
+    return config, points, draw(st.sampled_from([200, 4, 1]))
 
 
 @pytest.mark.parametrize("mode", ["none", "canonical"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_incremental_milestones_match_full_rescan(mode, data):
-    config, points = data.draw(_run_inputs(mode))
-    state = run_stream(config, points)
-    expected, trace = full_rescan_run(config, points)
-    assert {name: getattr(state, name) for name in _MILESTONES} == expected
-    assert state.trace == trace
-    assert run_batch(config, points) == state
+    config, points, max_iterations = data.draw(_run_inputs(mode))
+    with mock.patch.object(curvecast.fitting, "_MAX_ITERATIONS", max_iterations):
+        state = run_stream(config, points)
+        expected, trace = full_rescan_run(config, points)
+        assert {name: getattr(state, name) for name in _MILESTONES} == expected
+        assert state.trace == trace
+        assert run_batch(config, points) == state
 
 
 class TestAnchoredRuns:

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 
+import curvecast.fitting
 from curvecast.errors import InsufficientDataError
-from curvecast.fitting import FitConfig, fit_power_law
+from curvecast.fitting import fit_power_law
 from curvecast.model import Observation, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
@@ -22,7 +24,7 @@ def rel_err(fit, true):
 class TestInitialGuess:
     def test_seed_for_paper_fit_converges(self):
         pts = exact_series_points(REFERENCE_FIT, count=30)
-        result = fit_power_law(pts, config=FitConfig(max_iterations=200))
+        result = fit_power_law(pts)
         assert result.converged and result.iterations <= 200
         assert rel_err(result.params, REFERENCE_FIT) < 1e-6
 
@@ -160,7 +162,8 @@ class TestFitPowerLaw:
             Observation(x, y) for x, y in
             [(10, 50.0), (20, 80.0), (30, 60.0), (40, 90.0), (50, 55.0)]
         ]
-        result = fit_power_law(pts, config=FitConfig(max_iterations=1))
+        with mock.patch.object(curvecast.fitting, "_MAX_ITERATIONS", 1):
+            result = fit_power_law(pts)
         assert result.iterations == 1
         # caller decides: a result is returned either way
         assert isinstance(result.converged, bool)
@@ -173,10 +176,3 @@ class TestFitPowerLaw:
             fit_power_law(pts, anchor=99.0, anchor_x=100.0)  # inside the data
         with pytest.raises(ValueError):
             fit_power_law(pts, anchor_x=1e200)  # anchor_x without anchor
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitConfig(cost_tolerance=0.0)

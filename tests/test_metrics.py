@@ -137,10 +137,6 @@ class TestRr:
             assert (rr(seg) == 100.0) == is_monotone
             assert rr(seg) >= 100.0 / n
 
-    def test_contiguous_variant(self):
-        values = [1, 2, 5, 3, 4]
-        assert rr(values, contiguous=True) == pytest.approx(60.0)  # run [1,2,5]
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rr([])

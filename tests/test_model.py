@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -132,12 +134,12 @@ class TestDomainTypes:
 
     def test_series_ordering(self):
         pts = (Observation(5000, 90.0), Observation(10000, 91.0))
-        series = ObservationSeries(pts, kernel_size=5000, step=5000)
-        assert series.positions() == (5000, 10000)
+        series = ObservationSeries(pts)
+        assert tuple(p.position for p in series.points) == (5000, 10000)
         with pytest.raises(ValueError):
-            ObservationSeries(pts[::-1], kernel_size=5000, step=5000)
+            ObservationSeries(pts[::-1])
         with pytest.raises(ValueError):
-            ObservationSeries(pts, kernel_size=6000, step=5000)
+            ObservationSeries(pts[:1] * 2)
 
     def test_series_can_be_empty_and_grow(self):
         series = ObservationSeries.from_points(())
@@ -145,7 +147,7 @@ class TestDomainTypes:
         series = series.with_point(Observation(5000, 90.0))
         series = series.with_point(Observation(10000, 91.0))
         assert len(series) == 2
-        assert series.kernel_size == 5000 and series.step == 5000
+        assert series == ObservationSeries((Observation(5000, 90.0), Observation(10000, 91.0)))
 
     def test_with_point_equals_rebuilding_the_series(self):
         pts = tuple(Observation(5000 + 4000 * i + i * i, 90.0 + i * 0.01) for i in range(6))
@@ -214,3 +216,20 @@ class TestSeriesColumns:
         for anchor_x in (None, 1e200):
             assert (fit_power_law(prefix, anchor=anchor, anchor_x=anchor_x)
                     == fit_power_law(points[:k], anchor=anchor, anchor_x=anchor_x))
+
+    @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
+                                           copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_rebuild_read_only_columns(self, duplicate):
+        series = ObservationSeries.from_points(())
+        for i in range(1, 9):
+            series = series.with_point(Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i)))
+            series.log_positions  # built, then extended by every later point
+        before = fit_power_law(series.prefix(6))
+        copied = duplicate(series)
+        assert copied == series
+        for name in ("log_positions", "accuracies"):
+            column = getattr(copied, name)
+            assert column.tobytes() == getattr(series, name).tobytes()
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert fit_power_law(copied.prefix(6)) == before

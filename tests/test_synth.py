@@ -39,7 +39,7 @@ class TestGenerateSeries:
 
     def test_schedule(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=5, kernel=4000, step=3000))
-        assert series.positions() == (4000, 7000, 10000, 13000, 16000)
+        assert tuple(p.position for p in series.points) == (4000, 7000, 10000, 13000, 16000)
 
     def test_roundtrip_refit_recovers_params_at_every_level(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=25))

@@ -175,7 +175,6 @@ class TestTrendIntersection:
         for level, p in ((3, t3), (4, t4)):
             trace.trends[level] = make_trend(p.a, p.b, p.c, level=level,
                                              position=5000 * level)
-            trace.backbone.append(p.c)
         assert epsilon_bound(trace, 4) is None
 
     def test_identical_params_rejected(self):
@@ -243,7 +242,6 @@ def decreasing_synthetic_trace(levels=12):
         trend = make_trend(500.0 - 5.0 * level, 0.4, 99.0 + 10.0 / level,
                            level=level, position=5000 * level)
         trace.trends[level] = trend
-        trace.backbone.append(trend.params.c)
     return trace
 
 
@@ -260,7 +258,6 @@ class TestEpsilonBound:
         for level, c in ((3, 99.0), (4, 99.0 + 1e-13)):
             trace.trends[level] = make_trend(500.0, 0.4, c, level=level,
                                              position=5000 * level)
-            trace.backbone.append(c)
         assert trace.trends[4].params.c > trace.trends[3].params.c
         assert epsilon_bound(trace, 4) == 0.0
 
@@ -284,7 +281,6 @@ class TestEpsilonBound:
         for level, (a, c) in zip((3, 4), ((500.0, 99.0), (500.0, 98.5))):
             trend = make_trend(a, 0.4, c, level=level, position=5000 * level)
             trace.trends[level] = trend
-            trace.backbone.append(c)
         assert epsilon_bound(trace, 4) is None
 
     def test_not_exposed_on_increasing_branch(self):
@@ -293,7 +289,6 @@ class TestEpsilonBound:
             trend = make_trend(500.0 - 5 * level, 0.4, c, level=level,
                                position=5000 * level)
             trace.trends[level] = trend
-            trace.backbone.append(c)
         assert epsilon_bound(trace, 4) is None
 
     def test_bound_validity_on_grid(self):
@@ -342,6 +337,22 @@ class TestConvergedView:
         good = make_trend(500, 0.4, 99, level=3, position=15000)
         bad = make_trend(400, 0.5, 98, level=4, position=20000, converged=False)
         trace.trends[3], trace.trends[4] = good, bad
-        trace.backbone.extend([99.0, 98.0])
         levels, alphas, positions = trace.converged_view()
         assert levels == [3] and alphas == [99.0] and positions == [15000]
+
+
+class TestDerivedViews:
+    def test_views_are_read_off_the_trends(self):
+        trace = LearningTrace()
+        assert trace.last_level is None and trace.levels() == [] and trace.backbone == ()
+        asymptotes = {3: 99.5, 4: 98.25, 5: 101.0}
+        for level, c in asymptotes.items():
+            trace.trends[level] = make_trend(500.0, 0.4, c, level=level,
+                                             position=5000 * level,
+                                             converged=level != 5)
+        assert trace.last_level == 5
+        assert trace.levels() == [3, 4, 5]
+        assert [trace.alpha(level) for level in trace.levels()] == [99.5, 98.25, 101.0]
+        assert trace.backbone == (99.5, 98.25, 101.0)
+        with pytest.raises(AttributeError):
+            trace.backbone.append(97.0)
