@@ -72,7 +72,11 @@ def fit_anchored_trend(
     initial: PowerLawParams | None = None,
 ) -> LearningTrend:
     """Fit a trend to ``points`` (a series, or observations made into one)
-    plus one anchor pseudo-observation."""
+    plus one anchor pseudo-observation.
+
+    The trend's residuals are a view of the fit's, without the anchor row,
+    whose residual becomes ``anchor_residual``.
+    """
     series = ObservationSeries.from_points(points)
     anchor_x = policy.finite_x if policy.representation == "finite" else None
     result = fit_power_law(series, anchor=anchor, anchor_x=anchor_x, initial=initial)
@@ -81,6 +85,8 @@ def fit_anchored_trend(
         params=result.params,
         residuals=result.residuals[:-1],
         position=series.points[-1].position,
-        anchor_residual=anchor - result.params.c,
+        anchor_residual=float(result.residuals[-1]),
         converged=result.converged,
+        iterations=result.iterations,
+        final_cost=result.final_cost,
     )

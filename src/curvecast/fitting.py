@@ -29,7 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .model import FIRST_LEVEL, Observation, ObservationSeries, PowerLawParams
+from .model import (
+    FIRST_LEVEL,
+    Observation,
+    ObservationSeries,
+    PowerLawParams,
+    _read_only,
+    _ResidualsRecord,
+)
 
 # Range of the log-decay walk; generous enough never to bind on an
 # identified fit, tight enough to keep x**(-b) away from overflow.
@@ -46,13 +53,14 @@ _COST_TOLERANCE = 1e-12
 _PARAM_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class FitResult:
+@dataclass(frozen=True, eq=False)
+class FitResult(_ResidualsRecord):
     """Outcome of one fit; ``residuals`` are observed minus fitted, with the
-    anchor residual appended last when an anchor was used."""
+    anchor residual appended last when an anchor was used, as a read-only
+    float64 array."""
 
     params: PowerLawParams
-    residuals: tuple[float, ...]
+    residuals: np.ndarray
     converged: bool
     iterations: int
     final_cost: float
@@ -174,10 +182,10 @@ def fit_power_law(
         params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=t_mean)
         converged = False
         w = _basis(start_b, lx, free_last)
-    residuals = targets - params.c + params.a * w
+    residuals = _read_only(targets - params.c + params.a * w)
     return FitResult(
         params=params,
-        residuals=tuple(residuals.tolist()),
+        residuals=residuals,
         converged=converged,
         iterations=iterations,
         final_cost=float(residuals @ residuals),

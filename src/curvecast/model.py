@@ -8,7 +8,8 @@ asymptote ``y = c``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +37,38 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
+class _ColumnBuffer:
+    """Capacity shared by a chain of series grown by ``with_point``: the
+    first ``filled`` slots of each column hold the longest series' values.
+
+    Only a series of exactly ``filled`` points may append in place; any
+    other (a shorter one, or a second child of the same parent) copies. The
+    lock makes the check and the claim of the next slot one step. Series
+    slice the read-only views, so their columns are read-only too.
+    """
+
+    __slots__ = ("_writable", "log_positions", "accuracies", "filled", "_lock")
+
+    def __init__(self, log_positions, accuracies, capacity):
+        self.filled = n = len(log_positions)
+        self._writable = (np.empty(capacity), np.empty(capacity))
+        self._writable[0][:n] = log_positions
+        self._writable[1][:n] = accuracies
+        self.log_positions, self.accuracies = (_read_only(c.view()) for c in self._writable)
+        self._lock = threading.Lock()
+
+    def append(self, length, log_position, accuracy):
+        """Write one slot after the first ``length``; False when the slot is
+        taken or there is none left."""
+        with self._lock:
+            if self.filled != length or length == len(self.accuracies):
+                return False
+            self._writable[0][length] = log_position
+            self._writable[1][length] = accuracy
+            self.filled = length + 1
+        return True
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Observations with strictly increasing positions; a series is its
@@ -43,9 +76,10 @@ class ObservationSeries:
 
     ``log_positions`` and ``accuracies`` are the points as read-only float64
     columns, built on first use and not part of ``==``, ``repr`` or the
-    pickled state. A series grown by :meth:`with_point` extends its parent's
-    columns, and a :meth:`prefix` reads views of them, so fitting a prefix
-    never walks the ``Observation`` objects again.
+    pickled state. A series grown by :meth:`with_point` writes its new point
+    into a capacity buffer shared with its parent, whose columns are views
+    of the same memory, and a :meth:`prefix` reads views of them, so fitting
+    a prefix never walks the ``Observation`` objects again.
     """
 
     points: tuple[Observation, ...]
@@ -79,13 +113,17 @@ class ObservationSeries:
         """Every accuracy, as a read-only float64 column."""
         return _read_only(np.array([p.accuracy for p in self.points], dtype=float))
 
-    def _derived(self, points, columns=None) -> "ObservationSeries":
+    def _derived(self, points, columns=None, buffer=None) -> "ObservationSeries":
         """Series of already validated ``points``; the ``(log_positions,
-        accuracies)`` columns are built on first use unless given."""
+        accuracies)`` columns are built on first use unless given, and
+        ``buffer`` is the capacity they view, if ``with_point`` may grow
+        them in place."""
         derived = object.__new__(ObservationSeries)
         object.__setattr__(derived, "points", points)
         if columns is not None:
             derived.__dict__["log_positions"], derived.__dict__["accuracies"] = columns
+        if buffer is not None:
+            derived.__dict__["_buffer"] = buffer
         return derived
 
     def prefix(self, level: int) -> "ObservationSeries":
@@ -102,7 +140,9 @@ class ObservationSeries:
         """New series with one observation appended (positions must grow).
 
         Only the new point is checked against the last one, and columns
-        already built are extended by one value each.
+        already built are extended by one value each: in place when this
+        series is the longest on its buffer, else into a new buffer of twice
+        the length, so no column of an existing series ever changes.
         """
         if self.points and obs.position <= self.points[-1].position:
             raise ValueError("positions must be strictly increasing")
@@ -111,10 +151,14 @@ class ObservationSeries:
             return self._derived(points)
         # numpy's log, as for a whole column: math.log differs from it in
         # the last bit for some positions.
-        return self._derived(points, (
-            _read_only(np.append(self.log_positions, np.log(float(obs.position)))),
-            _read_only(np.append(self.accuracies, obs.accuracy)),
-        ))
+        log_position = np.log(float(obs.position))
+        length = len(self.points)
+        buffer = self.__dict__.get("_buffer")
+        if buffer is None or not buffer.append(length, log_position, obs.accuracy):
+            buffer = _ColumnBuffer(self.log_positions, self.accuracies, 2 * (length + 1))
+            buffer.append(length, log_position, obs.accuracy)
+        columns = (buffer.log_positions[:length + 1], buffer.accuracies[:length + 1])
+        return self._derived(points, columns, buffer)
 
 
 @dataclass(frozen=True)
@@ -140,23 +184,58 @@ class PowerLawParams:
             raise ValueError(f"b must be > 0, got {self.b}")
 
 
-@dataclass(frozen=True)
-class LearningTrend:
+class _ResidualsRecord:
+    """Value semantics of a frozen record with a ``residuals`` field.
+
+    The residuals are kept as a read-only float64 array (any sequence is
+    turned into one), ``==`` compares them element by element and exactly,
+    and the record is unhashable like the array. Pickling and copying
+    rebuild the record through its constructor, because numpy unpickles a
+    read-only array as writable.
+    """
+
+    __hash__ = None
+
+    def __post_init__(self):
+        # A read-only float64 array is kept as it is; anything else is
+        # copied, so no caller keeps a writable handle on the residuals.
+        r = self.residuals
+        if not (isinstance(r, np.ndarray) and r.dtype == np.float64 and not r.flags.writeable):
+            object.__setattr__(self, "residuals", _read_only(np.array(r, dtype=np.float64)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name != "residuals"]
+        return (tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+                and np.array_equal(self.residuals, other.residuals))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class LearningTrend(_ResidualsRecord):
     """Curve fitted to the first ``level`` observations.
 
-    ``residuals`` are observed minus fitted, one per observation used.
-    ``anchor_residual`` is the residual of the pseudo-observation at
-    infinity when the fit was anchored, else None.
+    ``residuals`` are observed minus fitted, one per observation used, as a
+    read-only float64 array. ``anchor_residual`` is the residual of the
+    anchor pseudo-observation when the fit was anchored, else None.
+    ``iterations`` and ``final_cost`` are those of the fit that made the
+    trend (sum of squared residuals, anchor row included).
     """
 
     level: int
     params: PowerLawParams
-    residuals: tuple[float, ...]
+    residuals: np.ndarray
     position: int
     anchor_residual: float | None = None
     converged: bool = True
+    iterations: int = 0
+    final_cost: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.level < FIRST_LEVEL:
             raise ValueError(f"a trend needs at least {FIRST_LEVEL} observations")
         if len(self.residuals) != self.level:

@@ -293,10 +293,12 @@ def _anchored_checks(results, record, reference, anchored, omega, config):
                        and anchored.trends[lv].converged]
 
     # Residual balance: anchor residual cancels the observation residuals.
+    # The sums run over Python floats: summing the array's numpy scalars
+    # one by one is slower and, on Python 3.12+, not the same summation.
     bad_balance = 0
     for lv in anchored_levels:
         trend = anchored.trends[lv]
-        total = sum(trend.residuals) + trend.anchor_residual
+        total = sum(trend.residuals.tolist()) + trend.anchor_residual
         if abs(total) > 1e-6 * lv:
             bad_balance += 1
     record("anchored_residual_balance", bad_balance, len(anchored_levels))
@@ -319,7 +321,7 @@ def _anchored_checks(results, record, reference, anchored, omega, config):
         checks_corr += 1
         t_prev, t_cur = anchored.trends[prev], anchored.trends[cur]
         anchor_value = t_cur.params.c + t_cur.anchor_residual
-        bound = t_prev.params.c - sum(t_cur.residuals) - t_cur.anchor_residual
+        bound = t_prev.params.c - sum(t_cur.residuals.tolist()) - t_cur.anchor_residual
         decreasing = t_cur.params.c <= t_prev.params.c + tol
         if decreasing and anchor_value > bound + tol:
             bad_corr += 1

@@ -106,6 +106,8 @@ def extend_trace(
             residuals=result.residuals,
             position=prefix.points[-1].position,
             converged=result.converged,
+            iterations=result.iterations,
+            final_cost=result.final_cost,
         )
     else:
         trend = fit_anchored_trend(

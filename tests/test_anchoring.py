@@ -2,8 +2,9 @@ import pytest
 
 from curvecast.anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
 from curvecast.errors import SequencingError
+from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams
-from curvecast.model import Observation, ObservationSeries, eval_pattern
+from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 from curvecast.trace import LearningTrace, extend_trace
 
@@ -107,6 +108,21 @@ class TestFitAnchoredTrend:
                                               representation=representation))
                 balance = sum(trend.residuals) + trend.anchor_residual
                 assert abs(balance) <= 1e-6 * (n + 1)
+
+    @pytest.mark.parametrize("representation", ["analytic", "finite"])
+    def test_anchor_residual_is_the_fits_anchor_row(self, representation):
+        # A slow decay keeps the far pseudo-observation's power term
+        # (a * 1e200**-b, about 3e-4 here) well above rounding, so a finite
+        # anchor's residual is not anchor - c.
+        pts = exact_series_points(PowerLawParams(50.0, 0.02, 99.0), count=30)
+        policy = AnchorPolicy(mode="canonical", representation=representation)
+        trend = fit_anchored_trend(pts, 90.0, policy)
+        anchor_x = policy.finite_x if representation == "finite" else None
+        result = fit_power_law(pts, anchor=90.0, anchor_x=anchor_x)
+        assert trend.anchor_residual == result.residuals[-1]
+        assert abs(sum(trend.residuals.tolist()) + trend.anchor_residual) <= 1e-9
+        if representation == "analytic":
+            assert trend.anchor_residual == 90.0 - trend.params.c
 
     def test_anchor_residual_vanishes_along_noiseless_chain(self):
         series = noiseless_series(16)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from curvecast.fitting import fit_power_law
 from curvecast.model import (
+    LearningTrend,
     Observation,
     ObservationSeries,
     PowerLawParams,
@@ -217,6 +218,51 @@ class TestSeriesColumns:
             assert (fit_power_law(prefix, anchor=anchor, anchor_x=anchor_x)
                     == fit_power_law(points[:k], anchor=anchor, anchor_x=anchor_x))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_branched_growth_changes_no_other_series(self, data):
+        """Two children of one parent, then appends that either extend one
+        of the growing tips or branch a new tip off any earlier series: every
+        series and prefix keeps the columns it had when made, and they equal
+        the columns rebuilt from its points."""
+
+        def grow(series):
+            last = series.points[-1].position if series.points else 0
+            point = Observation(last + data.draw(st.integers(1, 50_000)),
+                                data.draw(st.floats(0.01, 100.0)))
+            return series.with_point(point)
+
+        seen = []
+
+        def keep(series):
+            seen.append((series, series.log_positions.tobytes(), series.accuracies.tobytes()))
+            return series
+
+        series = ObservationSeries.from_points(())
+        for _ in range(data.draw(st.integers(0, 5))):  # columns not read yet
+            series = grow(series)
+        parent = keep(grow(series))
+        tips = [keep(grow(parent)), keep(grow(parent))]
+        grown = [parent, *tips]
+        for branch, pick in data.draw(st.lists(
+                st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=30)):
+            if branch:
+                new = grow(grown[pick % len(grown)])
+                tips.append(new)
+            else:
+                i = pick % len(tips)
+                tips[i] = new = grow(tips[i])
+            grown.append(keep(new))
+            keep(new.prefix(data.draw(st.integers(1, len(new)))))
+
+        for series, log_positions, accuracies in seen:
+            rebuilt = ObservationSeries(series.points)
+            assert series.log_positions.tobytes() == log_positions == rebuilt.log_positions.tobytes()
+            assert series.accuracies.tobytes() == accuracies == rebuilt.accuracies.tobytes()
+            for column in (series.log_positions, series.accuracies):
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+
     @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_rebuild_read_only_columns(self, duplicate):
@@ -233,3 +279,65 @@ class TestSeriesColumns:
             with pytest.raises(ValueError):
                 column[0] = 1.0
         assert fit_power_law(copied.prefix(6)) == before
+
+
+_COPIES = pytest.mark.parametrize(
+    "duplicate", [lambda x: x, lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+    ids=["original", "pickle", "deepcopy"])
+
+
+def _noisy_fit():
+    pts = [Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i) + 0.01 * (-1) ** i)
+           for i in range(1, 13)]
+    return fit_power_law(pts, anchor=REFERENCE_FIT.c)
+
+
+def _trend_of(result):
+    return LearningTrend(level=12, params=result.params, residuals=result.residuals[:-1],
+                         position=60000, anchor_residual=float(result.residuals[-1]),
+                         converged=result.converged, iterations=result.iterations,
+                         final_cost=result.final_cost)
+
+
+class TestResidualArrays:
+    @_COPIES
+    def test_residuals_stay_read_only(self, duplicate):
+        result = _noisy_fit()
+        for record in (result, _trend_of(result)):
+            copied = duplicate(record)
+            assert copied == record
+            assert copied.residuals.dtype == np.float64
+            with pytest.raises(ValueError):
+                copied.residuals[0] = 0.0
+
+    def test_trend_keeps_the_fits_array_and_diagnostics(self):
+        result = _noisy_fit()
+        trend = _trend_of(result)
+        assert np.shares_memory(trend.residuals, result.residuals)
+        assert (trend.iterations, trend.final_cost) == (result.iterations, result.final_cost)
+
+    def test_sequence_and_array_build_equal_trends(self):
+        trend = _trend_of(_noisy_fit())
+        rebuilt = LearningTrend(level=12, params=trend.params,
+                                residuals=tuple(trend.residuals.tolist()), position=60000,
+                                anchor_residual=trend.anchor_residual,
+                                iterations=trend.iterations, final_cost=trend.final_cost)
+        assert rebuilt == trend
+        assert rebuilt.residuals.tobytes() == trend.residuals.tobytes()
+
+    def test_one_ulp_makes_trends_unequal(self):
+        trend = _trend_of(_noisy_fit())
+        shifted = trend.residuals.copy()
+        shifted[5] = np.nextafter(shifted[5], np.inf)
+        other = LearningTrend(level=12, params=trend.params, residuals=shifted,
+                              position=60000, anchor_residual=trend.anchor_residual,
+                              iterations=trend.iterations, final_cost=trend.final_cost)
+        assert other != trend
+        shifted[5] = trend.residuals[5]  # the trend copied its writable input
+        assert other != trend
+
+    def test_records_are_unhashable(self):
+        result = _noisy_fit()
+        for record in (result, _trend_of(result)):
+            with pytest.raises(TypeError):
+                hash(record)
