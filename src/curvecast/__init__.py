@@ -11,7 +11,7 @@ from .controller import (
     run_stream,
 )
 from .errors import InsufficientDataError, NotStoppedError, SequencingError
-from .fitting import FitResult, fit_power_law
+from .fitting import fit_power_law
 from .levels import LevelParams, prediction_level, verticality_limit, working_level
 from .metrics import (
     ControlSequence,
@@ -50,7 +50,6 @@ __all__ = [
     "AnchorPolicy",
     "ControlSequence",
     "CrossingPoints",
-    "FitResult",
     "InsufficientDataError",
     "LearningTrace",
     "LearningTrend",

@@ -9,6 +9,7 @@ backbone irregularities without touching the underlying fitter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -38,8 +39,8 @@ class AnchorPolicy:
             raise ValueError(f"unknown anchor mode {self.mode!r}")
         if self.representation not in ("analytic", "finite"):
             raise ValueError(f"unknown anchor representation {self.representation!r}")
-        if self.finite_x <= 0:
-            raise ValueError("finite_x must be positive")
+        if not (math.isfinite(self.finite_x) and self.finite_x > 0):
+            raise ValueError(f"finite_x must be finite and > 0, got {self.finite_x}")
 
 
 def next_canonical_anchor(trace: "LearningTrace", omega: int) -> float:
@@ -71,22 +72,10 @@ def fit_anchored_trend(
     *,
     initial: PowerLawParams | None = None,
 ) -> LearningTrend:
-    """Fit a trend to ``points`` (a series, or observations made into one)
-    plus one anchor pseudo-observation.
-
-    The trend's residuals are a view of the fit's, without the anchor row,
-    whose residual becomes ``anchor_residual``.
+    """Trend of ``points`` (a series, or observations made into one)
+    anchored at ``anchor``: :func:`~curvecast.fitting.fit_power_law` with
+    the anchor row at infinity (``analytic``) or at ``policy.finite_x``
+    (``finite``).
     """
-    series = ObservationSeries.from_points(points)
     anchor_x = policy.finite_x if policy.representation == "finite" else None
-    result = fit_power_law(series, anchor=anchor, anchor_x=anchor_x, initial=initial)
-    return LearningTrend(
-        level=len(series),
-        params=result.params,
-        residuals=result.residuals[:-1],
-        position=series.points[-1].position,
-        anchor_residual=float(result.residuals[-1]),
-        converged=result.converged,
-        iterations=result.iterations,
-        final_cost=result.final_cost,
-    )
+    return fit_power_law(points, anchor=anchor, anchor_x=anchor_x, initial=initial)

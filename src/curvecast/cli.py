@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_int(text: str) -> int:
+    """Integer part of a number written in any float form, e.g. ``5e3``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return int(value)
+
+
 def _parse_noise(text: str) -> NoiseSpec:
     parts = text.split(":")
     kind = parts[0]
@@ -104,7 +112,7 @@ def _parse_noise(text: str) -> NoiseSpec:
     if kind == "bumps":
         if len(parts) not in (3, 4):
             raise ValueError("bumps noise is bumps:MAGNITUDE:COUNT[:MAXPOS]")
-        max_position = int(float(parts[3])) if len(parts) == 4 else 100_000
+        max_position = _parse_int(parts[3]) if len(parts) == 4 else 100_000
         return NoiseSpec("bumps", magnitude=float(parts[1]), count=int(parts[2]),
                          max_position=max_position)
     raise ValueError(f"unknown noise kind {kind!r}")
@@ -197,7 +205,7 @@ def _selected_row(name: str, report) -> tuple[dict, list, dict]:
 def _cmd_evaluate(args) -> int:
     run_paths = [p for p in args.runs.split(",") if p]
     truth_paths = [p for p in args.truth.split(",") if p]
-    controls = [int(float(v)) for v in args.controls.split(",") if v.strip()]
+    controls = [_parse_int(v) for v in args.controls.split(",") if v.strip()]
     if len(run_paths) != len(truth_paths):
         raise ValueError("need exactly one truth file per run report")
     if len(run_paths) < 1:
@@ -234,17 +242,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("CURVE_SEED")
-    if env_seed:
-        seed = int(env_seed)
     spec = SynthSpec(
         true_params=PowerLawParams(args.a, args.b, args.c),
         kernel=args.kernel,
         step=args.step,
         count=args.count,
         noise=_parse_noise(args.noise),
-        seed=seed,
+        seed=args.seed,
     )
     series = generate_series(spec)
     if not args.theorems:

@@ -47,8 +47,9 @@ class RunConfig:
 
     def __post_init__(self):
         # tau == 0 is allowed and means "never stop": layers are strictly
-        # positive, so the threshold is unreachable.
-        if self.tau < 0:
+        # positive, so the threshold is unreachable. The negated test also
+        # rejects NaN, which no layer ever drops below either.
+        if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 

@@ -18,12 +18,15 @@ overhead.
 A fit has no optimum inside the family when its best ``a`` is <= 0 (flat or
 decreasing data) or when ``v`` ends on a rail of its range; such a fit is
 returned with ``converged=False``.
+
+A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
+trend keeps the fit's residual array (the observation rows as a view, the
+anchor row as ``anchor_residual``), its parameters and its diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +34,11 @@ import numpy as np
 from .errors import InsufficientDataError
 from .model import (
     FIRST_LEVEL,
+    LearningTrend,
     Observation,
     ObservationSeries,
     PowerLawParams,
     _read_only,
-    _ResidualsRecord,
 )
 
 # Range of the log-decay walk; generous enough never to bind on an
@@ -51,19 +54,6 @@ _MAX_HALVINGS = 40
 _MAX_ITERATIONS = 200
 _COST_TOLERANCE = 1e-12
 _PARAM_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class FitResult(_ResidualsRecord):
-    """Outcome of one fit; ``residuals`` are observed minus fitted, with the
-    anchor residual appended last when an anchor was used, as a read-only
-    float64 array."""
-
-    params: PowerLawParams
-    residuals: np.ndarray
-    converged: bool
-    iterations: int
-    final_cost: float
 
 
 def _basis(b, lx, free_last):
@@ -118,15 +108,18 @@ def fit_power_law(
     *,
     anchor_x: float | None = None,
     initial: PowerLawParams | None = None,
-) -> FitResult:
-    """Least-squares fit of the curve to ``points``, a series or any
-    sequence of observations (which is first made a series).
+) -> LearningTrend:
+    """Trend of ``points``, a series or any sequence of observations (which
+    is first made a series): the least-squares fit of the curve, at level
+    ``len(points)`` and the last observation's position.
 
     ``anchor`` adds one pseudo-observation: at infinity (residual against
     the asymptote) when ``anchor_x`` is None, else at the finite position
-    ``anchor_x``. Only ``initial.b`` is used as a start (default 0.5).
-    ``converged`` is False when the iteration cap was hit or the data have
-    no optimum inside the family; the caller decides what to do with it.
+    ``anchor_x``, which must lie beyond every observation. Its residual is
+    the trend's ``anchor_residual``, and it counts in ``final_cost``. Only
+    ``initial.b`` is used as a start (default 0.5). ``converged`` is False
+    when the iteration cap was hit or the data have no optimum inside the
+    family; the caller decides what to do with it.
     """
     series = ObservationSeries.from_points(points)
     if len(series) < FIRST_LEVEL:
@@ -136,8 +129,9 @@ def fit_power_law(
     if anchor_x is not None:
         if anchor is None:
             raise ValueError("anchor_x given without an anchor value")
-        if anchor_x <= series.points[-1].position:
-            raise ValueError("anchor_x must lie beyond every observation")
+        if not (math.isfinite(anchor_x) and anchor_x > series.points[-1].position):
+            raise ValueError(f"anchor_x must be finite and beyond every observation, "
+                             f"got {anchor_x}")
     lx = series.log_positions
     targets = series.accuracies
     free_last = anchor is not None and anchor_x is None
@@ -183,9 +177,13 @@ def fit_power_law(
         converged = False
         w = _basis(start_b, lx, free_last)
     residuals = _read_only(targets - params.c + params.a * w)
-    return FitResult(
+    level = len(series)
+    return LearningTrend(
+        level=level,
         params=params,
-        residuals=residuals,
+        residuals=residuals[:level],
+        position=series.points[-1].position,
+        anchor_residual=float(residuals[-1]) if anchor is not None else None,
         converged=converged,
         iterations=iterations,
         final_cost=float(residuals @ residuals),

@@ -184,45 +184,21 @@ class PowerLawParams:
             raise ValueError(f"b must be > 0, got {self.b}")
 
 
-class _ResidualsRecord:
-    """Value semantics of a frozen record with a ``residuals`` field.
-
-    The residuals are kept as a read-only float64 array (any sequence is
-    turned into one), ``==`` compares them element by element and exactly,
-    and the record is unhashable like the array. Pickling and copying
-    rebuild the record through its constructor, because numpy unpickles a
-    read-only array as writable.
-    """
-
-    __hash__ = None
-
-    def __post_init__(self):
-        # A read-only float64 array is kept as it is; anything else is
-        # copied, so no caller keeps a writable handle on the residuals.
-        r = self.residuals
-        if not (isinstance(r, np.ndarray) and r.dtype == np.float64 and not r.flags.writeable):
-            object.__setattr__(self, "residuals", _read_only(np.array(r, dtype=np.float64)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = [f.name for f in fields(self) if f.name != "residuals"]
-        return (tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
-                and np.array_equal(self.residuals, other.residuals))
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
-
-
 @dataclass(frozen=True, eq=False)
-class LearningTrend(_ResidualsRecord):
-    """Curve fitted to the first ``level`` observations.
+class LearningTrend:
+    """Curve fitted to the first ``level`` observations, as
+    :func:`~curvecast.fitting.fit_power_law` returns it.
 
     ``residuals`` are observed minus fitted, one per observation used, as a
-    read-only float64 array. ``anchor_residual`` is the residual of the
-    anchor pseudo-observation when the fit was anchored, else None.
-    ``iterations`` and ``final_cost`` are those of the fit that made the
-    trend (sum of squared residuals, anchor row included).
+    read-only float64 array (any sequence is turned into one).
+    ``anchor_residual`` is the residual of the anchor pseudo-observation when
+    the fit was anchored, else None. ``iterations`` and ``final_cost`` are
+    those of the fit (sum of squared residuals, anchor row included).
+
+    ``==`` compares the residuals element by element and exactly, and a
+    trend is unhashable like the array. Pickling and copying rebuild the
+    trend through its constructor, because numpy unpickles a read-only array
+    as writable.
     """
 
     level: int
@@ -234,12 +210,28 @@ class LearningTrend(_ResidualsRecord):
     iterations: int = 0
     final_cost: float = 0.0
 
+    __hash__ = None
+
     def __post_init__(self):
-        super().__post_init__()
+        # A read-only float64 array is kept as it is; anything else is
+        # copied, so no caller keeps a writable handle on the residuals.
+        r = self.residuals
+        if not (isinstance(r, np.ndarray) and r.dtype == np.float64 and not r.flags.writeable):
+            object.__setattr__(self, "residuals", _read_only(np.array(r, dtype=np.float64)))
         if self.level < FIRST_LEVEL:
             raise ValueError(f"a trend needs at least {FIRST_LEVEL} observations")
         if len(self.residuals) != self.level:
             raise ValueError("residual count must equal the trend level")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name != "residuals"]
+        return (tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+                and np.array_equal(self.residuals, other.residuals))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
 
 
 def eval_pattern(params: PowerLawParams, x: float) -> float:

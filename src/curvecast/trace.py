@@ -99,16 +99,7 @@ def extend_trace(
         if previous.converged:
             initial = previous.params
     if anchor is None:
-        result = fit_power_law(prefix, initial=initial)
-        trend = LearningTrend(
-            level=level,
-            params=result.params,
-            residuals=result.residuals,
-            position=prefix.points[-1].position,
-            converged=result.converged,
-            iterations=result.iterations,
-            final_cost=result.final_cost,
-        )
+        trend = fit_power_law(prefix, initial=initial)
     else:
         trend = fit_anchored_trend(
             prefix, anchor, policy or AnchorPolicy(mode="canonical"), initial=initial

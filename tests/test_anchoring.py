@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from curvecast.anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
@@ -23,6 +25,9 @@ class TestAnchorPolicy:
             AnchorPolicy(representation="exact")
         with pytest.raises(ValueError):
             AnchorPolicy(finite_x=-1.0)
+        for finite_x in (math.nan, math.inf):  # NaN made every fit degenerate
+            with pytest.raises(ValueError):
+                AnchorPolicy(finite_x=finite_x)
 
     def test_defaults(self):
         policy = AnchorPolicy()
@@ -119,10 +124,15 @@ class TestFitAnchoredTrend:
         trend = fit_anchored_trend(pts, 90.0, policy)
         anchor_x = policy.finite_x if representation == "finite" else None
         result = fit_power_law(pts, anchor=90.0, anchor_x=anchor_x)
-        assert trend.anchor_residual == result.residuals[-1]
+        assert trend == result
         assert abs(sum(trend.residuals.tolist()) + trend.anchor_residual) <= 1e-9
+        a, b, c = trend.params.a, trend.params.b, trend.params.c
         if representation == "analytic":
-            assert trend.anchor_residual == 90.0 - trend.params.c
+            assert trend.anchor_residual == 90.0 - c
+        else:
+            assert trend.anchor_residual == pytest.approx(90.0 - (c - a * anchor_x ** -b),
+                                                          rel=0, abs=1e-12)
+            assert abs(trend.anchor_residual - (90.0 - c)) > 1e-5
 
     def test_anchor_residual_vanishes_along_noiseless_chain(self):
         series = noiseless_series(16)

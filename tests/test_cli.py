@@ -41,16 +41,6 @@ class TestSimulate:
                                            seed=9))
         assert out == format_observations(series)
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CURVE_SEED", "123")
-        main(["simulate", "--a", "500", "--b", "0.45", "--c", "96",
-              "--count", "6", "--noise", "gaussian:0.1", "--seed", "0"])
-        with_env = capsys.readouterr().out
-        monkeypatch.delenv("CURVE_SEED")
-        main(["simulate", "--a", "500", "--b", "0.45", "--c", "96",
-              "--count", "6", "--noise", "gaussian:0.1", "--seed", "123"])
-        assert capsys.readouterr().out == with_env
-
     def test_theorem_checks_pass_on_ideal_data(self, capsys):
         rc = main(["simulate", "--a", "542.5451", "--b", "0.3838", "--c", "99.2876",
                    "--count", "25", "--noise", "none", "--theorems"])
@@ -108,14 +98,15 @@ class TestFit:
 
     def test_nonconverged_fit_is_exit_four(self, tmp_path, capsys, monkeypatch):
         import curvecast.cli as cli
-        from curvecast.fitting import FitResult
+        from curvecast.model import LearningTrend
 
         path = make_obs_file(tmp_path)
 
         def stuck_fit(points, *args, **kwargs):
-            return FitResult(params=PowerLawParams(1.0, 1.0, 99.0),
-                             residuals=(0.0,) * len(points),
-                             converged=False, iterations=200, final_cost=1.0)
+            return LearningTrend(level=len(points), params=PowerLawParams(1.0, 1.0, 99.0),
+                                 residuals=(0.0,) * len(points),
+                                 position=points.points[-1].position,
+                                 converged=False, iterations=200, final_cost=1.0)
 
         monkeypatch.setattr(cli, "fit_power_law", stuck_fit)
         assert main(["fit", "--input", str(path)]) == 4
@@ -282,6 +273,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert rc == 2
         assert "'damaged'" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--runs", "run.json", "--truth", "{obs}", "--controls", "100000,inf"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:inf"],
+    ["run", "--input", "{obs}", "--tau", "nan"],
+    ["run", "--input", "{obs}", "--tau", "1", "--anchor-x", "nan"],
+], ids=["evaluate-controls-inf", "simulate-bumps-maxpos-inf", "run-tau-nan",
+        "run-anchor-x-nan"])
+def test_non_finite_number_is_input_error(tmp_path, capsys, argv):
+    obs = make_obs_file(tmp_path, count=10)
+    rc = main([arg.format(obs=obs) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import pytest
@@ -303,4 +304,6 @@ class TestAnchoredRuns:
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tau=-0.1)
+    with pytest.raises(ValueError):
+        RunConfig(tau=math.nan)  # would never stop
     RunConfig(tau=0.0)  # "never stop" is allowed

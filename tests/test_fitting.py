@@ -4,9 +4,10 @@ from unittest import mock
 import pytest
 
 import curvecast.fitting
+from curvecast.anchoring import AnchorPolicy, fit_anchored_trend
 from curvecast.errors import InsufficientDataError
 from curvecast.fitting import fit_power_law
-from curvecast.model import Observation, PowerLawParams, eval_pattern
+from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
 from conftest import REFERENCE_FIT, exact_series_points, sample_params
@@ -19,6 +20,12 @@ def rel_err(fit, true):
         abs(fit.b - true.b) / true.b,
         abs(fit.c - true.c) / abs(true.c),
     )
+
+
+def _rows(fit):
+    """Every residual row of a fit: the observations', then the anchor's."""
+    anchor_rows = [] if fit.anchor_residual is None else [fit.anchor_residual]
+    return list(fit.residuals) + anchor_rows
 
 
 class TestInitialGuess:
@@ -50,7 +57,7 @@ class TestFitPowerLaw:
         assert abs(anchored.params.a - plain.params.a) < 1e-8 * plain.params.a
         assert abs(anchored.params.b - plain.params.b) < 1e-8
         assert abs(anchored.params.c - plain.params.c) < 1e-8
-        assert len(anchored.residuals) == len(pts) + 1
+        assert len(_rows(anchored)) == len(pts) + 1
 
     def test_analytic_and_finite_anchor_agree(self, rng):
         # The far pseudo-observation behaves as infinity once the decay
@@ -97,7 +104,7 @@ class TestFitPowerLaw:
             plain = fit_power_law(pts)
             assert abs(sum(plain.residuals)) <= 1e-6 * n
             anchored = fit_power_law(pts, anchor=true.c)
-            assert abs(sum(anchored.residuals)) <= 1e-6 * (n + 1)
+            assert abs(sum(_rows(anchored))) <= 1e-6 * (n + 1)
             finite = fit_power_law(pts, anchor=true.c, anchor_x=1e7)
             # a is exactly optimal for the returned b: the residuals are
             # orthogonal to the power term, whose anchor row weighs 0
@@ -106,7 +113,8 @@ class TestFitPowerLaw:
                                     (finite, [1e7 ** -finite.params.b])):
                 if fit.converged:
                     weights = [p.position ** -fit.params.b for p in pts] + anchor_row
-                    assert abs(sum(r * w for r, w in zip(fit.residuals, weights))) <= 1e-6 * n
+                    assert len(_rows(fit)) == len(weights)
+                    assert abs(sum(r * w for r, w in zip(_rows(fit), weights))) <= 1e-6 * n
 
     def test_idempotent_refit(self, rng):
         true = sample_params(rng)
@@ -176,3 +184,28 @@ class TestFitPowerLaw:
             fit_power_law(pts, anchor=99.0, anchor_x=100.0)  # inside the data
         with pytest.raises(ValueError):
             fit_power_law(pts, anchor_x=1e200)  # anchor_x without anchor
+        for anchor_x in (math.inf, math.nan):  # inf left b at its start value
+            with pytest.raises(ValueError):
+                fit_power_law(pts, anchor=99.0, anchor_x=anchor_x)
+
+    def test_fit_is_the_trend_of_its_prefix(self, rng):
+        points = [Observation(5000 * (i + 1),
+                              eval_pattern(REFERENCE_FIT, 5000 * (i + 1)) + rng.normal(0, 0.05))
+                  for i in range(20)]
+        prefix = ObservationSeries.from_points(points).prefix(14)
+        anchor = REFERENCE_FIT.c + 0.2
+        fits = {
+            "plain": fit_power_law(prefix),
+            "analytic": fit_power_law(prefix, anchor=anchor),
+            "finite": fit_power_law(prefix, anchor=anchor, anchor_x=1e7),
+        }
+        for name, fit in fits.items():
+            assert fit.level == len(prefix) == len(fit.residuals)
+            assert fit.position == prefix.points[-1].position
+            assert (fit.anchor_residual is None) == (name == "plain")
+            assert fit.final_cost == pytest.approx(sum(r * r for r in _rows(fit)),
+                                                   rel=1e-12, abs=0)
+        for representation in ("analytic", "finite"):
+            policy = AnchorPolicy(mode="canonical", representation=representation,
+                                  finite_x=1e7)
+            assert fit_anchored_trend(prefix, anchor, policy) == fits[representation]

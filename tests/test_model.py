@@ -286,38 +286,33 @@ _COPIES = pytest.mark.parametrize(
     ids=["original", "pickle", "deepcopy"])
 
 
-def _noisy_fit():
+def _noisy_trend():
     pts = [Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i) + 0.01 * (-1) ** i)
            for i in range(1, 13)]
     return fit_power_law(pts, anchor=REFERENCE_FIT.c)
 
 
-def _trend_of(result):
-    return LearningTrend(level=12, params=result.params, residuals=result.residuals[:-1],
-                         position=60000, anchor_residual=float(result.residuals[-1]),
-                         converged=result.converged, iterations=result.iterations,
-                         final_cost=result.final_cost)
-
-
 class TestResidualArrays:
     @_COPIES
     def test_residuals_stay_read_only(self, duplicate):
-        result = _noisy_fit()
-        for record in (result, _trend_of(result)):
-            copied = duplicate(record)
-            assert copied == record
-            assert copied.residuals.dtype == np.float64
-            with pytest.raises(ValueError):
-                copied.residuals[0] = 0.0
+        trend = _noisy_trend()
+        copied = duplicate(trend)
+        assert copied == trend
+        assert copied.residuals.dtype == np.float64
+        with pytest.raises(ValueError):
+            copied.residuals[0] = 0.0
 
     def test_trend_keeps_the_fits_array_and_diagnostics(self):
-        result = _noisy_fit()
-        trend = _trend_of(result)
-        assert np.shares_memory(trend.residuals, result.residuals)
-        assert (trend.iterations, trend.final_cost) == (result.iterations, result.final_cost)
+        trend = _noisy_trend()
+        fit_rows = trend.residuals.base  # the fit's array, anchor row last
+        assert fit_rows is not None and np.shares_memory(trend.residuals, fit_rows)
+        assert len(fit_rows) == trend.level + 1
+        assert fit_rows[-1] == trend.anchor_residual
+        assert trend.iterations >= 1
+        assert trend.final_cost == float(fit_rows @ fit_rows)
 
     def test_sequence_and_array_build_equal_trends(self):
-        trend = _trend_of(_noisy_fit())
+        trend = _noisy_trend()
         rebuilt = LearningTrend(level=12, params=trend.params,
                                 residuals=tuple(trend.residuals.tolist()), position=60000,
                                 anchor_residual=trend.anchor_residual,
@@ -326,7 +321,7 @@ class TestResidualArrays:
         assert rebuilt.residuals.tobytes() == trend.residuals.tobytes()
 
     def test_one_ulp_makes_trends_unequal(self):
-        trend = _trend_of(_noisy_fit())
+        trend = _noisy_trend()
         shifted = trend.residuals.copy()
         shifted[5] = np.nextafter(shifted[5], np.inf)
         other = LearningTrend(level=12, params=trend.params, residuals=shifted,
@@ -337,7 +332,5 @@ class TestResidualArrays:
         assert other != trend
 
     def test_records_are_unhashable(self):
-        result = _noisy_fit()
-        for record in (result, _trend_of(result)):
-            with pytest.raises(TypeError):
-                hash(record)
+        with pytest.raises(TypeError):
+            hash(_noisy_trend())
