@@ -57,12 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="consume a series and stop at convergence")
     p_run.add_argument("--input", required=True)
     p_run.add_argument("--tau", type=float, required=True)
-    p_run.add_argument("--nu", type=float, default=2e-5)
-    p_run.add_argument("--slowdown", type=int, default=1)
-    p_run.add_argument("--lookahead", type=int, default=5)
-    p_run.add_argument("--anchors", choices=["none", "canonical"], default="none")
-    p_run.add_argument("--anchor-mode", choices=["analytic", "finite"], default="analytic")
-    p_run.add_argument("--anchor-x", type=float, default=1e200)
+    p_run.add_argument("--nu", type=float, default=LevelParams.nu)
+    p_run.add_argument("--slowdown", type=int, default=LevelParams.slowdown)
+    p_run.add_argument("--lookahead", type=int, default=LevelParams.lookahead)
+    p_run.add_argument("--anchors", choices=["none", "canonical"], default=AnchorPolicy.mode)
+    p_run.add_argument("--anchor-mode", choices=["analytic", "finite"],
+                       default=AnchorPolicy.representation)
+    p_run.add_argument("--anchor-x", type=float, default=AnchorPolicy.finite_x)
     p_run.add_argument("--end-position", type=int, default=None)
     p_run.add_argument("--predict-at", default=None,
                        help="comma-separated positions to estimate")
@@ -83,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--c", type=float, required=True)
     p_sim.add_argument("--noise", default="none",
                        help="none | gaussian:SIGMA | bumps:MAGNITUDE:COUNT[:MAXPOS]")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--kernel", type=int, default=5000)
-    p_sim.add_argument("--step", type=int, default=5000)
-    p_sim.add_argument("--count", type=int, default=60)
+    p_sim.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p_sim.add_argument("--kernel", type=int, default=SynthSpec.kernel)
+    p_sim.add_argument("--step", type=int, default=SynthSpec.step)
+    p_sim.add_argument("--count", type=int, default=SynthSpec.count)
     p_sim.add_argument("--theorems", action="store_true",
                        help="run the convergence checks instead of printing the series")
     return parser
@@ -112,7 +113,7 @@ def _parse_noise(text: str) -> NoiseSpec:
     if kind == "bumps":
         if len(parts) not in (3, 4):
             raise ValueError("bumps noise is bumps:MAGNITUDE:COUNT[:MAXPOS]")
-        max_position = _parse_int(parts[3]) if len(parts) == 4 else 100_000
+        max_position = _parse_int(parts[3]) if len(parts) == 4 else NoiseSpec.max_position
         return NoiseSpec("bumps", magnitude=float(parts[1]), count=int(parts[2]),
                          max_position=max_position)
     raise ValueError(f"unknown noise kind {kind!r}")
@@ -135,8 +136,18 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_FIT_FAILURE
 
 
+def _parse_positions(text: str | None) -> list[float]:
+    """Comma-separated positions, each finite and > 0."""
+    positions = [float(v) for v in (text or "").split(",") if v.strip()]
+    for value in positions:
+        if not 0 < value < math.inf:
+            raise ValueError(f"positions must be finite and > 0, got {value}")
+    return positions
+
+
 def _cmd_run(args) -> int:
     series = read_observations(args.input)
+    positions = _parse_positions(args.predict_at)
     config = RunConfig(
         tau=args.tau,
         level_params=LevelParams(nu=args.nu, slowdown=args.slowdown,
@@ -147,10 +158,7 @@ def _cmd_run(args) -> int:
         end_position=args.end_position,
     )
     state = run_stream(config, series.points)
-    predict_at = []
-    if args.predict_at and state.stopped:
-        predict_at = [float(v) for v in args.predict_at.split(",") if v.strip()]
-    report = build_run_report(state, predict_at=predict_at)
+    report = build_run_report(state, predict_at=positions)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

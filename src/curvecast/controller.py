@@ -19,6 +19,7 @@ where the online run stops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,10 +48,15 @@ class RunConfig:
 
     def __post_init__(self):
         # tau == 0 is allowed and means "never stop": layers are strictly
-        # positive, so the threshold is unreachable. The negated test also
-        # rejects NaN, which no layer ever drops below either.
-        if not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        # positive, so the threshold is unreachable. The chained test also
+        # rejects NaN, and inf, which a report could not write as JSON; a
+        # huge finite tau stops at the prediction level.
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if self.end_position is not None and (
+                not isinstance(self.end_position, int) or self.end_position < 1):
+            raise ValueError(
+                f"end_position must be a positive integer, got {self.end_position!r}")
 
 
 @dataclass

@@ -235,16 +235,16 @@ class LearningTrend:
 
 
 def eval_pattern(params: PowerLawParams, x: float) -> float:
-    """Curve value at position ``x > 0``."""
-    if x <= 0:
-        raise ValueError(f"position must be > 0, got {x}")
+    """Curve value at a finite position ``x > 0``."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"position must be finite and > 0, got {x}")
     return params.c - params.a * float(x) ** (-params.b)
 
 
 def pattern_slope(params: PowerLawParams, x: float) -> float:
-    """First derivative at ``x > 0``; always positive for valid params."""
-    if x <= 0:
-        raise ValueError(f"position must be > 0, got {x}")
+    """First derivative at a finite ``x > 0``; always positive for valid params."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"position must be finite and > 0, got {x}")
     return params.a * params.b * float(x) ** (-(params.b + 1.0))
 
 

@@ -153,7 +153,8 @@ def _position_key(position: float) -> str:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """Strict JSON: a non-finite value raises instead of being written."""
+    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def report_to_csv(report: dict) -> str:

@@ -4,7 +4,9 @@ The generator samples an ideal curve on a kernel + constant-step schedule,
 optionally distorted by seeded Gaussian noise or by deterministic
 concavity-breaking bumps on the earliest observations. The check suite
 turns the convergence guarantees of the construction into pass/fail
-properties evaluated against the known true curve.
+properties evaluated against the known true curve, always under the
+construction itself: default level detection and canonical analytic
+anchors.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .trace import (
 )
 
 _MIN_ACCURACY = 1e-9
+# Comparisons between quantities that may coincide exactly.
+_EQUAL_TOL = 1e-9 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,15 +88,12 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
+    """Outcome of one check; its name is its key in ``TheoremReport.results``."""
+
     passed: bool
     violations: int
     checks: int
     detail: str = ""
-
-    @property
-    def violation_rate(self) -> float:
-        return self.violations / self.checks if self.checks else 0.0
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,10 @@ class TheoremReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results.values())
 
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for name, res in self.results.items():
-            status = "PASS" if res.passed else "FAIL"
-            lines.append(f"{status} {name}: {res.violations}/{res.checks} violations {res.detail}")
-        return lines
-
 
 @dataclass(frozen=True)
 class TheoremSuiteConfig:
-    """True curve, level detection and anchoring settings, and tolerances
-    for the convergence checks; the fits use the fitter's fixed convergence
-    constants.
+    """True curve and the slack the convergence checks allow.
 
     ``violation_budget`` is the fraction of monotonicity steps allowed to
     fail on distorted data; ``monotone_tolerance`` is the absolute backbone
@@ -125,20 +117,12 @@ class TheoremSuiteConfig:
     """
 
     true_params: PowerLawParams
-    level_params: LevelParams = field(default_factory=LevelParams)
-    anchor_policy: AnchorPolicy = field(default_factory=lambda: AnchorPolicy(mode="canonical"))
-    tolerance: float = 1e-6
     violation_budget: float = 0.0
     monotone_tolerance: float = 0.0
 
     @property
-    def equal_tol(self) -> float:
-        # comparisons between quantities that may coincide exactly
-        return 1e-9 + self.tolerance
-
-    @property
     def direction_tol(self) -> float:
-        return max(self.equal_tol, self.monotone_tolerance)
+        return max(_EQUAL_TOL, self.monotone_tolerance)
 
 
 def build_traces(
@@ -160,50 +144,44 @@ def build_traces(
     return reference, omega, anchored
 
 
-def _monotone_violations(values, *, direction=None, tol=0.0):
-    """(violations, steps, direction): direction inferred from the first
-    and last value when not forced; +1 means non-decreasing expected."""
-    steps = len(values) - 1
-    if steps < 1:
-        return 0, max(steps, 0), direction or -1
+def _monotone_violations(values, *, direction=None, tol):
+    """(violations, steps): direction inferred from the first and last
+    value when not forced; +1 means non-decreasing expected."""
     if direction is None:
-        direction = 1 if values[-1] > values[0] else -1
-    bad = 0
-    for prev, cur in zip(values, values[1:]):
-        delta = (cur - prev) * direction
-        if delta < -tol:
-            bad += 1
-    return bad, steps, direction
+        direction = 1 if len(values) > 1 and values[-1] > values[0] else -1
+    bad = sum(1 for prev, cur in zip(values, values[1:]) if (cur - prev) * direction < -tol)
+    return bad, max(len(values) - 1, 0)
 
 
 def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> TheoremReport:
-    """Evaluate the convergence and anchoring guarantees on one series."""
+    """Evaluate the convergence and anchoring guarantees on one series,
+    with default level detection and canonical analytic anchors."""
     c_true = config.true_params.c
     budget = config.violation_budget
-    tol = config.tolerance
-    reference, omega, anchored = build_traces(series, config.level_params, config.anchor_policy)
+    reference, omega, anchored = build_traces(series, LevelParams(),
+                                              AnchorPolicy(mode="canonical"))
     results: dict[str, CheckResult] = {}
 
     def record(name, violations, checks, detail=""):
         allowed = math.floor(budget * checks)
-        results[name] = CheckResult(name, violations <= allowed, violations, checks, detail)
+        results[name] = CheckResult(violations <= allowed, violations, checks, detail)
 
     ref_levels, ref_alphas, _ = reference.converged_view()
     post = [a for lv, a in zip(ref_levels, ref_alphas) if omega is not None and lv >= omega]
 
     # Backbone monotone past the working level, approaching the true
     # asymptote.
-    bad_mono, steps_mono, direction = _monotone_violations(post, tol=config.direction_tol)
+    bad_mono, steps_mono = _monotone_violations(post, tol=config.direction_tol)
     gaps = [abs(a - c_true) for a in post]
-    bad_gap, steps_gap, _ = _monotone_violations(gaps, direction=-1, tol=config.direction_tol)
+    bad_gap, steps_gap = _monotone_violations(gaps, direction=-1, tol=config.direction_tol)
     record("backbone_monotone_after_working_level", bad_mono, steps_mono,
            f"omega={omega}")
     record("backbone_approaches_true_asymptote", bad_gap, steps_gap)
 
     # Correctness bound decreasing on locally decreasing stretches.
     eps_values = _epsilon_sequence(reference)
-    bad_eps, steps_eps, _ = _monotone_violations(eps_values, direction=-1,
-                                                 tol=config.direction_tol)
+    bad_eps, steps_eps = _monotone_violations(eps_values, direction=-1,
+                                              tol=config.direction_tol)
     record("correctness_bound_decreasing", bad_eps, steps_eps,
            f"defined={len(eps_values)}")
 
@@ -227,8 +205,8 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
     # Layers cross any threshold exactly once (equivalently: decreasing).
     layers = [convergence_layer(reference.trends[lv]) for lv in ref_levels
               if omega is None or lv >= omega]
-    bad_lay, steps_lay, _ = _monotone_violations(layers, direction=-1,
-                                                 tol=config.direction_tol)
+    bad_lay, steps_lay = _monotone_violations(layers, direction=-1,
+                                              tol=config.direction_tol)
     record("layer_single_threshold_crossing",
            bad_lay + _threshold_defects(layers, config.direction_tol),
            steps_lay + max(len(layers) - 1, 0))
@@ -239,7 +217,7 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
                      "anchor_correction_inequality", "canonical_anchor_ordering"):
             record(name, 0, 0, "no working level / anchoring disabled")
     else:
-        _anchored_checks(results, record, reference, anchored, omega, config)
+        _anchored_checks(record, reference, anchored, omega, config)
 
     return TheoremReport(results=results)
 
@@ -266,7 +244,7 @@ def _true_curve_crossing_gaps(trace: LearningTrace, true_params: PowerLawParams)
     return gaps
 
 
-def _threshold_defects(layers: list[float], band: float = 0.0) -> int:
+def _threshold_defects(layers: list[float], band: float) -> int:
     """Extra defects from explicit threshold sweeps: for a few thresholds,
     the indicator [layer <= eps] must flip from false to true once. Layers
     within ``band`` of the threshold are indecisive and not counted."""
@@ -287,8 +265,7 @@ def _threshold_defects(layers: list[float], band: float = 0.0) -> int:
     return defects
 
 
-def _anchored_checks(results, record, reference, anchored, omega, config):
-    tol = config.equal_tol
+def _anchored_checks(record, reference, anchored, omega, config):
     anchored_levels = [lv for lv in anchored.levels() if lv > omega
                        and anchored.trends[lv].converged]
 
@@ -307,7 +284,7 @@ def _anchored_checks(results, record, reference, anchored, omega, config):
     # fluctuation band on distorted data).
     residuals = [abs(anchored.trends[lv].anchor_residual) for lv in anchored_levels]
     if len(residuals) >= 2:
-        ok = residuals[-1] <= max(residuals[0] + tol, config.monotone_tolerance)
+        ok = residuals[-1] <= max(residuals[0] + _EQUAL_TOL, config.monotone_tolerance)
         record("anchor_residual_vanishes", 0 if ok else 1, 1,
                f"first={residuals[0]:.2e} last={residuals[-1]:.2e}")
     else:
@@ -322,10 +299,10 @@ def _anchored_checks(results, record, reference, anchored, omega, config):
         t_prev, t_cur = anchored.trends[prev], anchored.trends[cur]
         anchor_value = t_cur.params.c + t_cur.anchor_residual
         bound = t_prev.params.c - sum(t_cur.residuals.tolist()) - t_cur.anchor_residual
-        decreasing = t_cur.params.c <= t_prev.params.c + tol
-        if decreasing and anchor_value > bound + tol:
+        decreasing = t_cur.params.c <= t_prev.params.c + _EQUAL_TOL
+        if decreasing and anchor_value > bound + _EQUAL_TOL:
             bad_corr += 1
-        elif not decreasing and anchor_value < bound - tol:
+        elif not decreasing and anchor_value < bound - _EQUAL_TOL:
             bad_corr += 1
     record("anchor_correction_inequality", bad_corr, checks_corr)
 

@@ -82,11 +82,14 @@ def extend_trace(
     anchor: float | None = None,
     policy: AnchorPolicy | None = None,
 ) -> LearningTrace:
-    """Fit the prefix of length ``level`` and append the trend.
+    """Fit the prefix of length ``level`` and append the trend, anchored
+    at ``anchor`` as the run's ``policy`` represents it when one is given.
 
     Levels must arrive consecutively. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
     """
+    if anchor is not None and policy is None:
+        raise ValueError("an anchored fit needs the run's anchor policy")
     expected = FIRST_LEVEL if trace.last_level is None else trace.last_level + 1
     if level != expected:
         raise SequencingError(f"expected level {expected}, got {level}")
@@ -101,9 +104,7 @@ def extend_trace(
     if anchor is None:
         trend = fit_power_law(prefix, initial=initial)
     else:
-        trend = fit_anchored_trend(
-            prefix, anchor, policy or AnchorPolicy(mode="canonical"), initial=initial
-        )
+        trend = fit_anchored_trend(prefix, anchor, policy, initial=initial)
     trace.trends[level] = trend
     return trace
 
@@ -151,8 +152,9 @@ def convergence_layer_bounded(trend: LearningTrend, end_position: int) -> float:
     )
 
 
-def _params_close(t1: PowerLawParams, t2: PowerLawParams, tol: float = _SAME_PARAMS_TOL) -> bool:
-    return abs(t1.a - t2.a) <= tol and abs(t1.b - t2.b) <= tol and abs(t1.c - t2.c) <= tol
+def _params_close(t1: PowerLawParams, t2: PowerLawParams) -> bool:
+    return (abs(t1.a - t2.a) <= _SAME_PARAMS_TOL and abs(t1.b - t2.b) <= _SAME_PARAMS_TOL
+            and abs(t1.c - t2.c) <= _SAME_PARAMS_TOL)
 
 
 def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints:

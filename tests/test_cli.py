@@ -40,6 +40,10 @@ class TestSimulate:
                                            noise=NoiseSpec("gaussian", sigma=0.05),
                                            seed=9))
         assert out == format_observations(series)
+        # with no optional flags the CLI uses the library's defaults
+        rc = main(["simulate", "--a", "500", "--b", "0.45", "--c", "96"])
+        assert rc == 0
+        assert capsys.readouterr().out == format_observations(generate_series(SynthSpec(TRUE)))
 
     def test_theorem_checks_pass_on_ideal_data(self, capsys):
         rc = main(["simulate", "--a", "542.5451", "--b", "0.3838", "--c", "99.2876",
@@ -60,8 +64,7 @@ class TestSimulate:
         def failing_suite(series, config):
             return TheoremReport(results={
                 "backbone_monotone_after_working_level":
-                    CheckResult("backbone_monotone_after_working_level",
-                                passed=False, violations=3, checks=10),
+                    CheckResult(passed=False, violations=3, checks=10),
             })
 
         monkeypatch.setattr(cli, "theorem_suite", failing_suite)
@@ -163,6 +166,16 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         assert rc == 3
         assert report["summary"]["clevel"] is None
+
+    def test_default_config_block_matches_library(self, tmp_path, capsys):
+        from curvecast.controller import RunConfig, run_stream
+        from curvecast.reports import build_run_report, read_observations
+
+        path = make_obs_file(tmp_path)
+        main(["run", "--input", str(path), "--tau", "1"])
+        report = json.loads(capsys.readouterr().out)
+        state = run_stream(RunConfig(tau=1.0), read_observations(path).points)
+        assert report["config"] == build_run_report(state)["config"]
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         path = make_obs_file(tmp_path)
@@ -280,8 +293,14 @@ class TestEvaluate:
     ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:inf"],
     ["run", "--input", "{obs}", "--tau", "nan"],
     ["run", "--input", "{obs}", "--tau", "1", "--anchor-x", "nan"],
+    ["run", "--input", "{obs}", "--tau", "inf"],
+    ["run", "--input", "{obs}", "--tau", "0", "--predict-at", "nan"],
+    ["run", "--input", "{obs}", "--tau", "1e9", "--predict-at", "inf"],
+    ["run", "--input", "{obs}", "--tau", "1", "--end-position", "0"],
+    ["run", "--input", "{obs}", "--tau", "1", "--end-position", "-5"],
 ], ids=["evaluate-controls-inf", "simulate-bumps-maxpos-inf", "run-tau-nan",
-        "run-anchor-x-nan"])
+        "run-anchor-x-nan", "run-tau-inf", "run-unstopped-predict-at-nan",
+        "run-predict-at-inf", "run-end-position-0", "run-end-position-negative"])
 def test_non_finite_number_is_input_error(tmp_path, capsys, argv):
     obs = make_obs_file(tmp_path, count=10)
     rc = main([arg.format(obs=obs) for arg in argv])

@@ -306,4 +306,10 @@ def test_config_validation():
         RunConfig(tau=-0.1)
     with pytest.raises(ValueError):
         RunConfig(tau=math.nan)  # would never stop
+    with pytest.raises(ValueError):
+        RunConfig(tau=math.inf)  # a report could not write it as JSON
     RunConfig(tau=0.0)  # "never stop" is allowed
+    for end in (0, -5, 2.5e5):  # a horizon is a position: an integer >= 1
+        with pytest.raises(ValueError):
+            RunConfig(tau=1.0, end_position=end)
+    RunConfig(tau=1.0, end_position=1)

@@ -45,6 +45,9 @@ class TestEvalPattern:
             eval_pattern(REFERENCE_FIT, 0)
         with pytest.raises(ValueError):
             eval_pattern(REFERENCE_FIT, -5)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                eval_pattern(REFERENCE_FIT, x)
 
 
 class TestPatternSlope:
@@ -62,6 +65,9 @@ class TestPatternSlope:
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
             pattern_slope(REFERENCE_FIT, 0)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                pattern_slope(REFERENCE_FIT, x)
 
 
 class TestAsymptote:

@@ -1,7 +1,10 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import RunConfig, run_stream
@@ -17,7 +20,7 @@ from curvecast.reports import (
 )
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
-from conftest import REFERENCE_FIT, exact_series_points
+from conftest import REFERENCE_FIT, exact_series_points, steep_params
 
 
 @pytest.fixture
@@ -124,3 +127,41 @@ class TestRunReport:
     def test_prediction_keys_are_positions(self, finished_state):
         report = build_run_report(finished_state, predict_at=[250000.0])
         assert list(report["summary"]["predicted_accuracy_at"]) == ["250000"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def finished_runs(draw):
+    """A short noisy series run under one drawn config, with the positions
+    to predict at."""
+    count = draw(st.integers(8, 24))
+    true = steep_params(np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1))))
+    points = generate_series(SynthSpec(true, count=count,
+                                       noise=NoiseSpec("gaussian", sigma=0.05),
+                                       seed=draw(st.integers(0, 2 ** 31 - 1)))).points
+    # tau of 0 never stops, the true layer mid-series may stop, a huge one
+    # stops at the prediction level
+    x = points[count // 2].position
+    tau = draw(st.sampled_from([0.0, true.a * x ** (-true.b), 1e9]))
+    end = draw(st.sampled_from([None, points[count // 3].position, 2 * points[-1].position]))
+    config = RunConfig(tau=tau, anchor_policy=AnchorPolicy(
+        mode=draw(st.sampled_from(["none", "canonical"]))), end_position=end)
+    predict_at = draw(st.lists(st.one_of(
+        st.integers(1, 10 ** 9),
+        st.floats(1.0, 1e12, allow_nan=False, allow_infinity=False)), max_size=3))
+    return run_stream(config, points), predict_at
+
+
+@settings(max_examples=40, deadline=None)
+@given(finished_runs())
+def test_every_report_is_schema_valid_strict_json(run):
+    state, predict_at = run
+    report = build_run_report(state, predict_at=predict_at)
+    jsonschema.Draft7Validator(load_report_schema()).validate(report)
+    # no NaN or Infinity anywhere, whichever serializer writes it
+    json.loads(json.dumps(report), parse_constant=_no_constant)
+    assert json.loads(report_to_json(report), parse_constant=_no_constant) == json.loads(
+        json.dumps(report))

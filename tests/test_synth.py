@@ -83,7 +83,7 @@ class TestTheoremSuite:
     def test_all_checks_pass_on_ideal_data(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=30))
         report = theorem_suite(series, TheoremSuiteConfig(true_params=REFERENCE_FIT))
-        assert report.all_passed, report.summary_lines()
+        assert report.all_passed, report.results
         names = set(report.results)
         assert {"backbone_monotone_after_working_level",
                 "correctness_bound_decreasing",
