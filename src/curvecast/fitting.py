@@ -3,11 +3,39 @@
 For a fixed decay ``b`` the curve ``c - a*x**(-b)`` is linear in ``(a, c)``,
 and so is the optional anchor row. The fit therefore iterates only
 ``v = log b`` (variable projection, Golub & Pereyra 1973): at each ``v``,
-``(a, c)`` come from an exact two-column least-squares solve, and a damped
-Gauss-Newton step on ``v`` uses Kaufman's (1975) derivative of the projected
-residual. The anchor adds one row, either analytically against the
-asymptote (its power term has weight 0) or as a literal pseudo-observation
-at a far position (weight ``anchor_x**(-b)``).
+``(a, c)`` come from an exact two-column least-squares solve, which leaves
+the projected cost ``phi(v) = T - S**2/Q``, with ``T``, ``S`` and ``Q`` the
+centred products of the targets and the power term. The anchor adds one
+row, either analytically against the asymptote (its power term has weight
+0) or as a literal pseudo-observation at a far position (weight
+``anchor_x**(-b)``).
+
+Newton's method on ``phi``. Both derivatives of ``phi`` are closed form, so
+the loop takes Newton steps ``-phi'/phi''``. It takes the Gauss-Newton
+(Kaufman 1975) curvature ``2 a**2 |P dw/dv|**2`` instead where ``phi''`` is
+not positive, or where that residual-free part is less than half of
+``phi''``. The latter is the ``b -> 0`` valley, where ``phi`` flattens
+like ``e**v``: there Newton steps shrink to unit length, while Gauss-Newton
+steps run on to the rail. A step that raises the cost is halved.
+
+One evaluation, one Gram product. An evaluation fills a per-fit buffer in
+place and reads ``(a, phi, phi', phi'')`` off one product of three rows
+with five, about eight numpy calls. The power term is divided by the first
+row's, ``u = (x/x0)**(-b)``; with ``1`` it spans the same two columns, so
+``phi`` is unchanged. Its derivatives are ``u' = t*u`` and
+``u'' = (1 + t)*u'``, with ``t = -b*log(x/x0)``. The left rows are
+``u - 1``, ``u'`` and ``t*u'``; the right rows add the centred targets and
+ones, so every dot product and every sum comes out of the one product. The
+scaling keeps ``u`` in (0, 1] at any ``b``, so large ``b`` neither
+underflows nor loses the mean of ``u``. ``u - 1`` comes from ``expm1``, so
+small ``b`` keeps its digits. The first row has ``u - 1 = u' = 0``, so no
+centred sum cancels by more than a factor of the row count.
+
+Stopping. The loop stops when the next step would move ``log b`` by less
+than the parameter tolerance, or when its quadratic model would lower the
+cost by less than the cost tolerance. Read as ``T + a*S``, the cost is
+exact only to a few ulps of ``T``. That is too coarse to judge such a step,
+so a trial step may also raise it by up to the cost tolerance of ``T``.
 
 The rows come from the series' float64 columns (``log_positions`` and
 ``accuracies``), which a prefix of a series shares with its parent, so a
@@ -27,6 +55,7 @@ anchor row as ``anchor_residual``), its parameters and its diagnostics.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -49,11 +78,15 @@ _START_B = 0.5
 _DEGENERATE_A = 1e-20
 # Halving a step this often shrinks it below any useful change of log b.
 _MAX_HALVINGS = 40
-# Convergence of the Gauss-Newton loop on log b: an iteration cap, and the
-# relative drop of cost and change of log b that count as no progress.
+# Newton's curvature is used while its Gauss-Newton part is at least this
+# share of it.
+_MIN_GAUSS_NEWTON_SHARE = 0.5
+# Convergence of the loop on log b: an iteration cap, and the relative drop
+# of cost and change of log b that count as no progress.
 _MAX_ITERATIONS = 200
 _COST_TOLERANCE = 1e-12
 _PARAM_TOLERANCE = 1e-10
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _basis(b, lx, free_last):
@@ -64,42 +97,86 @@ def _basis(b, lx, free_last):
     return w
 
 
-class _Projection:
-    """Exact ``(a, c)`` and the projected residual at one ``v = log b``,
-    with ``v`` clipped into its range.
+class _Work:
+    """One fit's rows, which :func:`_evaluate` fills in place.
 
-    ``lx`` holds the log positions of all rows; ``free_last`` marks an
-    analytic anchor row, whose power term has weight 0.
+    ``targets`` holds the observations' accuracies, then the anchor, if
+    any; an analytic anchor row has power term 0. ``rows`` holds ``u - 1``,
+    ``u'`` and ``t*u'`` (written per evaluation, which also sets
+    ``e_mean``, the mean of ``u - 1``), then the centred targets and ones.
     """
 
-    __slots__ = ("v", "a", "w", "wc", "ww", "r", "cost")
+    __slots__ = ("residuals", "lx0", "shifted", "t", "t_power", "e_power", "targets", "rows",
+                 "left", "t_mean", "tt", "e_mean")
 
-    def __init__(self, v, lx, tc, free_last):
-        self.v = v = min(max(v, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
-        w = _basis(math.exp(v), lx, free_last)
-        wc = w - w.sum() / w.size
-        ww = float(wc @ wc)
-        # r = tc + a*wc is the targets' residual off span{1, w}.
-        self.a = -float(wc @ tc) / ww if ww > 0.0 else 0.0
-        self.w, self.wc, self.ww = w, wc, ww
-        self.r = tc + self.a * wc
-        self.cost = float(self.r @ self.r)
+    def __init__(self, series, anchor, anchor_x):
+        n = len(series)
+        m = n + (anchor is not None)
+        # The residuals outlive the fit. Allocated before the scratch rows,
+        # they sit below them on the heap, so freeing the rows leaves no
+        # hole under a live array.
+        self.residuals = np.empty(m)
+        buffer = np.empty((8, m))
+        self.shifted, self.t, self.targets = buffer[0], buffer[1], buffer[2]
+        self.rows = rows = buffer[3:]
+        self.lx0 = float(series.log_positions[0])
+        np.subtract(series.log_positions, self.lx0, out=self.shifted[:n])
+        self.targets[:n] = series.accuracies
+        k = m
+        if anchor is not None:
+            self.targets[n] = anchor
+            if anchor_x is None:
+                self.shifted[n] = 0.0
+                rows[0, n] = -1.0  # u = 0, so u' = t*u' = 0 too
+                k = n
+            else:
+                self.shifted[n] = math.log(anchor_x) - self.lx0
+        self.t_power, self.e_power = self.t[:k], rows[0, :k]
+        self.t_mean = float(self.targets.sum() / m)
+        np.subtract(self.targets, self.t_mean, out=rows[3])
+        self.tt = float(rows[3] @ rows[3])
+        rows[4] = 1.0
+        self.left = rows[:3]
 
-    def step(self, lx):
-        """Gauss-Newton step on ``v``, or None when the Jacobian vanishes.
 
-        Kaufman's Jacobian is ``J = a * p`` with ``p = P dw/dv`` and ``P``
-        the projector off span{1, w}; the step is ``-(J.r) / (J.J)``.
-        """
-        if self.a == 0.0:  # also covers ww == 0
-            return None
-        d = -math.exp(self.v) * lx * self.w
-        p = d - d.sum() / d.size
-        p -= (float(p @ self.wc) / self.ww) * self.wc
-        scale = self.a * float(p @ p)
-        if scale == 0.0:
-            return None
-        return -float(p @ self.r) / scale
+def _evaluate(work, v):
+    """The projected cost at ``v = log b``, read off one Gram product:
+    ``(a_u, cost, slope, curvature, gauss_newton)``.
+
+    ``a_u`` is the exact scale of ``u`` (the curve's ``a`` is
+    ``a_u * x0**b``). ``cost``, ``slope`` and ``curvature`` are ``phi`` and
+    its exact first and second derivatives. ``gauss_newton`` is the
+    Gauss-Newton curvature ``2 a_u**2 |P u'|**2``, with ``P`` the projector
+    off span{1, u}. All but the cost are 0 where ``u`` spans nothing beside
+    ``1``.
+    """
+    rows, t = work.rows, work.t
+    np.multiply(work.shifted, -math.exp(v), out=t)
+    np.expm1(work.t_power, out=work.e_power)
+    du = np.add(rows[0], 1.0, out=rows[1])
+    np.multiply(du, t, out=du)
+    np.multiply(du, t, out=rows[2])
+    # Rows e = u - 1, u' and z = t*u' (so u'' = u' + z) against those, the
+    # centred targets y and ones.
+    (ee, eu, ez, ey, e_sum), (_, uu, _, uy, u_sum), (_, _, _, zy, z_sum) = (
+        np.inner(work.left, rows).tolist())
+    m = rows.shape[1]
+    work.e_mean = mean = e_sum / m
+    # With S = e.y, Q = |e - mean|**2 and R = u'.(e - mean): a = -S/Q,
+    # phi = T + a*S, phi' = 2a(S' + aR) and
+    # phi'' = 2a*S'' + a**2*Q'' - 2(S' + 2aR)**2/Q, where S' = u'.y,
+    # S'' = S' + z.y and Q''/2 = |u' - mean u'|**2 + (e - mean).(u' + z).
+    q = ee - mean * e_sum
+    if not q > 0.0:
+        return 0.0, work.tt, 0.0, 0.0, 0.0
+    a = -ey / q
+    r = eu - mean * u_sum
+    uu_centred = uu - u_sum * u_sum / m
+    slope = 2.0 * a * (uy + a * r)
+    curvature = (2.0 * a * (uy + zy + a * (uu_centred + eu + ez - mean * (u_sum + z_sum)))
+                 - 2.0 * (uy + 2.0 * a * r) ** 2 / q)
+    gauss_newton = 2.0 * a * a * (uu_centred - r * r / q)
+    return a, work.tt + a * ey, slope, curvature, gauss_newton
 
 
 def fit_power_law(
@@ -132,51 +209,59 @@ def fit_power_law(
         if not (math.isfinite(anchor_x) and anchor_x > series.points[-1].position):
             raise ValueError(f"anchor_x must be finite and beyond every observation, "
                              f"got {anchor_x}")
-    lx = series.log_positions
-    targets = series.accuracies
-    free_last = anchor is not None and anchor_x is None
-    if anchor is not None:
-        targets = np.append(targets, anchor)
-        lx = np.append(lx, math.log(anchor_x) if anchor_x is not None else 0.0)
-    t_mean = float(targets.sum() / targets.size)
-    tc = targets - t_mean
+    work = _Work(series, anchor, anchor_x)
+    slack = _COST_TOLERANCE * work.tt
 
     start_b = initial.b if initial is not None else _START_B
-    fit = _Projection(math.log(start_b), lx, tc, free_last)
+    v = min(max(math.log(start_b), _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
+    a, cost, slope, curvature, gauss_newton = _evaluate(work, v)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        step = fit.step(lx)
-        if step is None or abs(step) <= _PARAM_TOLERANCE * (1.0 + abs(fit.v)):
+        if not curvature > 0.0 or 0.0 < gauss_newton < _MIN_GAUSS_NEWTON_SHARE * curvature:
+            curvature = gauss_newton
+        if not curvature > 0.0:
+            converged = True  # no step to take
+            break
+        target = min(max(v - slope / curvature, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
+        step = target - v
+        if (abs(step) <= _PARAM_TOLERANCE * (1.0 + abs(v))
+                or slope * slope <= 2.0 * curvature * _COST_TOLERANCE * max(cost, 1e-300)):
             converged = True
             break
         for _ in range(_MAX_HALVINGS):
-            trial = _Projection(fit.v + step, lx, tc, free_last)
-            if trial.cost <= fit.cost:
+            trial = _evaluate(work, target)
+            if trial[1] <= cost + slack:
                 break
             step *= 0.5
+            target = v + step
         else:
-            # No descent along v: a (numerical) stationary point.
+            # No descent along v: a (numerical) stationary point. The rows
+            # go back to v for the residuals.
+            _evaluate(work, v)
             converged = True
             break
-        moved = abs(trial.v - fit.v)
-        drop = fit.cost - trial.cost
-        fit = trial
-        if (drop <= _COST_TOLERANCE * max(fit.cost, 1e-300)
-                or moved <= _PARAM_TOLERANCE * (1.0 + abs(fit.v))):
-            converged = True
-            break
+        v = target
+        a, cost, slope, curvature, gauss_newton = trial
 
-    if fit.a > 0.0:
-        c = t_mean + fit.a * float(fit.w.sum() / fit.w.size)
-        params = PowerLawParams(a=fit.a, b=math.exp(fit.v), c=c)
-        converged = converged and fit.v not in _LOG_B_RANGE
-        w = fit.w
+    b = math.exp(v)
+    # a scales u, so the curve's scale is a * x0**b: beyond floats near the
+    # top rail.
+    log_scale = math.log(a) + b * work.lx0 if a > 0.0 else math.inf
+    if log_scale < _LOG_FLOAT_MAX:
+        params = PowerLawParams(a=math.exp(log_scale), b=b,
+                                c=work.t_mean + a * (1.0 + work.e_mean))
+        converged = converged and v not in _LOG_B_RANGE
+        power = np.add(work.rows[0], 1.0, out=work.rows[1])
+        power *= a
     else:
-        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=t_mean)
+        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=work.t_mean)
         converged = False
-        w = _basis(start_b, lx, free_last)
-    residuals = _read_only(targets - params.c + params.a * w)
+        power = params.a * _basis(start_b, work.shifted + work.lx0,
+                                  anchor is not None and anchor_x is None)
+    residuals = np.subtract(work.targets, params.c, out=work.residuals)
+    residuals += power
+    residuals = _read_only(residuals)
     level = len(series)
     return LearningTrend(
         level=level,

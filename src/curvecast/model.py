@@ -18,9 +18,13 @@ import numpy as np
 FIRST_LEVEL = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
-    """One (training-set size, accuracy) sample of a learning curve."""
+    """One (training-set size, accuracy) sample of a learning curve.
+
+    Slotted: a series holds thousands of them, and a per-instance dict
+    would be most of their memory.
+    """
 
     position: int
     accuracy: float
@@ -30,6 +34,10 @@ class Observation:
             raise ValueError(f"position must be a positive integer, got {self.position!r}")
         if not math.isfinite(self.accuracy) or not 0.0 < self.accuracy <= 100.0:
             raise ValueError(f"accuracy must be in (0, 100], got {self.accuracy!r}")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which frozen slots need to be set.
+        return self.__class__, (self.position, self.accuracy)
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -234,18 +242,30 @@ class LearningTrend:
         return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
 
 
-def eval_pattern(params: PowerLawParams, x: float) -> float:
-    """Curve value at a finite position ``x > 0``."""
+def _scaled_power(scale: float, x: float, exponent: float) -> float:
+    """``scale * x**exponent`` at a finite position ``x > 0``;
+    ``ValueError`` naming ``x`` where it overflows a float."""
     if not 0 < x < math.inf:
         raise ValueError(f"position must be finite and > 0, got {x}")
-    return params.c - params.a * float(x) ** (-params.b)
+    try:
+        value = scale * float(x) ** exponent
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"the power term overflows at position {x}")
+    return value
+
+
+def eval_pattern(params: PowerLawParams, x: float) -> float:
+    """Curve value at a finite position ``x > 0``; ``ValueError`` where the
+    power term overflows a float."""
+    return params.c - _scaled_power(params.a, x, -params.b)
 
 
 def pattern_slope(params: PowerLawParams, x: float) -> float:
-    """First derivative at a finite ``x > 0``; always positive for valid params."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"position must be finite and > 0, got {x}")
-    return params.a * params.b * float(x) ** (-(params.b + 1.0))
+    """First derivative at a finite ``x > 0``; always positive for valid
+    params. ``ValueError`` where the power term overflows a float."""
+    return _scaled_power(params.a * params.b, x, -(params.b + 1.0))
 
 
 def asymptote(params: PowerLawParams) -> float:

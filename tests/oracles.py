@@ -174,3 +174,37 @@ def full_rescan_run(config, points):
                     m["clevel"], m["cposition"], m["stopped"] = lv, t.position, True
                     break
     return m, trace
+
+
+def projected_cost(xs, ys, b, anchor=None, anchor_x=None):
+    """Least-squares cost of ``c - a*x**(-b)`` over ``(a, c)`` at a fixed
+    ``b``, by ``lstsq`` on the columns ``[1, x**(-b)]``. An anchor adds the
+    row ``(anchor, 0)`` (at infinity) or ``(anchor, anchor_x**(-b))``."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    power = xs ** (-b)
+    if anchor is not None:
+        ys = np.append(ys, anchor)
+        power = np.append(power, 0.0 if anchor_x is None else anchor_x ** (-b))
+    # Scaling a column keeps its span and the cost; lstsq's rank cut-off
+    # would drop a column of tiny powers.
+    columns = np.column_stack([np.ones_like(power), power / power.max()])
+    coef, *_ = np.linalg.lstsq(columns, ys, rcond=None)
+    r = ys - columns @ coef
+    return float(r @ r)
+
+
+def projected_cost_grid(xs, ys, lo=-23.0, hi=6.0, count=20_001):
+    """``(log b grid, cost at each)`` of the unanchored fit: the
+    least-squares cost over ``(a, c)`` at every ``b = exp(v)``, in closed
+    form. The power column is divided by the first row's and centred as
+    ``expm1``, so neither small nor large ``b`` loses its digits."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    vs = np.linspace(lo, hi, count)
+    u = np.expm1(-np.exp(vs)[:, None] * (lx - lx[0])[None, :])
+    u -= u.mean(axis=1, keepdims=True)
+    yc = ys - ys.mean()
+    uu = np.einsum("ij,ij->i", u, u)
+    uy = u @ yc
+    return vs, yc @ yc - uy * uy / uu

@@ -310,6 +310,17 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_overflowing_prediction_is_input_error(tmp_path, capsys):
+    # A steep fit at a tiny position: 1e-300 ** -1.2 overflows a float.
+    obs = make_obs_file(tmp_path, true=PowerLawParams(5000.0, 1.2, 95.0), count=30)
+    rc = main(["run", "--input", str(obs), "--tau", "1e9", "--predict-at", "1e-300"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "position 1e-300" in captured.err
+
+
 def test_internal_key_error_is_not_an_input_error(monkeypatch):
     import curvecast.cli as cli
 

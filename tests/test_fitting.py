@@ -1,17 +1,30 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import curvecast.anchoring
 import curvecast.fitting
+import curvecast.trace
 from curvecast.anchoring import AnchorPolicy, fit_anchored_trend
+from curvecast.controller import RunConfig, run_stream
 from curvecast.errors import InsufficientDataError
 from curvecast.fitting import fit_power_law
+from curvecast.levels import LevelParams
 from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
-from curvecast.synth import NoiseSpec, SynthSpec, generate_series
+from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 
-from conftest import REFERENCE_FIT, exact_series_points, sample_params
-from oracles import grid_polish_fit, sum_squared_cost
+from conftest import REFERENCE_FIT, exact_series_points, sample_params, steep_params
+from oracles import (
+    central_difference,
+    grid_polish_fit,
+    projected_cost,
+    projected_cost_grid,
+    sum_squared_cost,
+)
 
 
 def rel_err(fit, true):
@@ -209,3 +222,79 @@ class TestFitPowerLaw:
             policy = AnchorPolicy(mode="canonical", representation=representation,
                                   finite_x=1e7)
             assert fit_anchored_trend(prefix, anchor, policy) == fits[representation]
+
+
+class TestProjectedCost:
+    """One evaluation of the projected cost against a least-squares oracle."""
+
+    @pytest.mark.parametrize("anchor, anchor_x", [(None, None), (99.0, None), (99.0, 1e200)],
+                             ids=["plain", "analytic", "finite"])
+    @pytest.mark.parametrize("b", [1e-3, 0.05, 0.4, 3.76])
+    def test_cost_and_derivatives_match_oracle(self, rng, b, anchor, anchor_x):
+        xs = [5000 * (i + 1) for i in range(20)]
+        ys = [eval_pattern(REFERENCE_FIT, x) + rng.normal(0, 0.05) for x in xs]
+        series = ObservationSeries.from_points([Observation(x, y) for x, y in zip(xs, ys)])
+        work = curvecast.fitting._Work(series, anchor, anchor_x)
+        evaluate = curvecast.fitting._evaluate
+        v = math.log(b)
+        _, cost, slope, curvature, _ = evaluate(work, v)
+
+        def oracle(at):
+            return projected_cost(xs, ys, math.exp(at), anchor, anchor_x)
+
+        assert cost == pytest.approx(oracle(v), rel=1e-8)
+        assert slope == pytest.approx(central_difference(oracle, v), rel=1e-4)
+        assert curvature == pytest.approx(central_difference(lambda at: evaluate(work, at)[2], v),
+                                          rel=1e-5)
+
+
+def test_evaluations_per_fit():
+    # One evaluation gives the cost and both derivatives, so a warm-started
+    # Newton fit takes few of them.
+    rng = np.random.default_rng(7)
+    series = generate_series(SynthSpec(steep_params(rng), count=60,
+                                       noise=NoiseSpec("gaussian", sigma=0.05), seed=7))
+    fit = curvecast.fitting.fit_power_law
+    with mock.patch.object(curvecast.fitting, "_evaluate",
+                           wraps=curvecast.fitting._evaluate) as evaluations, \
+            mock.patch.object(curvecast.trace, "fit_power_law", wraps=fit) as plain, \
+            mock.patch.object(curvecast.anchoring, "fit_power_law", wraps=fit) as anchored:
+        run_stream(RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical")),
+                   series.points)
+    fits = plain.call_count + anchored.call_count
+    assert fits >= 58
+    assert evaluations.call_count <= 4.5 * fits
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(20, 60))
+def test_converged_reference_fits_are_global(seed, count):
+    # The benchmark regime: every converged fit of the warm-started
+    # reference chain is within 1% of the cost's minimum over log b.
+    rng = np.random.default_rng(seed)
+    series = generate_series(SynthSpec(steep_params(rng), count=count,
+                                       noise=NoiseSpec("gaussian", sigma=0.05), seed=seed))
+    reference, _, _ = build_traces(series, LevelParams(), AnchorPolicy(mode="none"))
+    xs = [p.position for p in series.points]
+    ys = [p.accuracy for p in series.points]
+    for level, trend in reference.trends.items():
+        if trend.converged:
+            _, costs = projected_cost_grid(xs[:level], ys[:level])
+            assert trend.final_cost <= 1.01 * costs.min() + 1e-9, level
+
+
+def test_valley_fit_is_not_a_warm_start():
+    # At sigma 0.3 the early levels of this series fit best as b -> 0. Those
+    # fits end on the rail, non-converged, so the next level starts cold
+    # and finds the interior minimum (b about 0.25 at level 6, cost 0.424;
+    # a warm start from b = 1e-10 stayed in the valley at cost 0.603).
+    series = generate_series(SynthSpec(PowerLawParams(810.7710, 0.4876, 91.1524), count=60,
+                                       noise=NoiseSpec("gaussian", sigma=0.3), seed=115))
+    reference, _, _ = build_traces(series, LevelParams(), AnchorPolicy(mode="none"))
+    xs = [p.position for p in series.points]
+    ys = [p.accuracy for p in series.points]
+    for level in range(3, 12):
+        trend = reference.trends[level]
+        _, costs = projected_cost_grid(xs[:level], ys[:level])
+        assert trend.converged is False or trend.final_cost <= 1.01 * costs.min() + 1e-9
+    assert reference.trends[6].converged and reference.trends[6].params.b > 0.1

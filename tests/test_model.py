@@ -49,6 +49,13 @@ class TestEvalPattern:
             with pytest.raises(ValueError):
                 eval_pattern(REFERENCE_FIT, x)
 
+    def test_overflowing_power_names_the_position(self):
+        # 1e-300 ** -1.2 overflows a float; so does 1e300 * 1e-10 ** -1.2.
+        for params, x in ((PowerLawParams(5000, 1.2, 95), 1e-300),
+                          (PowerLawParams(1e300, 1.2, 95), 1e-10)):
+            with pytest.raises(ValueError, match=f"position {x}"):
+                eval_pattern(params, x)
+
 
 class TestPatternSlope:
     def test_unit_case(self):
@@ -68,6 +75,12 @@ class TestPatternSlope:
         for x in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 pattern_slope(REFERENCE_FIT, x)
+
+    def test_overflowing_power_names_the_position(self):
+        for params, x in ((PowerLawParams(5000, 1.2, 95), 1e-300),
+                          (PowerLawParams(1e300, 1.2, 95), 1e-10)):
+            with pytest.raises(ValueError, match=f"position {x}"):
+                pattern_slope(params, x)
 
 
 class TestAsymptote:
