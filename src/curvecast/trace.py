@@ -4,6 +4,7 @@ layers, trend intersections and the correctness bound derived from them."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
@@ -15,7 +16,15 @@ from .model import FIRST_LEVEL, LearningTrend, ObservationSeries, PowerLawParams
 # sizes with wide margin; crossings outside it are not reported.
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e12
+_T_LO = math.log(_BRACKET_LO)
+_T_HI = math.log(_BRACKET_HI)
 _SAME_PARAMS_TOL = 1e-9
+_EPS = sys.float_info.epsilon
+# The rounding band of ``g(t)`` where a root solve ends: this share of the
+# size of its terms, below which the computed sign of ``g`` is noise, plus
+# its slope times a few ulps of ``t``.
+_ROUNDING = 4.0 * _EPS
+_ULPS = 2.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -165,69 +174,134 @@ def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints
     decides the sign of their difference and makes spurious roots.
 
     In ``t = log x`` the difference is ``g(t) = dc - a1 e^(-b1 t) + a2 e^(-b2 t)``,
-    whose derivative vanishes at most once, at
-    ``t* = ln(a1 b1 / (a2 b2)) / (b1 - b2)``. Cutting the domain there leaves
-    at most two monotone pieces, each holding at most one root, which
-    bisection finds. Crossings outside the domain are not reported.
+    whose derivative ``g'(t) = b1 p1 - b2 p2`` (``p`` the two power terms)
+    vanishes at most once, at ``t* = ln(a1 b1 / (a2 b2)) / (b1 - b2)``.
+    Cutting the domain there leaves at most two monotone pieces, each holding
+    at most one root. Each root is solved by Newton steps kept inside its
+    sign bracket (:func:`_newton`), from the root of a model of ``g``: its
+    quadratic near ``t*``, else ``dc`` against the slower-decaying term
+    above ``t*`` and the balance of the two power terms below it. Where a
+    power term exceeds ``e^700`` only the sign of the dominant term is kept.
+    Crossings outside the domain are not reported; one so far left that the
+    curves' common value overflows a float is reported at ``y = -inf``.
+
+    Each root lies within the rounding band of ``g``: the stretch where the
+    computed sign of ``g`` is rounding noise, a few ``eps`` times the size
+    of its terms, plus ``|g'(t)|`` times a few ulps of ``t``. Which float of
+    that band is returned is not promised.
     """
     if _params_close(t1, t2):
         raise ValueError("cannot intersect a trend with itself")
+    dc = t1.c - t2.c
+    b1, b2 = t1.b, t2.b
     log_a1, log_a2 = math.log(t1.a), math.log(t2.a)
 
-    def diff(x: float) -> float:
-        lxv = math.log(x)
-        e1 = log_a1 - t1.b * lxv
-        e2 = log_a2 - t2.b * lxv
+    def diff(t: float) -> tuple[float, float, float]:
+        """``(g(t), g'(t), band)``: ``|g(t)| <= band`` puts ``t`` within the
+        rounding band of a root. Where only the sign of ``g`` is known, the
+        slope and the band read 0."""
+        e1 = log_a1 - b1 * t
+        e2 = log_a2 - b2 * t
         if e1 > 700.0 or e2 > 700.0:
             # A power term this large dwarfs any asymptote gap; only the
             # dominant side's sign survives.
             if e1 == e2:
-                return t1.c - t2.c
-            return -math.inf if e1 > e2 else math.inf
-        return (t1.c - t2.c) - math.exp(e1) + math.exp(e2)
+                return dc, 0.0, 0.0
+            return (-math.inf if e1 > e2 else math.inf), 0.0, 0.0
+        p1 = math.exp(e1)
+        p2 = math.exp(e2)
+        slope = b1 * p1 - b2 * p2
+        return (dc + (p2 - p1), slope,
+                _ROUNDING * (abs(dc) + p1 + p2) + _ULPS * abs(slope) * (abs(t) + 1.0))
 
-    cuts = [_BRACKET_LO, _BRACKET_HI]
-    if t1.b != t2.b:
-        t_turn = (log_a1 + math.log(t1.b) - log_a2 - math.log(t2.b)) / (t1.b - t2.b)
-        if math.log(_BRACKET_LO) < t_turn < math.log(_BRACKET_HI):
-            cuts.insert(1, math.exp(t_turn))
-    values = [diff(x) for x in cuts]
+    cuts = [_T_LO, _T_HI]
+    t_turn = -math.inf  # equal decays: the whole domain is an upper piece
+    if b1 != b2:
+        t_turn = (log_a1 + math.log(b1) - log_a2 - math.log(b2)) / (b1 - b2)
+        if _T_LO < t_turn < _T_HI:
+            cuts.insert(1, t_turn)
+    values = [diff(t)[0] for t in cuts]
 
+    # Near the turning point g follows g(t*) + g''(t*) (t - t*)^2 / 2, with
+    # g''(t*) = b1 p1 (b2 - b1). That model is 0 at a distance ``reach`` from
+    # t*, where the cubic term of g is (b1 + b2) reach / 3 of the quadratic
+    # one; below two thirds, the model's root starts the solve.
+    reach = math.inf
+    if len(cuts) == 3 and log_a1 - b1 * t_turn < 700.0:
+        curvature = b1 * math.exp(log_a1 - b1 * t_turn) * (b2 - b1)
+        if values[1] * curvature < 0.0:
+            reach = math.sqrt(-2.0 * values[1] / curvature)
+
+    # A cut where g is exactly 0 is no crossing: at the turning point it is
+    # a touch, at the domain's ends the power terms have underflowed.
     roots: list[float] = []
-    for lo, hi, flo, fhi in zip(cuts, cuts[1:], values, values[1:]):
-        if flo == 0.0:
-            roots.append(lo)
-        elif flo * fhi < 0.0:
-            roots.append(_bisect(diff, lo, hi, flo))
-    if values[-1] == 0.0:
-        roots.append(cuts[-1])
+    for lo, hi, glo, ghi in zip(cuts, cuts[1:], values, values[1:]):
+        if glo * ghi < 0.0:
+            if (b1 + b2) * reach < 2.0:
+                # A piece at the turning point.
+                guess = t_turn - reach if hi <= t_turn else t_turn + reach
+            elif hi <= t_turn:
+                # Lower piece: the two power terms balance.
+                guess = (log_a1 - log_a2) / (b1 - b2)
+            else:
+                # Upper piece: ``dc`` against the slower-decaying term.
+                scale = t1.a if b1 < b2 else -t2.a if b1 > b2 else t1.a - t2.a
+                guess = lo
+                if scale * dc > 0.0:
+                    guess = (math.log(abs(scale)) - math.log(abs(dc))) / min(b1, b2)
+            roots.append(_newton(diff, lo, hi, glo, guess))
 
-    if not roots:
+    points = [(x, _value_at(t1, x)) for x in map(math.exp, roots)]
+    if not points:
         return CrossingPoints(first=None, last=None)
-    points = [(x, eval_pattern(t1, x)) for x in roots]
     if len(points) == 1:
         return CrossingPoints(first=None, last=points[0])
-    return CrossingPoints(first=points[0], last=points[-1])
+    return CrossingPoints(first=points[0], last=points[1])
 
 
-def _bisect(fn, lo, hi, flo):
-    """Log-space bisection of the sign change of ``fn`` on ``(lo, hi)``.
+def _value_at(params: PowerLawParams, x: float) -> float:
+    """Curve value at ``x``; ``-inf`` where the power term overflows."""
+    try:
+        return eval_pattern(params, x)
+    except ValueError:
+        return -math.inf
 
-    Stops at an exact zero or when no float lies strictly between ``lo``
-    and ``hi``; it then returns ``lo``, which stays below the piece's end,
-    so the roots of two neighbouring pieces never coincide.
+
+def _newton(diff, lo: float, hi: float, glo: float, t: float) -> float:
+    """Root of the monotone ``diff`` on ``(lo, hi)``, where its sign
+    changes, by Newton steps from ``t`` kept inside the sign bracket
+    (``rtsafe``, Numerical Recipes §9.4). A step that would leave the
+    bracket, or that is not under half the step before last, becomes the
+    midpoint; so does a start outside the bracket.
+
+    Stops at a point within the rounding band that ``diff`` reports, which
+    holds an exact zero and any point whose Newton step is a few ulps of
+    ``t``, or at an adjacent-float bracket, whose ``lo`` it returns: that
+    stays below the piece's end. Below 1 in magnitude the ulp of 1 counts
+    as adjacent, since ``x = e^t`` resolves no finer ``t``.
     """
+    rising = glo < 0.0
+    last = before = hi - lo  # the lengths of the last two steps
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
     while True:
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            return lo
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
+        g, slope, band = diff(t)
+        if -band <= g <= band:
+            return t
+        if (g < 0.0) == rising:
+            lo = t
         else:
-            hi = mid
+            hi = t
+        if slope:
+            dt = g / slope
+            if lo < t - dt < hi and abs(dt + dt) <= before:
+                before, last = last, abs(dt)
+                t -= dt
+                continue
+        t = 0.5 * (lo + hi)
+        if hi - lo <= _EPS or not lo < t < hi:
+            return lo
+        before, last = last, t - lo
 
 
 def epsilon_bound(trace: LearningTrace, i: int) -> float | None:

@@ -56,11 +56,22 @@ def grid_polish_fit(xs, ys, anchor=None):
 
 
 def sign_scan_crossings(p1, p2, n=1_000_000, lo=1e-6, hi=1e12):
-    """Sign changes of the difference of two curves on a log grid."""
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    with np.errstate(over="ignore"):
-        diff = (p1[2] - p2[2]) - p1[0] * xs ** (-p1[1]) + p2[0] * xs ** (-p2[1])
-    diff = np.where(np.isfinite(diff), diff, np.sign(p2[0] - p1[0]) * 1e300)
+    """Sign changes of the difference of two curves on a log grid.
+
+    The power terms are taken in log space, ``e = log a - b log x``. Where
+    one exceeds ``e^700`` only the larger term's sign counts, or the
+    asymptote gap's where the two are equal: a term that large dwarfs any
+    gap, and ``inf - inf`` would read as a sign change. The power terms are
+    subtracted first, so that equal ones leave the gap intact.
+    """
+    lx = np.linspace(math.log(lo), math.log(hi), n)
+    xs = np.exp(lx)
+    e1 = math.log(p1[0]) - p1[1] * lx
+    e2 = math.log(p2[0]) - p2[1] * lx
+    dc = p1[2] - p2[2]
+    huge = np.maximum(e1, e2) > 700.0
+    diff = dc + (np.exp(np.where(huge, 0.0, e2)) - np.exp(np.where(huge, 0.0, e1)))
+    diff = np.where(huge, np.where(e1 == e2, dc, np.sign(e2 - e1)), diff)
     signs = np.sign(diff)
     nonzero = signs[signs != 0]
     flips = int(np.sum(nonzero[1:] != nonzero[:-1]))

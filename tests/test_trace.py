@@ -1,9 +1,16 @@
+import math
+import sys
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import curvecast.trace
 from curvecast.errors import InsufficientDataError, SequencingError
 from curvecast.model import LearningTrend, ObservationSeries, PowerLawParams
+from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import (
     CrossingPoints,
     LearningTrace,
@@ -15,7 +22,7 @@ from curvecast.trace import (
     trend_intersection,
 )
 
-from conftest import REFERENCE_FIT, exact_series_points, sample_params
+from conftest import REFERENCE_FIT, exact_series_points, sample_params, steep_params
 from oracles import curve_value, sign_scan_crossings
 
 
@@ -143,13 +150,23 @@ class TestTrendIntersection:
     def test_parallel_curves_never_cross(self):
         cp = trend_intersection(PowerLawParams(500, 0.4, 99), PowerLawParams(500, 0.4, 98))
         assert cp.count == 0 and cp.first is None and cp.last is None
+        # stiff: the equal power terms reach 1e31 at the domain's low end,
+        # and the gap of 1 between the curves must survive them
+        assert trend_intersection(PowerLawParams(10, 5, 60),
+                                  PowerLawParams(10, 5, 61)).count == 0
+
+    def test_underflow_at_the_domain_end_is_no_crossing(self):
+        # equal asymptotes: the difference is e^(-27 t), positive everywhere,
+        # and reads exactly 0 where it underflows at x = 1e12
+        cp = trend_intersection(PowerLawParams(10, 27, 60), PowerLawParams(11, 27, 60))
+        assert cp.count == 0
 
     def test_single_crossing_closed_form(self):
         cp = trend_intersection(PowerLawParams(500, 0.4, 99), PowerLawParams(400, 0.4, 98.5))
         assert cp.first is None
         x, y = cp.last
-        assert x == pytest.approx(200 ** 2.5, rel=1e-6)
-        assert y == pytest.approx(96.5, abs=1e-6)
+        assert x == pytest.approx(200 ** 2.5, rel=1e-10)
+        assert y == pytest.approx(96.5, abs=1e-9)
 
     def test_double_crossing(self):
         # difference has a positive hump between two sign changes
@@ -211,16 +228,55 @@ class TestTrendIntersection:
         with pytest.raises(ValueError):
             CrossingPoints(first=(10.0, 95.0), last=(5.0, 94.0))
 
+    def test_crossing_below_the_float_range(self):
+        # the power terms pass e^700 at the low end of the domain, and the
+        # curves meet where their common value overflows a float
+        p1, p2 = (1000, 60, 80), (10, 60.35, 90)
+        cp = trend_intersection(PowerLawParams(*p1), PowerLawParams(*p2))
+        flips, approx_roots = sign_scan_crossings(p1, p2, n=50_000)
+        assert cp.count == flips == 1
+        assert cp.last[0] == pytest.approx(approx_roots[0], rel=1e-3)
+        assert cp.last[1] == -math.inf
+
+    def test_evaluations_per_solve(self):
+        # Newton from the analytic start needs few evaluations of the
+        # difference per monotone piece on the consecutive trends of a noisy
+        # reference trace (4.9 here); the bisection it replaced took about 50.
+        rng = np.random.default_rng(7)
+        series = generate_series(SynthSpec(steep_params(rng), count=60,
+                                           noise=NoiseSpec("gaussian", sigma=0.05), seed=7))
+        trace = LearningTrace()
+        for level in range(3, 61):
+            extend_trace(trace, series, level)
+        evaluations = []
+        solve = curvecast.trace._newton
+
+        def counting(diff, *args):
+            def counted(t):
+                evaluations.append(t)
+                return diff(t)
+            return solve(counted, *args)
+
+        with mock.patch.object(curvecast.trace, "_newton", side_effect=counting) as solves:
+            bounds = [epsilon_bound(trace, level) for level in range(4, 61)]
+        assert sum(b is not None for b in bounds) >= 20
+        assert solves.call_count >= 40
+        assert len(evaluations) <= 7 * solves.call_count
+
 
 def _params_st(a, b, c):
     return st.builds(PowerLawParams, st.floats(*a), st.floats(*b), st.floats(*c))
 
 
-# the ranges of conftest.steep_params and conftest.sample_params
-_REGIMES = {
-    "steep": _params_st(a=(400, 900), b=(0.35, 0.5), c=(90, 99)),
-    "sampled": _params_st(a=(10, 1000), b=(0.2, 1.5), c=(85, 100)),
+# the ranges of conftest.steep_params and conftest.sample_params, and stiff
+# trends like the b -> inf plateau fits (b near 61), whose power terms pass
+# e^700 at the low end of the domain
+_RANGES = {
+    "steep": dict(a=(400, 900), b=(0.35, 0.5), c=(90, 99)),
+    "sampled": dict(a=(10, 1000), b=(0.2, 1.5), c=(85, 100)),
+    "stiff": dict(a=(10, 1000), b=(5, 64), c=(60, 100)),
 }
+_REGIMES = {name: _params_st(**ranges) for name, ranges in _RANGES.items()}
 
 
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
@@ -240,6 +296,66 @@ def test_intersection_matches_sign_scan_property(regime, data):
     assert cp.count == flips
     found = [x for x, _ in filter(None, (cp.first, cp.last))]
     assert found == pytest.approx(approx_roots, rel=1e-3)
+
+
+def _rounding_band(p1, p2, x):
+    """``(|g|, band)`` of the difference at ``t = log x``, both scaled by
+    ``e^-m`` for the largest exponent ``m``, so that nothing overflows.
+
+    ``p = e^(log a - b t)`` carries the rounding of its exponent, about
+    ``eps * (|log a| + |b t|)``, as relative error, so each power term is
+    weighted by that in the size of ``g``. The slope term allows a few ulps
+    of ``t`` and the rounding of ``x = e^t``.
+    """
+    eps = sys.float_info.epsilon
+    t = math.log(x)
+    e1, e2 = math.log(p1.a) - p1.b * t, math.log(p2.a) - p2.b * t
+    m = max(e1, e2, 0.0)
+    q1, q2 = math.exp(e1 - m), math.exp(e2 - m)
+    g = (p1.c - p2.c) * math.exp(-m) - q1 + q2
+    slope = p1.b * q1 - p2.b * q2
+    size = ((abs(p1.c) + abs(p2.c)) * math.exp(-m)
+            + q1 * (1.0 + abs(math.log(p1.a)) + abs(p1.b * t))
+            + q2 * (1.0 + abs(math.log(p2.a)) + abs(p2.b * t)))
+    return abs(g), 8.0 * eps * size + abs(slope) * 4.0 * eps * (abs(t) + 1.0)
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_crossings_lie_within_the_rounding_band(regime, data):
+    p1, p2 = data.draw(_REGIMES[regime]), data.draw(_REGIMES[regime])
+    assume(not _params_close(p1, p2))
+    cp = trend_intersection(p1, p2)
+    for x, _ in filter(None, (cp.first, cp.last)):
+        g, band = _rounding_band(p1, p2, x)
+        assert g <= band
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equal_decay_crossing_closed_form(regime, data):
+    ranges = _RANGES[regime]
+    p1 = data.draw(_REGIMES[regime])
+    a2, c2 = data.draw(st.floats(*ranges["a"])), data.draw(st.floats(*ranges["c"]))
+    p2 = PowerLawParams(a2, p1.b, c2)
+    assume(not _params_close(p1, p2))
+    # Scales closer than a thousandth leave g the small difference of two
+    # large power terms; the closed form, subtracting the scales first,
+    # does not see that rounding.
+    assume(abs(p1.a - a2) >= 1e-3 * max(p1.a, a2))
+    dc = p1.c - c2
+    ratio = (p1.a - a2) / dc if dc else math.inf
+    log_x = math.log(ratio) / p1.b if 0.0 < ratio < math.inf else math.inf
+    lo, hi = math.log(1e-6), math.log(1e12)
+    assume(abs(log_x - lo) > 1e-6 and abs(log_x - hi) > 1e-6)
+    cp = trend_intersection(p1, p2)
+    assert cp.first is None
+    if not lo < log_x < hi:
+        assert cp.last is None
+    else:
+        assert cp.last[0] == pytest.approx(ratio ** (1.0 / p1.b), rel=1e-10)
 
 
 def decreasing_synthetic_trace(levels=12):
