@@ -35,7 +35,6 @@ from .model import (
 )
 from .synth import NoiseSpec, SynthSpec, TheoremSuiteConfig, generate_series, theorem_suite
 from .trace import (
-    CrossingPoints,
     LearningTrace,
     convergence_layer,
     convergence_layer_bounded,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorPolicy",
     "ControlSequence",
-    "CrossingPoints",
     "InsufficientDataError",
     "LearningTrace",
     "LearningTrend",

@@ -54,7 +54,7 @@ class RunConfig:
         if not 0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.end_position is not None and (
-                not isinstance(self.end_position, int) or self.end_position < 1):
+                type(self.end_position) is not int or self.end_position < 1):
             raise ValueError(
                 f"end_position must be a positive integer, got {self.end_position!r}")
 

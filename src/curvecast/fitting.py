@@ -89,14 +89,6 @@ _PARAM_TOLERANCE = 1e-10
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _basis(b, lx, free_last):
-    """Power term ``x**(-b)`` of every row; 0 for an analytic anchor row."""
-    w = np.exp(-b * lx)
-    if free_last:
-        w[-1] = 0.0
-    return w
-
-
 class _Work:
     """One fit's rows, which :func:`_evaluate` fills in place.
 
@@ -252,13 +244,16 @@ def fit_power_law(
         params = PowerLawParams(a=math.exp(log_scale), b=b,
                                 c=work.t_mean + a * (1.0 + work.e_mean))
         converged = converged and v not in _LOG_B_RANGE
-        power = np.add(work.rows[0], 1.0, out=work.rows[1])
-        power *= a
+        scale = a
     else:
         params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=work.t_mean)
         converged = False
-        power = params.a * _basis(start_b, work.shifted + work.lx0,
-                                  anchor is not None and anchor_x is None)
+        # The rows go to start_b, where the power term a * x**(-b) is
+        # a * x0**(-b) times u.
+        _evaluate(work, math.log(start_b))
+        scale = params.a * math.exp(-start_b * work.lx0)
+    power = np.add(work.rows[0], 1.0, out=work.rows[1])
+    power *= scale
     residuals = np.subtract(work.targets, params.c, out=work.residuals)
     residuals += power
     residuals = _read_only(residuals)

@@ -25,10 +25,10 @@ class LevelParams:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must be in (0, 1), got {self.nu}")
-        if self.slowdown < 1:
-            raise ValueError(f"slowdown must be >= 1, got {self.slowdown}")
-        if self.lookahead < 0:
-            raise ValueError(f"lookahead must be >= 0, got {self.lookahead}")
+        if type(self.slowdown) is not int or self.slowdown < 1:
+            raise ValueError(f"slowdown must be an integer >= 1, got {self.slowdown!r}")
+        if type(self.lookahead) is not int or self.lookahead < 0:
+            raise ValueError(f"lookahead must be an integer >= 0, got {self.lookahead!r}")
 
 
 def verticality_limit(params: LevelParams) -> float:

@@ -30,7 +30,7 @@ class Observation:
     accuracy: float
 
     def __post_init__(self):
-        if not isinstance(self.position, int) or self.position < 1:
+        if type(self.position) is not int or self.position < 1:
             raise ValueError(f"position must be a positive integer, got {self.position!r}")
         if not math.isfinite(self.accuracy) or not 0.0 < self.accuracy <= 100.0:
             raise ValueError(f"accuracy must be in (0, 100], got {self.accuracy!r}")

@@ -61,7 +61,7 @@ def render_svg(
     x_lo, x_hi = 0.0, 1.1 * max(positions)
     accuracies = [p.accuracy for p in series.points]
     accuracies.append(trend.params.c)
-    accuracies.extend(eval_pattern(trend.params, x) for x in (positions[0],))
+    accuracies.append(eval_pattern(trend.params, positions[0]))
     y_lo = max(min(accuracies) - 1.0, 0.0)
     y_hi = min(max(accuracies) + 1.0, 102.0)
     scale = _Scale((x_lo, x_hi), (y_lo, y_hi))
@@ -114,7 +114,7 @@ def render_svg(
     )
 
     # selected trend curve
-    x_start = max(positions[0] if positions else 1.0, 1.0)
+    x_start = max(positions[0], 1.0)
     path = []
     for i in range(CURVE_SAMPLES + 1):
         x = x_start + (x_hi - x_start) * i / CURVE_SAMPLES

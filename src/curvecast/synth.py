@@ -239,8 +239,8 @@ def _true_curve_crossing_gaps(trace: LearningTrace, true_params: PowerLawParams)
         if not trend.converged or _params_close(trend.params, true_params):
             continue
         crossing = trend_intersection(trend.params, true_params)
-        if crossing.last is not None:
-            gaps.append(abs(crossing.last[1] - true_params.c))
+        if crossing is not None:
+            gaps.append(abs(crossing[1] - true_params.c))
     return gaps
 
 

@@ -27,23 +27,6 @@ _ROUNDING = 4.0 * _EPS
 _ULPS = 2.0 * _EPS
 
 
-@dataclass(frozen=True)
-class CrossingPoints:
-    """Intersections of two trends: at most a first and a last one."""
-
-    first: tuple[float, float] | None
-    last: tuple[float, float] | None
-
-    def __post_init__(self):
-        if self.first is not None and self.last is not None:
-            if not self.first[0] < self.last[0]:
-                raise ValueError("first crossing must precede the last one")
-
-    @property
-    def count(self) -> int:
-        return (self.first is not None) + (self.last is not None)
-
-
 @dataclass
 class LearningTrace:
     """Append-only sequence of trends, one per level from ``FIRST_LEVEL``
@@ -166,8 +149,10 @@ def _params_close(t1: PowerLawParams, t2: PowerLawParams) -> bool:
             and abs(t1.c - t2.c) <= _SAME_PARAMS_TOL)
 
 
-def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints:
-    """Crossing points of two distinct curves on ``[_BRACKET_LO, _BRACKET_HI]``.
+def trend_intersection(t1: PowerLawParams,
+                       t2: PowerLawParams) -> tuple[float, float] | None:
+    """Last crossing ``(x, y)`` of two distinct curves on
+    ``[_BRACKET_LO, _BRACKET_HI]``, or None where they do not cross there.
 
     Trends within ``_SAME_PARAMS_TOL`` of each other count as one trend, as
     in :func:`epsilon_bound`, and are rejected: near coincidence rounding
@@ -177,15 +162,17 @@ def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints
     whose derivative ``g'(t) = b1 p1 - b2 p2`` (``p`` the two power terms)
     vanishes at most once, at ``t* = ln(a1 b1 / (a2 b2)) / (b1 - b2)``.
     Cutting the domain there leaves at most two monotone pieces, each holding
-    at most one root. Each root is solved by Newton steps kept inside its
-    sign bracket (:func:`_newton`), from the root of a model of ``g``: its
+    at most one root. The search starts from the top: the upper piece is
+    solved when ``g`` changes sign on it, and the lower piece only when it
+    does not. The root is solved by Newton steps kept inside its sign
+    bracket (:func:`_newton`), from the root of a model of ``g``: its
     quadratic near ``t*``, else ``dc`` against the slower-decaying term
     above ``t*`` and the balance of the two power terms below it. Where a
     power term exceeds ``e^700`` only the sign of the dominant term is kept.
     Crossings outside the domain are not reported; one so far left that the
     curves' common value overflows a float is reported at ``y = -inf``.
 
-    Each root lies within the rounding band of ``g``: the stretch where the
+    The root lies within the rounding band of ``g``: the stretch where the
     computed sign of ``g`` is rounding noise, a few ``eps`` times the size
     of its terms, plus ``|g'(t)|`` times a few ulps of ``t``. Which float of
     that band is returned is not promised.
@@ -214,49 +201,46 @@ def trend_intersection(t1: PowerLawParams, t2: PowerLawParams) -> CrossingPoints
         return (dc + (p2 - p1), slope,
                 _ROUNDING * (abs(dc) + p1 + p2) + _ULPS * abs(slope) * (abs(t) + 1.0))
 
-    cuts = [_T_LO, _T_HI]
     t_turn = -math.inf  # equal decays: the whole domain is an upper piece
     if b1 != b2:
         t_turn = (log_a1 + math.log(b1) - log_a2 - math.log(b2)) / (b1 - b2)
-        if _T_LO < t_turn < _T_HI:
-            cuts.insert(1, t_turn)
-    values = [diff(t)[0] for t in cuts]
+    # The upper piece runs from the cut to the domain's top; with no turning
+    # point inside the domain it is the whole domain.
+    cut = t_turn if _T_LO < t_turn < _T_HI else _T_LO
+    g_cut = diff(cut)[0]
 
     # Near the turning point g follows g(t*) + g''(t*) (t - t*)^2 / 2, with
     # g''(t*) = b1 p1 (b2 - b1). That model is 0 at a distance ``reach`` from
     # t*, where the cubic term of g is (b1 + b2) reach / 3 of the quadratic
     # one; below two thirds, the model's root starts the solve.
     reach = math.inf
-    if len(cuts) == 3 and log_a1 - b1 * t_turn < 700.0:
+    if cut == t_turn and log_a1 - b1 * t_turn < 700.0:
         curvature = b1 * math.exp(log_a1 - b1 * t_turn) * (b2 - b1)
-        if values[1] * curvature < 0.0:
-            reach = math.sqrt(-2.0 * values[1] / curvature)
+        if g_cut * curvature < 0.0:
+            reach = math.sqrt(-2.0 * g_cut / curvature)
 
     # A cut where g is exactly 0 is no crossing: at the turning point it is
     # a touch, at the domain's ends the power terms have underflowed.
-    roots: list[float] = []
-    for lo, hi, glo, ghi in zip(cuts, cuts[1:], values, values[1:]):
-        if glo * ghi < 0.0:
-            if (b1 + b2) * reach < 2.0:
-                # A piece at the turning point.
-                guess = t_turn - reach if hi <= t_turn else t_turn + reach
-            elif hi <= t_turn:
-                # Lower piece: the two power terms balance.
-                guess = (log_a1 - log_a2) / (b1 - b2)
-            else:
-                # Upper piece: ``dc`` against the slower-decaying term.
-                scale = t1.a if b1 < b2 else -t2.a if b1 > b2 else t1.a - t2.a
-                guess = lo
-                if scale * dc > 0.0:
-                    guess = (math.log(abs(scale)) - math.log(abs(dc))) / min(b1, b2)
-            roots.append(_newton(diff, lo, hi, glo, guess))
-
-    points = [(x, _value_at(t1, x)) for x in map(math.exp, roots)]
-    if not points:
-        return CrossingPoints(first=None, last=None)
-    if len(points) == 1:
-        return CrossingPoints(first=None, last=points[0])
-    return CrossingPoints(first=points[0], last=points[1])
+    if g_cut * diff(_T_HI)[0] < 0.0:
+        lo, hi, glo = cut, _T_HI, g_cut
+    elif cut > _T_LO and (g_lo := diff(_T_LO)[0]) * g_cut < 0.0:
+        lo, hi, glo = _T_LO, cut, g_lo
+    else:
+        return None
+    if (b1 + b2) * reach < 2.0:
+        # A piece at the turning point.
+        guess = t_turn - reach if hi <= t_turn else t_turn + reach
+    elif hi <= t_turn:
+        # Lower piece: the two power terms balance.
+        guess = (log_a1 - log_a2) / (b1 - b2)
+    else:
+        # Upper piece: ``dc`` against the slower-decaying term.
+        scale = t1.a if b1 < b2 else -t2.a if b1 > b2 else t1.a - t2.a
+        guess = lo
+        if scale * dc > 0.0:
+            guess = (math.log(abs(scale)) - math.log(abs(dc))) / min(b1, b2)
+    x = math.exp(_newton(diff, lo, hi, glo, guess))
+    return x, _value_at(t1, x)
 
 
 def _value_at(params: PowerLawParams, x: float) -> float:
@@ -308,6 +292,10 @@ def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
     """Correctness bound at level ``i``: distance from the last crossing of
     the level-``i`` and level-``i-1`` trends to the level-``i`` asymptote.
 
+    The crossing is the one :func:`trend_intersection` returns: only the
+    last is solved, and the lower piece of the trends' difference only when
+    the upper piece holds no crossing.
+
     Exposed only on the practically usable branch: the local backbone must
     be non-increasing, and the two trends must actually cross. Returns 0
     when the consecutive trends coincide, None when unavailable, which
@@ -328,6 +316,6 @@ def epsilon_bound(trace: LearningTrace, i: int) -> float | None:
     if current.params.c > previous.params.c:  # locally increasing branch
         return None
     crossing = trend_intersection(current.params, previous.params)
-    if crossing.last is None:
+    if crossing is None:
         return None
-    return abs(crossing.last[1] - current.params.c)
+    return abs(crossing[1] - current.params.c)

@@ -309,7 +309,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tau=math.inf)  # a report could not write it as JSON
     RunConfig(tau=0.0)  # "never stop" is allowed
-    for end in (0, -5, 2.5e5):  # a horizon is a position: an integer >= 1
+    for end in (0, -5, 2.5e5, 5000.0, True):  # a horizon is a position: an integer >= 1
         with pytest.raises(ValueError):
             RunConfig(tau=1.0, end_position=end)
     RunConfig(tau=1.0, end_position=1)

@@ -34,6 +34,13 @@ class TestVerticalityLimit:
             LevelParams(slowdown=0)
         with pytest.raises(ValueError):
             LevelParams(lookahead=-1)
+        # both are counts: a bool or a float would reach the report as one
+        for bad in (1.5, True, 2.0):
+            with pytest.raises(ValueError):
+                LevelParams(slowdown=bad)
+        for bad in (2.5, True, 5.0):
+            with pytest.raises(ValueError):
+                LevelParams(lookahead=bad)
 
 
 class TestWorkingLevel:

@@ -142,6 +142,9 @@ class TestDomainTypes:
             Observation(5, 100.5)
         with pytest.raises(ValueError):
             Observation(5, math.nan)
+        for position in (True, 5.0):  # a position is a plain integer
+            with pytest.raises(ValueError):
+                Observation(position, 50.0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from curvecast.errors import InsufficientDataError, SequencingError
 from curvecast.model import LearningTrend, ObservationSeries, PowerLawParams
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import (
-    CrossingPoints,
     LearningTrace,
     _params_close,
     convergence_layer,
@@ -148,23 +147,22 @@ class TestBoundedLayer:
 
 class TestTrendIntersection:
     def test_parallel_curves_never_cross(self):
-        cp = trend_intersection(PowerLawParams(500, 0.4, 99), PowerLawParams(500, 0.4, 98))
-        assert cp.count == 0 and cp.first is None and cp.last is None
+        assert trend_intersection(PowerLawParams(500, 0.4, 99),
+                                  PowerLawParams(500, 0.4, 98)) is None
         # stiff: the equal power terms reach 1e31 at the domain's low end,
         # and the gap of 1 between the curves must survive them
         assert trend_intersection(PowerLawParams(10, 5, 60),
-                                  PowerLawParams(10, 5, 61)).count == 0
+                                  PowerLawParams(10, 5, 61)) is None
 
     def test_underflow_at_the_domain_end_is_no_crossing(self):
         # equal asymptotes: the difference is e^(-27 t), positive everywhere,
         # and reads exactly 0 where it underflows at x = 1e12
-        cp = trend_intersection(PowerLawParams(10, 27, 60), PowerLawParams(11, 27, 60))
-        assert cp.count == 0
+        assert trend_intersection(PowerLawParams(10, 27, 60),
+                                  PowerLawParams(11, 27, 60)) is None
 
     def test_single_crossing_closed_form(self):
-        cp = trend_intersection(PowerLawParams(500, 0.4, 99), PowerLawParams(400, 0.4, 98.5))
-        assert cp.first is None
-        x, y = cp.last
+        x, y = trend_intersection(PowerLawParams(500, 0.4, 99),
+                                  PowerLawParams(400, 0.4, 98.5))
         assert x == pytest.approx(200 ** 2.5, rel=1e-10)
         assert y == pytest.approx(96.5, abs=1e-9)
 
@@ -172,30 +170,27 @@ class TestTrendIntersection:
         # difference has a positive hump between two sign changes
         t1 = PowerLawParams(100, 1.0, 99.0)
         t2 = PowerLawParams(50, 0.5, 99.5)
-        cp = trend_intersection(t1, t2)
-        assert cp.count == 2
-        assert cp.first[0] < cp.last[0]
-        for x, _ in (cp.first, cp.last):
-            assert abs(curve_value(*  (t1.a, t1.b, t1.c), x)
-                       - curve_value(*(t2.a, t2.b, t2.c), x)) < 1e-9
+        x, _ = trend_intersection(t1, t2)
+        flips, approx_roots = sign_scan_crossings((t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c))
+        assert flips == 2
+        assert x == pytest.approx(approx_roots[-1], rel=1e-3)
+        assert abs(curve_value(t1.a, t1.b, t1.c, x) - curve_value(t2.a, t2.b, t2.c, x)) < 1e-9
 
     def test_close_double_crossing(self):
         # the roots are 0.16% apart: a log-grid scan with coarser cells sees
         # no sign change at all
         t1 = PowerLawParams(100, 1.0, 99.0)
         t2 = PowerLawParams(50, 0.5, 99.0 + 6.25 - 1e-6)
-        cp = trend_intersection(t1, t2)
-        assert cp.count == 2
-        for x, _ in (cp.first, cp.last):
-            assert x == pytest.approx(16.0, rel=2e-3)
-            assert abs(curve_value(t1.a, t1.b, t1.c, x)
-                       - curve_value(t2.a, t2.b, t2.c, x)) <= 1e-9
+        x, _ = trend_intersection(t1, t2)
+        assert x == pytest.approx(16.0, rel=2e-3)
+        assert abs(curve_value(t1.a, t1.b, t1.c, x)
+                   - curve_value(t2.a, t2.b, t2.c, x)) <= 1e-9
 
     def test_crossing_beyond_domain_is_not_reported(self):
         # the true root is near x = 1e15, past the search domain's 1e12 end
         t3 = PowerLawParams(500, 0.4, 99.0)
         t4 = PowerLawParams(400, 0.4, 99.0 - 1e-4)
-        assert trend_intersection(t4, t3).count == 0
+        assert trend_intersection(t4, t3) is None
         trace = LearningTrace()
         for level, p in ((3, t3), (4, t4)):
             trace.trends[level] = make_trend(p.a, p.b, p.c, level=level,
@@ -216,27 +211,22 @@ class TestTrendIntersection:
             p1, p2 = sample_params(rng), sample_params(rng)
             if p1 == p2:
                 continue
-            cp = trend_intersection(p1, p2)
+            crossing = trend_intersection(p1, p2)
             flips, approx_roots = sign_scan_crossings(
                 (p1.a, p1.b, p1.c), (p2.a, p2.b, p2.c))
-            assert cp.count == flips
-            found = sorted(x for x, _ in filter(None, (cp.first, cp.last)))
-            for ours, scanned in zip(found, approx_roots):
-                assert ours == pytest.approx(scanned, rel=1e-3)
-
-    def test_crossing_points_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            CrossingPoints(first=(10.0, 95.0), last=(5.0, 94.0))
+            assert (crossing is None) == (flips == 0)
+            if crossing is not None:
+                assert crossing[0] == pytest.approx(approx_roots[-1], rel=1e-3)
 
     def test_crossing_below_the_float_range(self):
         # the power terms pass e^700 at the low end of the domain, and the
         # curves meet where their common value overflows a float
         p1, p2 = (1000, 60, 80), (10, 60.35, 90)
-        cp = trend_intersection(PowerLawParams(*p1), PowerLawParams(*p2))
+        x, y = trend_intersection(PowerLawParams(*p1), PowerLawParams(*p2))
         flips, approx_roots = sign_scan_crossings(p1, p2, n=50_000)
-        assert cp.count == flips == 1
-        assert cp.last[0] == pytest.approx(approx_roots[0], rel=1e-3)
-        assert cp.last[1] == -math.inf
+        assert flips == 1
+        assert x == pytest.approx(approx_roots[0], rel=1e-3)
+        assert y == -math.inf
 
     def test_evaluations_per_solve(self):
         # Newton from the analytic start needs few evaluations of the
@@ -260,8 +250,31 @@ class TestTrendIntersection:
         with mock.patch.object(curvecast.trace, "_newton", side_effect=counting) as solves:
             bounds = [epsilon_bound(trace, level) for level in range(4, 61)]
         assert sum(b is not None for b in bounds) >= 20
-        assert solves.call_count >= 40
+        assert solves.call_count == sum(b is not None for b in bounds)
         assert len(evaluations) <= 7 * solves.call_count
+
+    def test_only_the_last_crossing_is_solved(self):
+        # Both pairs turn at x = 16. The first crosses on both sides of it,
+        # and only the upper root is solved; the second crosses below it
+        # only, so the lower piece is solved.
+        pieces = []
+        solve = curvecast.trace._newton
+
+        def recording(diff, lo, hi, glo, t):
+            pieces.append((lo, hi))
+            return solve(diff, lo, hi, glo, t)
+
+        t_turn, t_lo, t_hi = math.log(16.0), math.log(1e-6), math.log(1e12)
+        with mock.patch.object(curvecast.trace, "_newton", side_effect=recording):
+            upper, _ = trend_intersection(PowerLawParams(100, 1.0, 99.0),
+                                          PowerLawParams(50, 0.5, 99.5))
+            assert len(pieces) == 1
+            assert pieces[0] == (pytest.approx(t_turn, rel=1e-12), t_hi)
+            lower, _ = trend_intersection(PowerLawParams(100, 1.0, 99.5),
+                                          PowerLawParams(50, 0.5, 99.0))
+            assert len(pieces) == 2
+            assert pieces[1] == (t_lo, pytest.approx(t_turn, rel=1e-12))
+        assert lower < 16.0 < upper
 
 
 def _params_st(a, b, c):
@@ -288,14 +301,14 @@ def test_intersection_matches_sign_scan_property(regime, data):
         with pytest.raises(ValueError):
             trend_intersection(p1, p2)
         return
-    cp = trend_intersection(p1, p2)
+    crossing = trend_intersection(p1, p2)
     # 50,000 log cells: a cell's midpoint is within a ratio of 1 + 4.2e-4 of
     # any root inside it, well within the 1e-3 tolerance
     flips, approx_roots = sign_scan_crossings((p1.a, p1.b, p1.c), (p2.a, p2.b, p2.c),
                                               n=50_000)
-    assert cp.count == flips
-    found = [x for x, _ in filter(None, (cp.first, cp.last))]
-    assert found == pytest.approx(approx_roots, rel=1e-3)
+    assert (crossing is None) == (flips == 0)
+    if crossing is not None:
+        assert crossing[0] == pytest.approx(approx_roots[-1], rel=1e-3)
 
 
 def _rounding_band(p1, p2, x):
@@ -326,9 +339,9 @@ def _rounding_band(p1, p2, x):
 def test_crossings_lie_within_the_rounding_band(regime, data):
     p1, p2 = data.draw(_REGIMES[regime]), data.draw(_REGIMES[regime])
     assume(not _params_close(p1, p2))
-    cp = trend_intersection(p1, p2)
-    for x, _ in filter(None, (cp.first, cp.last)):
-        g, band = _rounding_band(p1, p2, x)
+    crossing = trend_intersection(p1, p2)
+    if crossing is not None:
+        g, band = _rounding_band(p1, p2, crossing[0])
         assert g <= band
 
 
@@ -350,12 +363,11 @@ def test_equal_decay_crossing_closed_form(regime, data):
     log_x = math.log(ratio) / p1.b if 0.0 < ratio < math.inf else math.inf
     lo, hi = math.log(1e-6), math.log(1e12)
     assume(abs(log_x - lo) > 1e-6 and abs(log_x - hi) > 1e-6)
-    cp = trend_intersection(p1, p2)
-    assert cp.first is None
+    crossing = trend_intersection(p1, p2)
     if not lo < log_x < hi:
-        assert cp.last is None
+        assert crossing is None
     else:
-        assert cp.last[0] == pytest.approx(ratio ** (1.0 / p1.b), rel=1e-10)
+        assert crossing[0] == pytest.approx(ratio ** (1.0 / p1.b), rel=1e-10)
 
 
 def decreasing_synthetic_trace(levels=12):
@@ -420,9 +432,8 @@ class TestEpsilonBound:
         trace = decreasing_synthetic_trace(levels=14)
         for i in (5, 8, 11):
             eps = epsilon_bound(trace, i)
-            crossing = trend_intersection(trace.trends[i].params,
-                                          trace.trends[i - 1].params)
-            qx = crossing.last[0]
+            qx, _ = trend_intersection(trace.trends[i].params,
+                                       trace.trends[i - 1].params)
             grid = [qx * (1.12 ** k) for k in range(80)]
             for k in range(i, 15):
                 for j in range(i, 15):
