@@ -165,13 +165,10 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(text)
     if args.plot:
-        markers = {}
-        if state.wposition is not None:
-            markers["working"] = state.wposition
-        if state.pposition is not None:
-            markers["prediction"] = state.pposition
-        if state.cposition is not None:
-            markers["convergence"] = state.cposition
+        markers = {label: pos for label, pos in (("working", state.wposition),
+                                                 ("prediction", state.pposition),
+                                                 ("convergence", state.cposition))
+                   if pos is not None}
         emit_plot(state.trace, state.series, args.plot,
                   selected=state.selected_trend, markers=markers)
     return EXIT_OK if state.stopped else EXIT_NO_CLEVEL

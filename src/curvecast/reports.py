@@ -3,7 +3,10 @@
 Observation files are UTF-8 CSV with a ``position,accuracy`` header and
 dot-decimal values, positions strictly ascending. Reports serialize
 deterministically: insertion-ordered keys and values displayed with six
-decimal digits (full precision lives in the in-memory objects only).
+decimal digits (full precision lives in the in-memory objects only). The
+JSON text equals ``json.dumps(report, indent=2)`` byte for byte, but is
+assembled from leaves the C encoder writes, since CPython indents only
+with its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import Iterable
 
 from .controller import RunConfig, RunState, predict, stopping_layer
@@ -152,9 +157,86 @@ def _position_key(position: float) -> str:
     return str(int(position)) if float(position).is_integer() else repr(float(position))
 
 
+# Writes the level rows' leaves, all in one call.
+_LEAF_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)``
+    for a value nested at indent ``pad``, without the stdlib's pure-Python
+    indenting encoder."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _level_rows_text(rows: list) -> str:
+    """The ``levels`` list at depth 1. Every row has the same keys, and every
+    value but the last (``flags``) is an int, float, bool or None, so one
+    C-encoder call writes all those leaves and ``", "`` splits its output
+    back into them; a ``%s`` template per row puts them in place."""
+    if not rows:
+        return "[]"
+    names = tuple(rows[0])
+    row_template = "{\n      " + ",\n      ".join(
+        encode_basestring(k).replace("%", "%%") + ": %s" for k in names) + "\n    }"
+    scalars, lasts = [], []
+    for row in rows:
+        if tuple(row) != names:
+            raise ValueError("level rows differ in their keys")
+        *leading, last = row.values()
+        scalars += leading
+        lasts.append(_json_text(last, "      "))
+    leaves = _LEAF_ENCODER.encode(scalars)[1:-1].split(", ")
+    width = len(names) - 1
+    if len(leaves) != width * len(rows):
+        raise ValueError("a level row holds a value that is not a number, bool or null")
+    pieces = []
+    for i, last in enumerate(lasts):
+        pieces += leaves[i * width:(i + 1) * width]
+        pieces.append(last)
+    return "[\n    " + ",\n    ".join([row_template] * len(rows)) % tuple(pieces) + "\n  ]"
+
+
 def report_to_json(report: dict) -> str:
-    """Strict JSON: a non-finite value raises instead of being written."""
-    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """Strict JSON of a run report: byte for byte ``json.dumps(report,
+    indent=2, ensure_ascii=False, allow_nan=False) + "\\n"``, and a
+    non-finite value raises ``ValueError`` instead of being written.
+
+    CPython indents only with its pure-Python encoder, so the text is
+    assembled here from leaves written by the C encoder (the level rows) or
+    by the type's own ``__repr__``, in the report's fixed layout: flat
+    ``config``, flat ``levels`` rows ending in ``flags``, nested ``summary``.
+    """
+    items = [
+        f"{encode_basestring(key)}: "
+        + (_level_rows_text(value) if key == "levels" else _json_text(value, "  "))
+        for key, value in report.items()
+    ]
+    return "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"
 
 
 def report_to_csv(report: dict) -> str:

@@ -219,3 +219,130 @@ def projected_cost_grid(xs, ys, lo=-23.0, hi=6.0, count=20_001):
     uu = np.einsum("ij,ij->i", u, u)
     uy = u @ yc
     return vs, yc @ yc - uy * uy / uu
+
+
+# ---------------------------------------------------------------- SVG view
+
+def _fmt(value):
+    return f"{value:.3f}"
+
+
+class _Scale:
+    def __init__(self, x_range, y_range):
+        self.x0, self.x1 = x_range
+        self.y0, self.y1 = y_range
+
+    def x(self, v):
+        span = self.x1 - self.x0 or 1.0
+        return 70.0 + (v - self.x0) / span * (800.0 - 70.0 - 30.0)
+
+    def y(self, v):
+        span = self.y1 - self.y0 or 1.0
+        return 500.0 - 50.0 - (v - self.y0) / span * (500.0 - 30.0 - 50.0)
+
+
+def _ticks(lo, hi, count=5):
+    span = hi - lo or 1.0
+    return [lo + span * i / (count - 1) for i in range(count)]
+
+
+def naive_render_svg(trace, series, *, selected=None, markers=None):
+    """Scalar reference for ``plotting.render_svg``: one scale call, one
+    curve evaluation and one format call per number, labels XML-escaped."""
+    from xml.sax.saxutils import escape
+
+    if not trace.trends:
+        raise ValueError("cannot plot an empty trace")
+    trend = selected if selected is not None else trace.trends[max(trace.trends)]
+    a, b, c = trend.params.a, trend.params.b, trend.params.c
+    markers = markers or {}
+
+    positions = [p.position for p in series.points]
+    positions.extend(t.position for t in trace.trends.values())
+    positions.extend(markers.values())
+    x_lo, x_hi = 0.0, 1.1 * max(positions)
+    accuracies = [p.accuracy for p in series.points]
+    accuracies.append(c)
+    accuracies.append(curve_value(a, b, c, positions[0]))
+    y_lo = max(min(accuracies) - 1.0, 0.0)
+    y_hi = min(max(accuracies) + 1.0, 102.0)
+    scale = _Scale((x_lo, x_hi), (y_lo, y_hi))
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" '
+        'height="500" viewBox="0 0 800 500">',
+        '<rect x="0" y="0" width="800" height="500" fill="#ffffff"/>',
+    ]
+
+    x_axis_y = scale.y(y_lo)
+    y_axis_x = scale.x(x_lo)
+    parts.append(
+        f'<line class="axis" x1="{_fmt(y_axis_x)}" y1="{_fmt(x_axis_y)}" '
+        f'x2="{_fmt(scale.x(x_hi))}" y2="{_fmt(x_axis_y)}" stroke="#000000"/>'
+    )
+    parts.append(
+        f'<line class="axis" x1="{_fmt(y_axis_x)}" y1="{_fmt(x_axis_y)}" '
+        f'x2="{_fmt(y_axis_x)}" y2="{_fmt(scale.y(y_hi))}" stroke="#000000"/>'
+    )
+    for tick in _ticks(x_lo, x_hi):
+        tx = scale.x(tick)
+        parts.append(
+            f'<line class="tick" x1="{_fmt(tx)}" y1="{_fmt(x_axis_y)}" '
+            f'x2="{_fmt(tx)}" y2="{_fmt(x_axis_y + 5)}" stroke="#000000"/>'
+        )
+        parts.append(
+            f'<text class="tick-label" x="{_fmt(tx)}" y="{_fmt(x_axis_y + 18)}" '
+            f'font-size="11" text-anchor="middle">{tick:.0f}</text>'
+        )
+    for tick in _ticks(y_lo, y_hi):
+        ty = scale.y(tick)
+        parts.append(
+            f'<line class="tick" x1="{_fmt(y_axis_x - 5)}" y1="{_fmt(ty)}" '
+            f'x2="{_fmt(y_axis_x)}" y2="{_fmt(ty)}" stroke="#000000"/>'
+        )
+        parts.append(
+            f'<text class="tick-label" x="{_fmt(y_axis_x - 8)}" y="{_fmt(ty + 4)}" '
+            f'font-size="11" text-anchor="end">{tick:.2f}</text>'
+        )
+
+    ay = scale.y(min(max(c, y_lo), y_hi))
+    parts.append(
+        f'<line class="asymptote" x1="{_fmt(y_axis_x)}" y1="{_fmt(ay)}" '
+        f'x2="{_fmt(scale.x(x_hi))}" y2="{_fmt(ay)}" stroke="#888888" '
+        'stroke-dasharray="6,4"/>'
+    )
+
+    x_start = max(positions[0], 1.0)
+    path = []
+    for i in range(256 + 1):
+        x = x_start + (x_hi - x_start) * i / 256
+        y = min(max(curve_value(a, b, c, x), y_lo), y_hi)
+        cmd = "M" if i == 0 else "L"
+        path.append(f"{cmd}{_fmt(scale.x(x))},{_fmt(scale.y(y))}")
+    parts.append(
+        f'<path class="trend" d="{" ".join(path)}" fill="none" '
+        'stroke="#1f77b4" stroke-width="1.5"/>'
+    )
+
+    for p in series.points:
+        parts.append(
+            f'<circle class="obs" cx="{_fmt(scale.x(p.position))}" '
+            f'cy="{_fmt(scale.y(min(max(p.accuracy, y_lo), y_hi)))}" r="2.5" '
+            'fill="#d62728"/>'
+        )
+
+    for label, position in markers.items():
+        mx = scale.x(position)
+        parts.append(
+            f'<line class="marker" x1="{_fmt(mx)}" y1="{_fmt(x_axis_y)}" '
+            f'x2="{_fmt(mx)}" y2="{_fmt(scale.y(y_hi))}" stroke="#2ca02c" '
+            'stroke-dasharray="2,3"/>'
+        )
+        parts.append(
+            f'<text class="marker-label" x="{_fmt(mx + 3)}" '
+            f'y="{_fmt(scale.y(y_hi) + 12)}" font-size="11">{escape(label)}</text>'
+        )
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

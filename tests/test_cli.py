@@ -2,13 +2,16 @@ import json
 
 import pytest
 
+from curvecast.anchoring import AnchorPolicy
 from curvecast.cli import main
+from curvecast.controller import RunConfig, run_stream
 from curvecast.metrics import percentage_error
 from curvecast.model import PowerLawParams, eval_pattern
-from curvecast.reports import format_observations, write_observations
+from curvecast.reports import format_observations, read_observations, write_observations
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
 from conftest import REFERENCE_FIT
+from oracles import naive_render_svg
 
 TRUE = PowerLawParams(500.0, 0.45, 96.0)
 
@@ -142,6 +145,12 @@ class TestRun:
         assert report["summary"]["stopped"] is True
         assert set(report["summary"]["predicted_accuracy_at"]) == {"300000", "500000"}
         assert plot.read_text().startswith("<?xml")
+        state = run_stream(RunConfig(tau=6.0, anchor_policy=AnchorPolicy(mode="canonical")),
+                           read_observations(path).points)
+        markers = {"working": state.wposition, "prediction": state.pposition,
+                   "convergence": state.cposition}
+        assert plot.read_text(encoding="utf-8") == naive_render_svg(
+            state.trace, state.series, selected=state.selected_trend, markers=markers)
 
     def test_csv_format(self, tmp_path, capsys):
         path = make_obs_file(tmp_path)

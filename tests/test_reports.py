@@ -165,3 +165,60 @@ def test_every_report_is_schema_valid_strict_json(run):
     json.loads(json.dumps(report), parse_constant=_no_constant)
     assert json.loads(report_to_json(report), parse_constant=_no_constant) == json.loads(
         json.dumps(report))
+    assert report_to_json(report) == _stdlib_json(report)
+
+
+def _stdlib_json(report):
+    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+class TestJsonText:
+    """``report_to_json`` writes the stdlib's indented text byte for byte."""
+
+    def test_run_too_short_for_a_level(self):
+        state = run_stream(RunConfig(tau=6.0), exact_series_points(REFERENCE_FIT, 2))
+        report = build_run_report(state, predict_at=[300000])
+        assert report["levels"] == []
+        assert report_to_json(report) == _stdlib_json(report)
+
+    def test_no_predictions(self, finished_state):
+        report = build_run_report(finished_state)
+        assert report["summary"]["predicted_accuracy_at"] == {}
+        assert report_to_json(report) == _stdlib_json(report)
+
+    def test_empty_and_full_flags(self, finished_state):
+        report = build_run_report(finished_state, predict_at=[300000, 2.5e5 + 0.5])
+        report["levels"][0]["flags"] = []
+        report["levels"][1]["flags"] = ["working", "prediction", "convergence"]
+        assert report_to_json(report) == _stdlib_json(report)
+
+    def test_bounded_layers(self, finished_state):
+        report = build_run_report(finished_state, predict_at=[300000])
+        assert any(row["layer_bounded"] is not None for row in report["levels"])
+        assert report_to_json(report) == _stdlib_json(report)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["config", "level", "prediction"])
+    def test_non_finite_value_raises(self, finished_state, where, bad):
+        report = build_run_report(finished_state, predict_at=[300000])
+        if where == "config":
+            report["config"]["tau"] = bad
+        elif where == "level":
+            report["levels"][-1]["layer"] = bad
+        else:
+            report["summary"]["predicted_accuracy_at"]["300000"] = bad
+        with pytest.raises(ValueError):
+            report_to_json(report)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[-1].update(a="1, 2"),
+        lambda rows: rows[-1].pop("alpha"),
+    ])
+    def test_level_rows_outside_the_layout_raise(self, finished_state, edit):
+        # The row leaves are split out of one C-encoder call, which holds
+        # only for rows of the same keys whose leading values are numbers,
+        # bools or null.
+        report = build_run_report(finished_state)
+        edit(report["levels"])
+        with pytest.raises(ValueError):
+            report_to_json(report)
