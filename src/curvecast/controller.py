@@ -108,11 +108,9 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     if state.stopped:
         state.ignored_after_stop += 1
         return state
-    points = state.series.points
-    if points and observation.position <= points[-1].position:
-        raise SequencingError(
-            f"position {observation.position} is not past {points[-1].position}"
-        )
+    positions = state.series.positions
+    if len(positions) and observation.position <= positions[-1]:
+        raise SequencingError(f"position {observation.position} is not past {positions[-1]}")
     state.series = state.series.with_point(observation)
     level = len(state.series)
     if level < FIRST_LEVEL:

@@ -37,19 +37,21 @@ cost by less than the cost tolerance. Read as ``T + a*S``, the cost is
 exact only to a few ulps of ``T``. That is too coarse to judge such a step,
 so a trial step may also raise it by up to the cost tolerance of ``T``.
 
-The rows come from the series' float64 columns (``log_positions`` and
-``accuracies``), which a prefix of a series shares with its parent, so a
-prefix fit builds no arrays from ``Observation`` objects. Means are taken as
-``sum / size``, numpy's own definition of ``mean`` without its call
-overhead.
+The rows come from the series' columns, which a prefix views in its
+parent's. Means are taken as ``sum / size``, numpy's own definition of
+``mean`` without its call overhead.
 
 A fit has no optimum inside the family when its best ``a`` is <= 0 (flat or
-decreasing data) or when ``v`` ends on a rail of its range; such a fit is
-returned with ``converged=False``.
+decreasing data), when ``v`` ends on a rail of its range, or when
+``b*log(x1/x0) > -log(eps)``, where every power term past the first row is
+below rounding and ``b`` would run on to infinity. Such a fit, and one that
+stops where the cost is sloped but no curvature is positive, is returned
+with ``converged=False``.
 
 A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
-trend keeps the fit's residual array (the observation rows as a view, the
-anchor row as ``anchor_residual``), its parameters and its diagnostics.
+prefix, the parameters, the scale of ``u``, the anchor row's residual and
+the diagnostics. The trend recomputes its residuals on read with the
+function the fit took ``final_cost`` from.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .model import (
     Observation,
     ObservationSeries,
     PowerLawParams,
-    _read_only,
+    _residuals,
 )
 
 # Range of the log-decay walk; generous enough never to bind on an
@@ -87,6 +89,7 @@ _MAX_ITERATIONS = 200
 _COST_TOLERANCE = 1e-12
 _PARAM_TOLERANCE = 1e-10
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_MAX_IDENTIFIED_DECAY = -math.log(sys.float_info.epsilon)
 
 
 class _Work:
@@ -98,16 +101,12 @@ class _Work:
     ``e_mean``, the mean of ``u - 1``), then the centred targets and ones.
     """
 
-    __slots__ = ("residuals", "lx0", "shifted", "t", "t_power", "e_power", "targets", "rows",
-                 "left", "t_mean", "tt", "e_mean")
+    __slots__ = ("lx0", "shifted", "t", "t_power", "e_power", "targets", "rows", "left",
+                 "t_mean", "tt", "e_mean")
 
     def __init__(self, series, anchor, anchor_x):
         n = len(series)
         m = n + (anchor is not None)
-        # The residuals outlive the fit. Allocated before the scratch rows,
-        # they sit below them on the heap, so freeing the rows leaves no
-        # hole under a live array.
-        self.residuals = np.empty(m)
         buffer = np.empty((8, m))
         self.shifted, self.t, self.targets = buffer[0], buffer[1], buffer[2]
         self.rows = rows = buffer[3:]
@@ -198,7 +197,7 @@ def fit_power_law(
     if anchor_x is not None:
         if anchor is None:
             raise ValueError("anchor_x given without an anchor value")
-        if not (math.isfinite(anchor_x) and anchor_x > series.points[-1].position):
+        if not (math.isfinite(anchor_x) and anchor_x > int(series.positions[-1])):
             raise ValueError(f"anchor_x must be finite and beyond every observation, "
                              f"got {anchor_x}")
     work = _Work(series, anchor, anchor_x)
@@ -213,7 +212,7 @@ def fit_power_law(
         if not curvature > 0.0 or 0.0 < gauss_newton < _MIN_GAUSS_NEWTON_SHARE * curvature:
             curvature = gauss_newton
         if not curvature > 0.0:
-            converged = True  # no step to take
+            converged = slope == 0.0  # no step to take: a minimum if flat
             break
         target = min(max(v - slope / curvature, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
         step = target - v
@@ -229,7 +228,7 @@ def fit_power_law(
             target = v + step
         else:
             # No descent along v: a (numerical) stationary point. The rows
-            # go back to v for the residuals.
+            # go back to v for c and the residuals.
             _evaluate(work, v)
             converged = True
             break
@@ -243,26 +242,22 @@ def fit_power_law(
     if log_scale < _LOG_FLOAT_MAX:
         params = PowerLawParams(a=math.exp(log_scale), b=b,
                                 c=work.t_mean + a * (1.0 + work.e_mean))
-        converged = converged and v not in _LOG_B_RANGE
-        scale = a
+        converged = (converged and v not in _LOG_B_RANGE
+                     and b * float(work.shifted[1]) <= _MAX_IDENTIFIED_DECAY)
+        u_scale = a
     else:
         params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=work.t_mean)
         converged = False
         # The rows go to start_b, where the power term a * x**(-b) is
         # a * x0**(-b) times u.
-        _evaluate(work, math.log(start_b))
-        scale = params.a * math.exp(-start_b * work.lx0)
-    power = np.add(work.rows[0], 1.0, out=work.rows[1])
-    power *= scale
-    residuals = np.subtract(work.targets, params.c, out=work.residuals)
-    residuals += power
-    residuals = _read_only(residuals)
-    level = len(series)
+        np.multiply(work.shifted, -start_b, out=work.t)
+        np.expm1(work.t_power, out=work.e_power)
+        u_scale = params.a * math.exp(-start_b * work.lx0)
+    residuals = _residuals(work.rows[0], work.targets, params.c, u_scale)
     return LearningTrend(
-        level=level,
+        series=series,
         params=params,
-        residuals=residuals[:level],
-        position=series.points[-1].position,
+        u_scale=u_scale,
         anchor_residual=float(residuals[-1]) if anchor is not None else None,
         converged=converged,
         iterations=iterations,

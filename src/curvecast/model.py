@@ -3,14 +3,17 @@
 The curve family is ``f(x) = c - a * x**(-b)`` with ``a > 0`` and ``b > 0``:
 positive, strictly increasing and concave on (0, inf), with horizontal
 asymptote ``y = c``.
+
+A series is its columns, and a trend is its fit's parameters plus its
+prefix series, a view of those columns; residuals are computed on read.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -22,16 +25,16 @@ FIRST_LEVEL = 3
 class Observation:
     """One (training-set size, accuracy) sample of a learning curve.
 
-    Slotted: a series holds thousands of them, and a per-instance dict
-    would be most of their memory.
+    Slotted: a series' points are rebuilt thousands at a time, and a
+    per-instance dict would be most of their memory.
     """
 
     position: int
     accuracy: float
 
     def __post_init__(self):
-        if type(self.position) is not int or self.position < 1:
-            raise ValueError(f"position must be a positive integer, got {self.position!r}")
+        if type(self.position) is not int or not 1 <= self.position < 2**63:  # stored as int64
+            raise ValueError(f"position must be an integer in [1, 2**63), got {self.position!r}")
         if not math.isfinite(self.accuracy) or not 0.0 < self.accuracy <= 100.0:
             raise ValueError(f"accuracy must be in (0, 100], got {self.accuracy!r}")
 
@@ -47,126 +50,123 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 class _ColumnBuffer:
     """Capacity shared by a chain of series grown by ``with_point``: the
-    first ``filled`` slots of each column hold the longest series' values.
+    first ``filled`` rows of the ``(positions, log_positions, accuracies)``
+    columns hold the longest series' values.
 
     Only a series of exactly ``filled`` points may append in place; any
     other (a shorter one, or a second child of the same parent) copies. The
-    lock makes the check and the claim of the next slot one step. Series
+    lock makes the check and the claim of the next row one step. Series
     slice the read-only views, so their columns are read-only too.
     """
 
-    __slots__ = ("_writable", "log_positions", "accuracies", "filled", "_lock")
+    __slots__ = ("_writable", "columns", "filled", "_lock")
 
-    def __init__(self, log_positions, accuracies, capacity):
-        self.filled = n = len(log_positions)
-        self._writable = (np.empty(capacity), np.empty(capacity))
-        self._writable[0][:n] = log_positions
-        self._writable[1][:n] = accuracies
-        self.log_positions, self.accuracies = (_read_only(c.view()) for c in self._writable)
+    def __init__(self, columns, capacity):
+        self.filled = n = len(columns[0])
+        self._writable = tuple(np.empty(capacity, column.dtype) for column in columns)
+        for writable, column in zip(self._writable, columns):
+            writable[:n] = column
+        self.columns = tuple(_read_only(w.view()) for w in self._writable)
         self._lock = threading.Lock()
 
-    def append(self, length, log_position, accuracy):
-        """Write one slot after the first ``length``; False when the slot is
-        taken or there is none left."""
+    def append(self, length, row):
+        """Write ``row`` after the first ``length``; False if taken or full."""
         with self._lock:
-            if self.filled != length or length == len(self.accuracies):
+            if self.filled != length or length == len(self.columns[0]):
                 return False
-            self._writable[0][length] = log_position
-            self._writable[1][length] = accuracy
+            for writable, value in zip(self._writable, row):
+                writable[length] = value
             self.filled = length + 1
         return True
 
+    def series(self, length) -> "ObservationSeries":
+        """Series of the first ``length`` rows, which are not checked again."""
+        series = object.__new__(ObservationSeries)
+        set_slot = object.__setattr__
+        set_slot(series, "_buffer", self)
+        for name, column in zip(("positions", "log_positions", "accuracies"), self.columns):
+            set_slot(series, name, column[:length])
+        return series
 
-@dataclass(frozen=True)
+
 class ObservationSeries:
-    """Observations with strictly increasing positions; a series is its
-    points, however they were sampled.
+    """Observations with strictly increasing positions, however they were
+    sampled, stored as three read-only columns: int64 ``positions``, their
+    natural logs ``log_positions`` and ``accuracies`` (both float64).
 
-    ``log_positions`` and ``accuracies`` are the points as read-only float64
-    columns, built on first use and not part of ``==``, ``repr`` or the
-    pickled state. A series grown by :meth:`with_point` writes its new point
-    into a capacity buffer shared with its parent, whose columns are views
-    of the same memory, and a :meth:`prefix` reads views of them, so fitting
-    a prefix never walks the ``Observation`` objects again.
+    The columns are views of a capacity buffer, which :meth:`with_point`
+    grows in place and a :meth:`prefix` views, so no column of an existing
+    series ever changes. ``==`` compares the columns. A copy is rebuilt
+    from the points, as numpy would unpickle the columns writable.
     """
 
-    points: tuple[Observation, ...]
+    __slots__ = ("positions", "log_positions", "accuracies", "_buffer")
 
-    def __post_init__(self):
-        pos = [p.position for p in self.points]
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+    def __new__(cls, points=()):
+        points = tuple(points)
+        positions = np.array([p.position for p in points], dtype=np.int64)
+        if (np.diff(positions) <= 0).any():
             raise ValueError("positions must be strictly increasing")
+        columns = (positions, np.log(positions.astype(float)),
+                   np.array([p.accuracy for p in points], dtype=float))
+        return _ColumnBuffer(columns, len(points)).series(len(points))
 
-    def __getstate__(self):
-        # A copy or an unpickled series rebuilds its columns read-only.
-        return {"points": self.points}
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return ObservationSeries, (self.points,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.positions, other.positions)
+                and np.array_equal(self.accuracies, other.accuracies))
 
     @classmethod
     def from_points(cls, points) -> "ObservationSeries":
         """Series of ``points``; a series is returned as it is."""
         if isinstance(points, ObservationSeries):
             return points
-        return cls(tuple(points))
+        return cls(points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.positions)
 
-    @cached_property
-    def log_positions(self) -> np.ndarray:
-        """Natural log of every position, as a read-only float64 column."""
-        return _read_only(np.log(np.array([p.position for p in self.points], dtype=float)))
-
-    @cached_property
-    def accuracies(self) -> np.ndarray:
-        """Every accuracy, as a read-only float64 column."""
-        return _read_only(np.array([p.accuracy for p in self.points], dtype=float))
-
-    def _derived(self, points, columns=None, buffer=None) -> "ObservationSeries":
-        """Series of already validated ``points``; the ``(log_positions,
-        accuracies)`` columns are built on first use unless given, and
-        ``buffer`` is the capacity they view, if ``with_point`` may grow
-        them in place."""
-        derived = object.__new__(ObservationSeries)
-        object.__setattr__(derived, "points", points)
-        if columns is not None:
-            derived.__dict__["log_positions"], derived.__dict__["accuracies"] = columns
-        if buffer is not None:
-            derived.__dict__["_buffer"] = buffer
-        return derived
+    @property
+    def points(self) -> tuple[Observation, ...]:
+        """The observations, rebuilt from the columns, which were checked
+        when they were written: the values are set through the slots."""
+        points = tuple(map(object.__new__, repeat(Observation, len(self))))
+        list(map(Observation.position.__set__, points, self.positions.tolist()))
+        list(map(Observation.accuracy.__set__, points, self.accuracies.tolist()))
+        return points
 
     def prefix(self, level: int) -> "ObservationSeries":
         """First ``level`` observations, whose columns are views of this
         series' columns."""
-        if not 1 <= level <= len(self.points):
-            raise ValueError(f"series has {len(self.points)} points, prefix {level} requested")
-        if level == len(self.points):
+        if not 1 <= level <= len(self):
+            raise ValueError(f"series has {len(self)} points, prefix {level} requested")
+        if level == len(self):
             return self
-        return self._derived(self.points[:level],
-                             (self.log_positions[:level], self.accuracies[:level]))
+        return self._buffer.series(level)
 
     def with_point(self, obs: Observation) -> "ObservationSeries":
-        """New series with one observation appended (positions must grow).
-
-        Only the new point is checked against the last one, and columns
-        already built are extended by one value each: in place when this
-        series is the longest on its buffer, else into a new buffer of twice
-        the length, so no column of an existing series ever changes.
-        """
-        if self.points and obs.position <= self.points[-1].position:
+        """New series with one observation appended (positions must grow);
+        only the new point is checked. It is written in place when this
+        series is the longest on its buffer, else into one twice as long."""
+        length = len(self.positions)
+        if length and obs.position <= self.positions[-1]:
             raise ValueError("positions must be strictly increasing")
-        points = self.points + (obs,)
-        if "log_positions" not in self.__dict__:
-            return self._derived(points)
         # numpy's log, as for a whole column: math.log differs from it in
         # the last bit for some positions.
-        log_position = np.log(float(obs.position))
-        length = len(self.points)
-        buffer = self.__dict__.get("_buffer")
-        if buffer is None or not buffer.append(length, log_position, obs.accuracy):
-            buffer = _ColumnBuffer(self.log_positions, self.accuracies, 2 * (length + 1))
-            buffer.append(length, log_position, obs.accuracy)
-        columns = (buffer.log_positions[:length + 1], buffer.accuracies[:length + 1])
-        return self._derived(points, columns, buffer)
+        row = (obs.position, np.log(float(obs.position)), obs.accuracy)
+        buffer = self._buffer
+        if not buffer.append(length, row):
+            buffer = _ColumnBuffer((self.positions, self.log_positions, self.accuracies),
+                                   2 * (length + 1))
+            buffer.append(length, row)
+        return buffer.series(length + 1)
 
 
 @dataclass(frozen=True)
@@ -192,54 +192,56 @@ class PowerLawParams:
             raise ValueError(f"b must be > 0, got {self.b}")
 
 
-@dataclass(frozen=True, eq=False)
+def _residuals(u_minus_1, targets, c, u_scale):
+    """The fit's residual rows, ``targets - c + u_scale*u``, in its order."""
+    power = np.add(u_minus_1, 1.0)
+    power *= u_scale
+    residuals = np.subtract(targets, c)
+    residuals += power
+    return residuals
+
+
+@dataclass(frozen=True, slots=True)
 class LearningTrend:
-    """Curve fitted to the first ``level`` observations, as
-    :func:`~curvecast.fitting.fit_power_law` returns it.
+    """Curve fitted to the observations of ``series``, as
+    :func:`~curvecast.fitting.fit_power_law` returns it; its ``level`` and
+    ``position`` are the series' length and last position.
 
-    ``residuals`` are observed minus fitted, one per observation used, as a
-    read-only float64 array (any sequence is turned into one).
-    ``anchor_residual`` is the residual of the anchor pseudo-observation when
-    the fit was anchored, else None. ``iterations`` and ``final_cost`` are
-    those of the fit (sum of squared residuals, anchor row included).
-
-    ``==`` compares the residuals element by element and exactly, and a
-    trend is unhashable like the array. Pickling and copying rebuild the
-    trend through its constructor, because numpy unpickles a read-only array
-    as writable.
+    ``u_scale`` is the fit's scale of ``u = (x/x0)**(-b)``, the power term
+    divided by the first observation's. ``residuals`` are recomputed on each
+    read, bit for bit the rows the fit summed into ``final_cost`` (the sum
+    of squares, anchor row included). ``anchor_residual`` is the anchor
+    row's residual when the fit was anchored, else None.
     """
 
-    level: int
+    series: ObservationSeries
     params: PowerLawParams
-    residuals: np.ndarray
-    position: int
+    u_scale: float
     anchor_residual: float | None = None
     converged: bool = True
     iterations: int = 0
     final_cost: float = 0.0
 
-    __hash__ = None
-
     def __post_init__(self):
-        # A read-only float64 array is kept as it is; anything else is
-        # copied, so no caller keeps a writable handle on the residuals.
-        r = self.residuals
-        if not (isinstance(r, np.ndarray) and r.dtype == np.float64 and not r.flags.writeable):
-            object.__setattr__(self, "residuals", _read_only(np.array(r, dtype=np.float64)))
-        if self.level < FIRST_LEVEL:
+        if len(self.series) < FIRST_LEVEL:
             raise ValueError(f"a trend needs at least {FIRST_LEVEL} observations")
-        if len(self.residuals) != self.level:
-            raise ValueError("residual count must equal the trend level")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = [f.name for f in fields(self) if f.name != "residuals"]
-        return (tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
-                and np.array_equal(self.residuals, other.residuals))
+    @property
+    def level(self) -> int:
+        return len(self.series)
 
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+    @property
+    def position(self) -> int:
+        return int(self.series.positions[-1])
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Observed minus fitted, one per observation (read-only float64)."""
+        log_positions = self.series.log_positions
+        t = np.subtract(log_positions, float(log_positions[0]))
+        t *= -self.params.b
+        return _read_only(_residuals(np.expm1(t, out=t), self.series.accuracies, self.params.c,
+                                     self.u_scale))
 
 
 def _scaled_power(scale: float, x: float, exponent: float) -> float:

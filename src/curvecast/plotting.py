@@ -65,8 +65,8 @@ def render_svg(
 
     # The x range starts at 0, so a position's pixel column is
     # MARGIN_L + position / x_span * PLOT_W.
-    obs_x = [p.position for p in series.points]
-    obs_y = [p.accuracy for p in series.points]
+    obs_x = series.positions.tolist()
+    obs_y = series.accuracies.tolist()
     positions = obs_x + [t.position for t in trace.trends.values()]
     positions.extend(markers.values())
     x_hi = 1.1 * max(positions)

@@ -80,10 +80,7 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
         for k, i in enumerate(eligible[: spec.noise.count]):
             values[i] += spec.noise.magnitude * (1 if k % 2 == 0 else -1)
     values = np.clip(values, _MIN_ACCURACY, 100.0)
-    points = tuple(
-        Observation(x, float(y)) for x, y in zip(positions, values)
-    )
-    return ObservationSeries(points)
+    return ObservationSeries(Observation(x, float(y)) for x, y in zip(positions, values))
 
 
 @dataclass(frozen=True)
@@ -272,10 +269,11 @@ def _anchored_checks(record, reference, anchored, omega, config):
     # Residual balance: anchor residual cancels the observation residuals.
     # The sums run over Python floats: summing the array's numpy scalars
     # one by one is slower and, on Python 3.12+, not the same summation.
+    # Residuals are computed on read, so each level's are summed once.
+    sums = {lv: sum(anchored.trends[lv].residuals.tolist()) for lv in anchored_levels}
     bad_balance = 0
     for lv in anchored_levels:
-        trend = anchored.trends[lv]
-        total = sum(trend.residuals.tolist()) + trend.anchor_residual
+        total = sums[lv] + anchored.trends[lv].anchor_residual
         if abs(total) > 1e-6 * lv:
             bad_balance += 1
     record("anchored_residual_balance", bad_balance, len(anchored_levels))
@@ -298,7 +296,7 @@ def _anchored_checks(record, reference, anchored, omega, config):
         checks_corr += 1
         t_prev, t_cur = anchored.trends[prev], anchored.trends[cur]
         anchor_value = t_cur.params.c + t_cur.anchor_residual
-        bound = t_prev.params.c - sum(t_cur.residuals.tolist()) - t_cur.anchor_residual
+        bound = t_prev.params.c - sums[cur] - t_cur.anchor_residual
         decreasing = t_cur.params.c <= t_prev.params.c + _EQUAL_TOL
         if decreasing and anchor_value > bound + _EQUAL_TOL:
             bad_corr += 1

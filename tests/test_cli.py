@@ -109,10 +109,8 @@ class TestFit:
         path = make_obs_file(tmp_path)
 
         def stuck_fit(points, *args, **kwargs):
-            return LearningTrend(level=len(points), params=PowerLawParams(1.0, 1.0, 99.0),
-                                 residuals=(0.0,) * len(points),
-                                 position=points.points[-1].position,
-                                 converged=False, iterations=200, final_cost=1.0)
+            return LearningTrend(series=points, params=PowerLawParams(1.0, 1.0, 99.0),
+                                 u_scale=1.0, converged=False, iterations=200, final_cost=1.0)
 
         monkeypatch.setattr(cli, "fit_power_law", stuck_fit)
         assert main(["fit", "--input", str(path)]) == 4
@@ -328,6 +326,16 @@ def test_overflowing_prediction_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "position 1e-300" in captured.err
+
+
+def test_position_past_int64_is_input_error(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(f"position,accuracy\n5000,90\n10000,91\n{2**63},92\n")
+    rc = main(["run", "--input", str(obs), "--tau", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch):

@@ -1,6 +1,9 @@
+import gc
 import math
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,3 +316,22 @@ def test_config_validation():
         with pytest.raises(ValueError):
             RunConfig(tau=1.0, end_position=end)
     RunConfig(tau=1.0, end_position=1)
+
+
+def test_finished_long_run_holds_under_a_megabyte():
+    # A trend keeps its parameters and a view of its prefix's columns, no
+    # array of its own, so a run's memory grows linearly with its length.
+    points = noisy_points(steep_params(np.random.default_rng(11)), np.random.default_rng(11),
+                          count=1000)
+    config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = run_stream(config, points)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.wlevel is not None and len(state.trace.trends) == 998
+    assert held < 1_000_000

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvecast.anchoring
@@ -266,21 +266,26 @@ def test_evaluations_per_fit():
     assert evaluations.call_count <= 4.5 * fits
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(20, 60))
+@example(seed=1102, count=20)
 def test_converged_reference_fits_are_global(seed, count):
-    # The benchmark regime: every converged fit of the warm-started
-    # reference chain is within 1% of the cost's minimum over log b.
-    rng = np.random.default_rng(seed)
-    series = generate_series(SynthSpec(steep_params(rng), count=count,
-                                       noise=NoiseSpec("gaussian", sigma=0.05), seed=seed))
-    reference, _, _ = build_traces(series, LevelParams(), AnchorPolicy(mode="none"))
-    xs = [p.position for p in series.points]
-    ys = [p.accuracy for p in series.points]
-    for level, trend in reference.trends.items():
-        if trend.converged:
-            _, costs = projected_cost_grid(xs[:level], ys[:level])
-            assert trend.final_cost <= 1.01 * costs.min() + 1e-9, level
+    # In the benchmark regime (sigma 0.05) and on noisier data, every
+    # converged fit of the warm-started reference chain is within 1% of the
+    # cost's minimum over log b. In the example, one Newton step takes the
+    # sigma 1.0 level-4 fit from b = 2.96 to b = 8.5e-9, on the valley's
+    # slope, where no curvature is positive: that stop is not converged.
+    for sigma in (0.05, 0.3, 1.0):
+        rng = np.random.default_rng(seed)
+        series = generate_series(SynthSpec(steep_params(rng), count=count,
+                                           noise=NoiseSpec("gaussian", sigma=sigma), seed=seed))
+        reference, _, _ = build_traces(series, LevelParams(), AnchorPolicy(mode="none"))
+        xs = series.positions.tolist()
+        ys = series.accuracies.tolist()
+        for level, trend in reference.trends.items():
+            if trend.converged:
+                _, costs = projected_cost_grid(xs[:level], ys[:level])
+                assert trend.final_cost <= 1.01 * costs.min() + 1e-9, (sigma, level)
 
 
 def test_valley_fit_is_not_a_warm_start():
@@ -298,3 +303,25 @@ def test_valley_fit_is_not_a_warm_start():
         _, costs = projected_cost_grid(xs[:level], ys[:level])
         assert trend.converged is False or trend.final_cost <= 1.01 * costs.min() + 1e-9
     assert reference.trends[6].converged and reference.trends[6].params.b > 0.1
+
+
+def test_plateau_fit_is_not_a_warm_start():
+    # At sigma 1.0 the level-3 points of this series, 69.24, 79.06 and
+    # 79.04, fit best as a step through the first one: b runs on to about
+    # 61, where every power term after the first row is below rounding.
+    # That fit is not converged, so level 4 starts cold; a warm start from
+    # it stayed on the plateau at every later level, at 2-6 times the grid
+    # minimum.
+    series = generate_series(SynthSpec(
+        PowerLawParams(848.0056157796771, 0.40227393096622854, 98.61851763239457), count=60,
+        noise=NoiseSpec("gaussian", sigma=1.0), seed=1207372638))
+    reference, _, _ = build_traces(series, LevelParams(), AnchorPolicy(mode="none"))
+    plateau = reference.trends[3]
+    assert plateau.converged is False
+    assert plateau.params.b * (series.log_positions[1] - series.log_positions[0]) > 36.04
+    xs = series.positions.tolist()
+    ys = series.accuracies.tolist()
+    for level in range(4, 61):
+        trend = reference.trends[level]
+        _, costs = projected_cost_grid(xs[:level], ys[:level])
+        assert trend.converged and trend.final_cost <= 1.01 * costs.min() + 1e-9, level

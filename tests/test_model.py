@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -145,6 +146,9 @@ class TestDomainTypes:
         for position in (True, 5.0):  # a position is a plain integer
             with pytest.raises(ValueError):
                 Observation(position, 50.0)
+        Observation(2**63 - 1, 50.0)
+        with pytest.raises(ValueError):  # positions are stored as int64
+            Observation(2**63, 50.0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -194,8 +198,7 @@ class TestDomainTypes:
 
 @st.composite
 def _grown_series(draw):
-    """Points of a noisy curve on an irregular schedule, the length at
-    which the columns are first read while the series grows, and a prefix
+    """Points of a noisy curve on an irregular schedule and a prefix
     length."""
     true = draw(params_st)
     count = draw(st.integers(3, 40))
@@ -206,28 +209,29 @@ def _grown_series(draw):
         position += gap
         value = eval_pattern(true, position) + jitter
         points.append(Observation(position, min(max(value, 0.01), 100.0)))
-    return points, draw(st.integers(1, count)), draw(st.integers(3, count))
+    return points, draw(st.integers(3, count))
+
+
+COLUMNS = ("positions", "log_positions", "accuracies")
 
 
 class TestSeriesColumns:
     @settings(max_examples=60, deadline=None)
     @given(_grown_series())
     def test_grown_columns_and_prefix_fits_match_rebuilt_points(self, drawn):
-        points, first_read, k = drawn
+        points, k = drawn
         series = ObservationSeries.from_points(())
         for point in points:
             series = series.with_point(point)
-            if len(series) == first_read:
-                series.log_positions  # later points extend the built columns
         rebuilt = ObservationSeries.from_points(points)
-        for name in ("log_positions", "accuracies"):
+        for name in COLUMNS:
             grown, fresh = getattr(series, name), getattr(rebuilt, name)
-            assert grown.dtype == fresh.dtype == np.float64
+            assert grown.dtype == fresh.dtype == (np.int64 if name == "positions" else np.float64)
             assert grown.tobytes() == fresh.tobytes()
 
         prefix = series.prefix(k)
         assert prefix.points == tuple(points[:k])
-        for name in ("log_positions", "accuracies"):
+        for name in COLUMNS:
             column = getattr(prefix, name)
             assert len(column) == k and np.shares_memory(column, getattr(series, name))
             with pytest.raises(ValueError):
@@ -257,11 +261,11 @@ class TestSeriesColumns:
         seen = []
 
         def keep(series):
-            seen.append((series, series.log_positions.tobytes(), series.accuracies.tobytes()))
+            seen.append((series, [getattr(series, name).tobytes() for name in COLUMNS]))
             return series
 
         series = ObservationSeries.from_points(())
-        for _ in range(data.draw(st.integers(0, 5))):  # columns not read yet
+        for _ in range(data.draw(st.integers(0, 5))):
             series = grow(series)
         parent = keep(grow(series))
         tips = [keep(grow(parent)), keep(grow(parent))]
@@ -277,13 +281,12 @@ class TestSeriesColumns:
             grown.append(keep(new))
             keep(new.prefix(data.draw(st.integers(1, len(new)))))
 
-        for series, log_positions, accuracies in seen:
+        for series, columns in seen:
             rebuilt = ObservationSeries(series.points)
-            assert series.log_positions.tobytes() == log_positions == rebuilt.log_positions.tobytes()
-            assert series.accuracies.tobytes() == accuracies == rebuilt.accuracies.tobytes()
-            for column in (series.log_positions, series.accuracies):
+            for name, column in zip(COLUMNS, columns):
+                assert getattr(series, name).tobytes() == column == getattr(rebuilt, name).tobytes()
                 with pytest.raises(ValueError):
-                    column[0] = 1.0
+                    getattr(series, name)[0] = 1
 
     @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
@@ -291,11 +294,10 @@ class TestSeriesColumns:
         series = ObservationSeries.from_points(())
         for i in range(1, 9):
             series = series.with_point(Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i)))
-            series.log_positions  # built, then extended by every later point
         before = fit_power_law(series.prefix(6))
         copied = duplicate(series)
         assert copied == series
-        for name in ("log_positions", "accuracies"):
+        for name in COLUMNS:
             column = getattr(copied, name)
             assert column.tobytes() == getattr(series, name).tobytes()
             with pytest.raises(ValueError):
@@ -308,10 +310,10 @@ _COPIES = pytest.mark.parametrize(
     ids=["original", "pickle", "deepcopy"])
 
 
-def _noisy_trend():
+def _noisy_trend(anchor=REFERENCE_FIT.c, anchor_x=None):
     pts = [Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i) + 0.01 * (-1) ** i)
            for i in range(1, 13)]
-    return fit_power_law(pts, anchor=REFERENCE_FIT.c)
+    return fit_power_law(pts, anchor=anchor, anchor_x=anchor_x)
 
 
 class TestResidualArrays:
@@ -321,37 +323,39 @@ class TestResidualArrays:
         copied = duplicate(trend)
         assert copied == trend
         assert copied.residuals.dtype == np.float64
+        assert copied.residuals.tobytes() == trend.residuals.tobytes()
         with pytest.raises(ValueError):
             copied.residuals[0] = 0.0
 
-    def test_trend_keeps_the_fits_array_and_diagnostics(self):
-        trend = _noisy_trend()
-        fit_rows = trend.residuals.base  # the fit's array, anchor row last
-        assert fit_rows is not None and np.shares_memory(trend.residuals, fit_rows)
-        assert len(fit_rows) == trend.level + 1
-        assert fit_rows[-1] == trend.anchor_residual
+    @pytest.mark.parametrize("anchor, anchor_x", [(None, None), (REFERENCE_FIT.c, None),
+                                                  (REFERENCE_FIT.c, 1e200)],
+                             ids=["plain", "analytic", "finite"])
+    def test_final_cost_is_the_sum_of_the_residuals_read(self, anchor, anchor_x):
+        # The residuals are recomputed on read; the fit summed its own rows.
+        trend = _noisy_trend(anchor, anchor_x)
+        rows = trend.residuals
+        if anchor is not None:
+            rows = np.append(rows, trend.anchor_residual)
+        assert len(trend.residuals) == trend.level == 12
         assert trend.iterations >= 1
-        assert trend.final_cost == float(fit_rows @ fit_rows)
+        assert trend.final_cost == float(rows @ rows)
 
-    def test_sequence_and_array_build_equal_trends(self):
+    def test_constructor_rebuilds_the_fits_trend(self):
         trend = _noisy_trend()
-        rebuilt = LearningTrend(level=12, params=trend.params,
-                                residuals=tuple(trend.residuals.tolist()), position=60000,
-                                anchor_residual=trend.anchor_residual,
+        rebuilt = LearningTrend(series=trend.series, params=trend.params, u_scale=trend.u_scale,
+                                anchor_residual=trend.anchor_residual, converged=trend.converged,
                                 iterations=trend.iterations, final_cost=trend.final_cost)
         assert rebuilt == trend
+        assert (rebuilt.level, rebuilt.position) == (12, 60000)
         assert rebuilt.residuals.tobytes() == trend.residuals.tobytes()
 
     def test_one_ulp_makes_trends_unequal(self):
         trend = _noisy_trend()
-        shifted = trend.residuals.copy()
-        shifted[5] = np.nextafter(shifted[5], np.inf)
-        other = LearningTrend(level=12, params=trend.params, residuals=shifted,
-                              position=60000, anchor_residual=trend.anchor_residual,
-                              iterations=trend.iterations, final_cost=trend.final_cost)
-        assert other != trend
-        shifted[5] = trend.residuals[5]  # the trend copied its writable input
-        assert other != trend
+        accuracies = trend.series.accuracies.tolist()
+        accuracies[5] = math.nextafter(accuracies[5], math.inf)
+        shifted = ObservationSeries(map(Observation, trend.series.positions.tolist(), accuracies))
+        assert dataclasses.replace(trend, series=shifted) != trend
+        assert dataclasses.replace(trend, u_scale=math.nextafter(trend.u_scale, 0.0)) != trend
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import curvecast.trace
 from curvecast.errors import InsufficientDataError, SequencingError
-from curvecast.model import LearningTrend, ObservationSeries, PowerLawParams
+from curvecast.model import LearningTrend, Observation, ObservationSeries, PowerLawParams
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import (
     LearningTrace,
@@ -34,13 +34,11 @@ def build_noiseless_trace(params=REFERENCE_FIT, count=20):
 
 
 def make_trend(a, b, c, level=5, position=25000, converged=True):
-    return LearningTrend(
-        level=level,
-        params=PowerLawParams(a, b, c),
-        residuals=(0.0,) * level,
-        position=position,
-        converged=converged,
-    )
+    """Trend of ``level`` evenly spaced points ending at ``position``."""
+    positions = [position * (i + 1) // level for i in range(level)]
+    series = ObservationSeries.from_points(Observation(x, 50.0) for x in positions)
+    return LearningTrend(series=series, params=PowerLawParams(a, b, c),
+                         u_scale=a * positions[0] ** -b, converged=converged)
 
 
 class TestExtendTrace:
