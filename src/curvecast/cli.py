@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--slowdown", type=int, default=LevelParams.slowdown)
     p_run.add_argument("--lookahead", type=int, default=LevelParams.lookahead)
     p_run.add_argument("--anchors", choices=["none", "canonical"], default=AnchorPolicy.mode)
-    p_run.add_argument("--anchor-mode", choices=["analytic", "finite"],
-                       default=AnchorPolicy.representation)
-    p_run.add_argument("--anchor-x", type=float, default=AnchorPolicy.finite_x)
     p_run.add_argument("--end-position", type=int, default=None)
     p_run.add_argument("--predict-at", default=None,
                        help="comma-separated positions to estimate")
@@ -152,9 +149,7 @@ def _cmd_run(args) -> int:
         tau=args.tau,
         level_params=LevelParams(nu=args.nu, slowdown=args.slowdown,
                                  lookahead=args.lookahead),
-        anchor_policy=AnchorPolicy(mode=args.anchors,
-                                   representation=args.anchor_mode,
-                                   finite_x=args.anchor_x),
+        anchor_policy=AnchorPolicy(mode=args.anchors),
         end_position=args.end_position,
     )
     state = run_stream(config, series.points)

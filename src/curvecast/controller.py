@@ -62,25 +62,37 @@ class RunConfig:
 @dataclass
 class RunState:
     """Mutable state of one run; equality is exact field-by-field, which is
-    what the determinism guarantees are stated against."""
+    what the determinism guarantees are stated against. Each milestone is
+    stored once, as its level: its position and ``stopped`` are read off it.
+    """
 
     config: RunConfig
     series: ObservationSeries
     trace: LearningTrace
     wlevel: int | None = None
-    wposition: int | None = None
     plevel: int | None = None
-    pposition: int | None = None
     clevel: int | None = None
-    cposition: int | None = None
-    stopped: bool = False
     ignored_after_stop: int = 0
 
     @property
+    def wposition(self) -> int | None:
+        return None if self.wlevel is None else self.trace.trends[self.wlevel].position
+
+    @property
+    def pposition(self) -> int | None:
+        return None if self.plevel is None else self.trace.trends[self.plevel].position
+
+    @property
+    def cposition(self) -> int | None:
+        return None if self.clevel is None else self.trace.trends[self.clevel].position
+
+    @property
+    def stopped(self) -> bool:
+        return self.clevel is not None
+
+    @property
     def selected_trend(self) -> LearningTrend | None:
-        if self.clevel is None:
-            return None
-        return self.trace.trends[self.clevel]
+        return None if self.clevel is None else self.trace.trends[self.clevel]
 
 
 def new_run(config: RunConfig) -> RunState:
@@ -128,10 +140,9 @@ def ingest(state: RunState, observation: Observation) -> RunState:
 def _extend(state: RunState, level: int) -> None:
     """Fit ``level`` onto the run's trace, anchored past the working level
     when the policy asks for it."""
-    policy = state.config.anchor_policy
-    if policy.mode == "canonical" and state.wlevel is not None:
+    if state.config.anchor_policy.mode == "canonical" and state.wlevel is not None:
         anchor = next_canonical_anchor(state.trace, state.wlevel)
-        extend_trace(state.trace, state.series, level, anchor=anchor, policy=policy)
+        extend_trace(state.trace, state.series, level, anchor=anchor)
     else:
         extend_trace(state.trace, state.series, level)
 
@@ -162,10 +173,8 @@ def _declare_working_level(state: RunState, omega: int) -> None:
     """Record the working level, rebuild the anchored chain when requested
     and scan every level from ``omega`` for the later milestones once."""
     state.wlevel = omega
-    state.wposition = state.trace.trends[omega].position
-    policy = state.config.anchor_policy
-    if policy.mode == "canonical":
-        state.trace = anchored_chain(state.trace, state.series, omega, policy)
+    if state.config.anchor_policy.mode == "canonical":
+        state.trace = anchored_chain(state.trace, state.series, omega)
     _declare_later_milestones(state, range(omega, state.trace.last_level + 1))
 
 
@@ -184,21 +193,17 @@ def _declare_later_milestones(state: RunState, fresh: Iterable[int]) -> None:
         if rho is None:
             return
         state.plevel = rho
-        state.pposition = trace.trends[rho].position
     for level in levels:
         if level < state.plevel:
             continue
-        trend = trace.trends[level]
-        if stopping_layer(trend, state.config.end_position) <= state.config.tau:
+        if stopping_layer(trace.trends[level], state.config.end_position) <= state.config.tau:
             state.clevel = level
-            state.cposition = trend.position
-            state.stopped = True
             return
 
 
 def predict(state: RunState, position: float) -> float:
     """Accuracy estimate at ``position`` from the selected trend."""
-    if not state.stopped or state.selected_trend is None:
+    if not state.stopped:
         raise NotStoppedError("no prediction before the convergence level is reached")
     return eval_pattern(state.selected_trend.params, position)
 

@@ -6,9 +6,8 @@ and so is the optional anchor row. The fit therefore iterates only
 ``(a, c)`` come from an exact two-column least-squares solve, which leaves
 the projected cost ``phi(v) = T - S**2/Q``, with ``T``, ``S`` and ``Q`` the
 centred products of the targets and the power term. The anchor adds one
-row, either analytically against the asymptote (its power term has weight
-0) or as a literal pseudo-observation at a far position (weight
-``anchor_x**(-b)``).
+row at infinity, where the power term is 0, so its residual is taken
+against the asymptote alone.
 
 Newton's method on ``phi``. Both derivatives of ``phi`` are closed form, so
 the loop takes Newton steps ``-phi'/phi''``. It takes the Gauss-Newton
@@ -96,7 +95,7 @@ class _Work:
     """One fit's rows, which :func:`_evaluate` fills in place.
 
     ``targets`` holds the observations' accuracies, then the anchor, if
-    any; an analytic anchor row has power term 0. ``rows`` holds ``u - 1``,
+    any; the anchor row has power term 0. ``rows`` holds ``u - 1``,
     ``u'`` and ``t*u'`` (written per evaluation, which also sets
     ``e_mean``, the mean of ``u - 1``), then the centred targets and ones.
     """
@@ -104,7 +103,7 @@ class _Work:
     __slots__ = ("lx0", "shifted", "t", "t_power", "e_power", "targets", "rows", "left",
                  "t_mean", "tt", "e_mean")
 
-    def __init__(self, series, anchor, anchor_x):
+    def __init__(self, series, anchor):
         n = len(series)
         m = n + (anchor is not None)
         buffer = np.empty((8, m))
@@ -113,16 +112,11 @@ class _Work:
         self.lx0 = float(series.log_positions[0])
         np.subtract(series.log_positions, self.lx0, out=self.shifted[:n])
         self.targets[:n] = series.accuracies
-        k = m
         if anchor is not None:
             self.targets[n] = anchor
-            if anchor_x is None:
-                self.shifted[n] = 0.0
-                rows[0, n] = -1.0  # u = 0, so u' = t*u' = 0 too
-                k = n
-            else:
-                self.shifted[n] = math.log(anchor_x) - self.lx0
-        self.t_power, self.e_power = self.t[:k], rows[0, :k]
+            self.shifted[n] = 0.0
+            rows[0, n] = -1.0  # u = 0, so u' = t*u' = 0 too
+        self.t_power, self.e_power = self.t[:n], rows[0, :n]
         self.t_mean = float(self.targets.sum() / m)
         np.subtract(self.targets, self.t_mean, out=rows[3])
         self.tt = float(rows[3] @ rows[3])
@@ -174,33 +168,24 @@ def fit_power_law(
     points: ObservationSeries | Sequence[Observation],
     anchor: float | None = None,
     *,
-    anchor_x: float | None = None,
     initial: PowerLawParams | None = None,
 ) -> LearningTrend:
     """Trend of ``points``, a series or any sequence of observations (which
     is first made a series): the least-squares fit of the curve, at level
     ``len(points)`` and the last observation's position.
 
-    ``anchor`` adds one pseudo-observation: at infinity (residual against
-    the asymptote) when ``anchor_x`` is None, else at the finite position
-    ``anchor_x``, which must lie beyond every observation. Its residual is
-    the trend's ``anchor_residual``, and it counts in ``final_cost``. Only
-    ``initial.b`` is used as a start (default 0.5). ``converged`` is False
-    when the iteration cap was hit or the data have no optimum inside the
-    family; the caller decides what to do with it.
+    ``anchor`` adds one pseudo-observation at infinity. Its residual, the
+    anchor minus ``c``, is the trend's ``anchor_residual`` and counts in
+    ``final_cost``. Only ``initial.b`` is used as a start (default 0.5).
+    ``converged`` is False when the iteration cap was hit or the data have
+    no optimum inside the family; the caller decides what to do with it.
     """
     series = ObservationSeries.from_points(points)
     if len(series) < FIRST_LEVEL:
         raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(series)}")
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
-    if anchor_x is not None:
-        if anchor is None:
-            raise ValueError("anchor_x given without an anchor value")
-        if not (math.isfinite(anchor_x) and anchor_x > int(series.positions[-1])):
-            raise ValueError(f"anchor_x must be finite and beyond every observation, "
-                             f"got {anchor_x}")
-    work = _Work(series, anchor, anchor_x)
+    work = _Work(series, anchor)
     slack = _COST_TOLERANCE * work.tt
 
     start_b = initial.b if initial is not None else _START_B

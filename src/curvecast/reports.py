@@ -44,20 +44,15 @@ def parse_observations(text: str) -> ObservationSeries:
         if len(row) != 2:
             raise ObservationFileError(f"line {lineno}: expected two columns")
         try:
-            position = int(row[0].strip())
-            accuracy = float(row[1].strip())
+            point = Observation(int(row[0].strip()), float(row[1].strip()))
         except ValueError as exc:
             raise ObservationFileError(f"line {lineno}: {exc}") from exc
-        if position <= last_position:
+        if point.position <= last_position:
             raise ObservationFileError(
-                f"line {lineno}: position {position} not greater than {last_position}"
+                f"line {lineno}: position {point.position} not greater than {last_position}"
             )
-        if not 0.0 < accuracy <= 100.0:
-            raise ObservationFileError(
-                f"line {lineno}: accuracy {accuracy} outside (0, 100]"
-            )
-        points.append(Observation(position, accuracy))
-        last_position = position
+        points.append(point)
+        last_position = point.position
     return ObservationSeries.from_points(points)
 
 
@@ -93,8 +88,6 @@ def _config_block(config: RunConfig) -> dict:
         "slowdown": config.level_params.slowdown,
         "lookahead": config.level_params.lookahead,
         "anchors": config.anchor_policy.mode,
-        "anchor_mode": config.anchor_policy.representation,
-        "anchor_x": config.anchor_policy.finite_x,
         "end_position": config.end_position,
     }
 

@@ -137,7 +137,7 @@ def build_traces(
     omega = working_level(alphas, positions, level_params, levels=levels)
     anchored = None
     if omega is not None and policy.mode == "canonical":
-        anchored = anchored_chain(reference, series, omega, policy)
+        anchored = anchored_chain(reference, series, omega)
     return reference, omega, anchored
 
 

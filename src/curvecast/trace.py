@@ -7,7 +7,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
+from .anchoring import fit_anchored_trend, next_canonical_anchor
 from .errors import InsufficientDataError, SequencingError
 from .fitting import fit_power_law
 from .model import FIRST_LEVEL, LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
@@ -72,16 +72,13 @@ def extend_trace(
     level: int,
     *,
     anchor: float | None = None,
-    policy: AnchorPolicy | None = None,
 ) -> LearningTrace:
     """Fit the prefix of length ``level`` and append the trend, anchored
-    at ``anchor`` as the run's ``policy`` represents it when one is given.
+    at ``anchor`` when one is given.
 
     Levels must arrive consecutively. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
     """
-    if anchor is not None and policy is None:
-        raise ValueError("an anchored fit needs the run's anchor policy")
     expected = FIRST_LEVEL if trace.last_level is None else trace.last_level + 1
     if level != expected:
         raise SequencingError(f"expected level {expected}, got {level}")
@@ -96,7 +93,7 @@ def extend_trace(
     if anchor is None:
         trend = fit_power_law(prefix, initial=initial)
     else:
-        trend = fit_anchored_trend(prefix, anchor, policy, initial=initial)
+        trend = fit_anchored_trend(prefix, anchor, initial=initial)
     trace.trends[level] = trend
     return trace
 
@@ -105,7 +102,6 @@ def anchored_chain(
     reference: LearningTrace,
     series: ObservationSeries,
     omega: int,
-    policy: AnchorPolicy,
 ) -> LearningTrace:
     """Canonical anchor chain over the levels of ``reference``.
 
@@ -119,7 +115,7 @@ def anchored_chain(
         chain.trends[level] = reference.trends[level]
     for level in range(omega + 1, reference.last_level + 1):
         anchor = next_canonical_anchor(chain, omega)
-        extend_trace(chain, series, level, anchor=anchor, policy=policy)
+        extend_trace(chain, series, level, anchor=anchor)
     return chain
 
 

@@ -130,8 +130,7 @@ def full_rescan_run(config, points):
     from curvecast.model import ObservationSeries
     from curvecast.trace import LearningTrace, extend_trace
 
-    policy = config.anchor_policy
-    canonical = policy.mode == "canonical"
+    canonical = config.anchor_policy.mode == "canonical"
     lp = config.level_params
     m = dict(wlevel=None, wposition=None, plevel=None, pposition=None,
              clevel=None, cposition=None, stopped=False, ignored_after_stop=0)
@@ -147,8 +146,7 @@ def full_rescan_run(config, points):
             continue
         series = ObservationSeries.from_points(seen)
         if canonical and m["wlevel"] is not None:
-            extend_trace(trace, series, level, anchor=next_canonical_anchor(trace, m["wlevel"]),
-                         policy=policy)
+            extend_trace(trace, series, level, anchor=next_canonical_anchor(trace, m["wlevel"]))
         else:
             extend_trace(trace, series, level)
 
@@ -166,8 +164,7 @@ def full_rescan_run(config, points):
                             rebuilt.trends[lv] = trace.trends[lv]
                         else:
                             extend_trace(rebuilt, series, lv,
-                                         anchor=next_canonical_anchor(rebuilt, omega),
-                                         policy=policy)
+                                         anchor=next_canonical_anchor(rebuilt, omega))
                     trace = rebuilt
 
         conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
@@ -187,16 +184,16 @@ def full_rescan_run(config, points):
     return m, trace
 
 
-def projected_cost(xs, ys, b, anchor=None, anchor_x=None):
+def projected_cost(xs, ys, b, anchor=None):
     """Least-squares cost of ``c - a*x**(-b)`` over ``(a, c)`` at a fixed
     ``b``, by ``lstsq`` on the columns ``[1, x**(-b)]``. An anchor adds the
-    row ``(anchor, 0)`` (at infinity) or ``(anchor, anchor_x**(-b))``."""
+    row ``(anchor, 0)``, at infinity."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     power = xs ** (-b)
     if anchor is not None:
         ys = np.append(ys, anchor)
-        power = np.append(power, 0.0 if anchor_x is None else anchor_x ** (-b))
+        power = np.append(power, 0.0)
     # Scaling a column keeps its span and the cost; lstsq's rank cut-off
     # would drop a column of tiny powers.
     columns = np.column_stack([np.ones_like(power), power / power.max()])

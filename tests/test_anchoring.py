@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from curvecast.anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
@@ -21,19 +19,9 @@ class TestAnchorPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             AnchorPolicy(mode="sometimes")
-        with pytest.raises(ValueError):
-            AnchorPolicy(representation="exact")
-        with pytest.raises(ValueError):
-            AnchorPolicy(finite_x=-1.0)
-        for finite_x in (math.nan, math.inf):  # NaN made every fit degenerate
-            with pytest.raises(ValueError):
-                AnchorPolicy(finite_x=finite_x)
 
     def test_defaults(self):
-        policy = AnchorPolicy()
-        assert policy.mode == "none"
-        assert policy.representation == "analytic"
-        assert policy.finite_x == 1e200
+        assert AnchorPolicy().mode == "none"
 
 
 class TestCanonicalAnchorSequence:
@@ -47,23 +35,21 @@ class TestCanonicalAnchorSequence:
 
     def test_chains_previous_anchored_asymptote(self):
         series = noiseless_series(8)
-        policy = AnchorPolicy(mode="canonical")
         trace = LearningTrace()
         for level in range(3, 6):
             extend_trace(trace, series, level)
         omega = 5
         anchor = next_canonical_anchor(trace, omega)
-        extend_trace(trace, series, 6, anchor=anchor, policy=policy)
+        extend_trace(trace, series, 6, anchor=anchor)
         assert next_canonical_anchor(trace, omega) == trace.trends[6].params.c
 
     def test_skips_nonconverged_links(self):
         series = noiseless_series(8)
-        policy = AnchorPolicy(mode="canonical")
         trace = LearningTrace()
         for level in range(3, 6):
             extend_trace(trace, series, level)
         anchor = next_canonical_anchor(trace, 5)
-        extend_trace(trace, series, 6, anchor=anchor, policy=policy)
+        extend_trace(trace, series, 6, anchor=anchor)
         broken = trace.trends[6]
         object.__setattr__(broken, "converged", False)
         assert next_canonical_anchor(trace, 5) == trace.alpha(5)
@@ -90,8 +76,7 @@ class TestCanonicalAnchorSequence:
 class TestFitAnchoredTrend:
     def test_returns_trend_with_anchor_residual(self):
         series = noiseless_series(10)
-        trend = fit_anchored_trend(series.prefix(6), REFERENCE_FIT.c,
-                                   AnchorPolicy(mode="canonical"))
+        trend = fit_anchored_trend(series.prefix(6), REFERENCE_FIT.c)
         assert trend.level == 6
         assert len(trend.residuals) == 6
         assert trend.anchor_residual == pytest.approx(0.0, abs=1e-6)
@@ -107,32 +92,19 @@ class TestFitAnchoredTrend:
                 for i in range(n)
             ]
             anchor = true.c + float(rng.normal(0, 0.1))
-            for representation in ("analytic", "finite"):
-                trend = fit_anchored_trend(
-                    pts, anchor, AnchorPolicy(mode="canonical",
-                                              representation=representation))
-                balance = sum(trend.residuals) + trend.anchor_residual
-                assert abs(balance) <= 1e-6 * (n + 1)
+            trend = fit_anchored_trend(pts, anchor)
+            balance = sum(trend.residuals) + trend.anchor_residual
+            assert abs(balance) <= 1e-6 * (n + 1)
 
-    @pytest.mark.parametrize("representation", ["analytic", "finite"])
-    def test_anchor_residual_is_the_fits_anchor_row(self, representation):
-        # A slow decay keeps the far pseudo-observation's power term
-        # (a * 1e200**-b, about 3e-4 here) well above rounding, so a finite
-        # anchor's residual is not anchor - c.
+    @pytest.mark.parametrize("anchor", [90.0], ids=["analytic"])
+    def test_anchor_residual_is_the_fits_anchor_row(self, anchor):
+        # The anchor sits at infinity, so its residual is exactly anchor - c,
+        # also for a decay as slow as this one.
         pts = exact_series_points(PowerLawParams(50.0, 0.02, 99.0), count=30)
-        policy = AnchorPolicy(mode="canonical", representation=representation)
-        trend = fit_anchored_trend(pts, 90.0, policy)
-        anchor_x = policy.finite_x if representation == "finite" else None
-        result = fit_power_law(pts, anchor=90.0, anchor_x=anchor_x)
-        assert trend == result
+        trend = fit_anchored_trend(pts, anchor)
+        assert trend == fit_power_law(pts, anchor=anchor)
         assert abs(sum(trend.residuals.tolist()) + trend.anchor_residual) <= 1e-9
-        a, b, c = trend.params.a, trend.params.b, trend.params.c
-        if representation == "analytic":
-            assert trend.anchor_residual == 90.0 - c
-        else:
-            assert trend.anchor_residual == pytest.approx(90.0 - (c - a * anchor_x ** -b),
-                                                          rel=0, abs=1e-12)
-            assert abs(trend.anchor_residual - (90.0 - c)) > 1e-5
+        assert trend.anchor_residual == anchor - trend.params.c
 
     def test_anchor_residual_vanishes_along_noiseless_chain(self):
         series = noiseless_series(16)

@@ -299,14 +299,13 @@ class TestEvaluate:
     ["evaluate", "--runs", "run.json", "--truth", "{obs}", "--controls", "100000,inf"],
     ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:inf"],
     ["run", "--input", "{obs}", "--tau", "nan"],
-    ["run", "--input", "{obs}", "--tau", "1", "--anchor-x", "nan"],
     ["run", "--input", "{obs}", "--tau", "inf"],
     ["run", "--input", "{obs}", "--tau", "0", "--predict-at", "nan"],
     ["run", "--input", "{obs}", "--tau", "1e9", "--predict-at", "inf"],
     ["run", "--input", "{obs}", "--tau", "1", "--end-position", "0"],
     ["run", "--input", "{obs}", "--tau", "1", "--end-position", "-5"],
 ], ids=["evaluate-controls-inf", "simulate-bumps-maxpos-inf", "run-tau-nan",
-        "run-anchor-x-nan", "run-tau-inf", "run-unstopped-predict-at-nan",
+        "run-tau-inf", "run-unstopped-predict-at-nan",
         "run-predict-at-inf", "run-end-position-0", "run-end-position-negative"])
 def test_non_finite_number_is_input_error(tmp_path, capsys, argv):
     obs = make_obs_file(tmp_path, count=10)

@@ -72,38 +72,6 @@ class TestFitPowerLaw:
         assert abs(anchored.params.c - plain.params.c) < 1e-8
         assert len(_rows(anchored)) == len(pts) + 1
 
-    def test_analytic_and_finite_anchor_agree(self, rng):
-        # The far pseudo-observation behaves as infinity once the decay
-        # exponent clears ~0.1 (its power term underflows); on identified
-        # data the two representations coincide.
-        for _ in range(5):
-            true = sample_params(rng)
-            pts = exact_series_points(true, count=12)
-            analytic = fit_power_law(pts, anchor=true.c)
-            finite = fit_power_law(pts, anchor=true.c, anchor_x=1e200)
-            assert abs(analytic.params.a - finite.params.a) <= 1e-9 * analytic.params.a
-            assert abs(analytic.params.b - finite.params.b) <= 1e-9
-            assert abs(analytic.params.c - finite.params.c) <= 1e-9
-
-    def test_analytic_and_finite_agree_with_offset_anchor(self, rng):
-        from conftest import steep_params
-
-        for seed in range(6):
-            true = steep_params(rng)
-            pts = [
-                Observation(5000 * (i + 1),
-                            min(max(eval_pattern(true, 5000 * (i + 1))
-                                    + rng.normal(0, 0.05), 1e-9), 100.0))
-                for i in range(20)
-            ]
-            anchor = fit_power_law(pts).params.c + 0.05
-            analytic = fit_power_law(pts, anchor=anchor)
-            finite = fit_power_law(pts, anchor=anchor, anchor_x=1e200)
-            assert analytic.params.b > 0.1 and finite.params.b > 0.1
-            assert abs(analytic.params.a - finite.params.a) <= 1e-9 * analytic.params.a
-            assert abs(analytic.params.b - finite.params.b) <= 1e-9
-            assert abs(analytic.params.c - finite.params.c) <= 1e-9
-
     def test_residual_sum_stationarity(self, rng):
         for _ in range(10):
             true = sample_params(rng)
@@ -118,12 +86,9 @@ class TestFitPowerLaw:
             assert abs(sum(plain.residuals)) <= 1e-6 * n
             anchored = fit_power_law(pts, anchor=true.c)
             assert abs(sum(_rows(anchored))) <= 1e-6 * (n + 1)
-            finite = fit_power_law(pts, anchor=true.c, anchor_x=1e7)
             # a is exactly optimal for the returned b: the residuals are
             # orthogonal to the power term, whose anchor row weighs 0
-            # (analytic) or anchor_x**(-b) (finite)
-            for fit, anchor_row in ((plain, []), (anchored, [0.0]),
-                                    (finite, [1e7 ** -finite.params.b])):
+            for fit, anchor_row in ((plain, []), (anchored, [0.0])):
                 if fit.converged:
                     weights = [p.position ** -fit.params.b for p in pts] + anchor_row
                     assert len(_rows(fit)) == len(weights)
@@ -193,13 +158,6 @@ class TestFitPowerLaw:
         pts = exact_series_points(REFERENCE_FIT, count=5)
         with pytest.raises(ValueError):
             fit_power_law(pts, anchor=math.nan)
-        with pytest.raises(ValueError):
-            fit_power_law(pts, anchor=99.0, anchor_x=100.0)  # inside the data
-        with pytest.raises(ValueError):
-            fit_power_law(pts, anchor_x=1e200)  # anchor_x without anchor
-        for anchor_x in (math.inf, math.nan):  # inf left b at its start value
-            with pytest.raises(ValueError):
-                fit_power_law(pts, anchor=99.0, anchor_x=anchor_x)
 
     def test_fit_is_the_trend_of_its_prefix(self, rng):
         points = [Observation(5000 * (i + 1),
@@ -209,8 +167,7 @@ class TestFitPowerLaw:
         anchor = REFERENCE_FIT.c + 0.2
         fits = {
             "plain": fit_power_law(prefix),
-            "analytic": fit_power_law(prefix, anchor=anchor),
-            "finite": fit_power_law(prefix, anchor=anchor, anchor_x=1e7),
+            "anchored": fit_power_law(prefix, anchor=anchor),
         }
         for name, fit in fits.items():
             assert fit.level == len(prefix) == len(fit.residuals)
@@ -218,29 +175,25 @@ class TestFitPowerLaw:
             assert (fit.anchor_residual is None) == (name == "plain")
             assert fit.final_cost == pytest.approx(sum(r * r for r in _rows(fit)),
                                                    rel=1e-12, abs=0)
-        for representation in ("analytic", "finite"):
-            policy = AnchorPolicy(mode="canonical", representation=representation,
-                                  finite_x=1e7)
-            assert fit_anchored_trend(prefix, anchor, policy) == fits[representation]
+        assert fit_anchored_trend(prefix, anchor) == fits["anchored"]
 
 
 class TestProjectedCost:
     """One evaluation of the projected cost against a least-squares oracle."""
 
-    @pytest.mark.parametrize("anchor, anchor_x", [(None, None), (99.0, None), (99.0, 1e200)],
-                             ids=["plain", "analytic", "finite"])
+    @pytest.mark.parametrize("anchor", [None, 99.0], ids=["plain", "analytic"])
     @pytest.mark.parametrize("b", [1e-3, 0.05, 0.4, 3.76])
-    def test_cost_and_derivatives_match_oracle(self, rng, b, anchor, anchor_x):
+    def test_cost_and_derivatives_match_oracle(self, rng, b, anchor):
         xs = [5000 * (i + 1) for i in range(20)]
         ys = [eval_pattern(REFERENCE_FIT, x) + rng.normal(0, 0.05) for x in xs]
         series = ObservationSeries.from_points([Observation(x, y) for x, y in zip(xs, ys)])
-        work = curvecast.fitting._Work(series, anchor, anchor_x)
+        work = curvecast.fitting._Work(series, anchor)
         evaluate = curvecast.fitting._evaluate
         v = math.log(b)
         _, cost, slope, curvature, _ = evaluate(work, v)
 
         def oracle(at):
-            return projected_cost(xs, ys, math.exp(at), anchor, anchor_x)
+            return projected_cost(xs, ys, math.exp(at), anchor)
 
         assert cost == pytest.approx(oracle(v), rel=1e-8)
         assert slope == pytest.approx(central_difference(oracle, v), rel=1e-4)

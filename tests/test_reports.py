@@ -65,6 +65,9 @@ class TestObservationFiles:
             parse_observations("position,accuracy\n5000\n")
         with pytest.raises(ObservationFileError):
             parse_observations("position,accuracy\nfive,90.0\n")
+        # A row the Observation constructor rejects names its line too.
+        with pytest.raises(ObservationFileError, match="line 3"):
+            parse_observations(f"position,accuracy\n5000,90.0\n{2**63},91.0\n")
 
     def test_empty_file_parses_to_empty_series(self):
         series = parse_observations("position,accuracy\n")
@@ -160,7 +163,12 @@ def finished_runs(draw):
 def test_every_report_is_schema_valid_strict_json(run):
     state, predict_at = run
     report = build_run_report(state, predict_at=predict_at)
-    jsonschema.Draft7Validator(load_report_schema()).validate(report)
+    schema = load_report_schema()
+    jsonschema.Draft7Validator(schema).validate(report)
+    # Every setting the writer reports is in the schema, and nothing else.
+    config = schema["properties"]["config"]
+    assert list(report["config"]) == config["required"]
+    assert set(config["properties"]) == set(config["required"])
     # no NaN or Infinity anywhere, whichever serializer writes it
     json.loads(json.dumps(report), parse_constant=_no_constant)
     assert json.loads(report_to_json(report), parse_constant=_no_constant) == json.loads(

@@ -75,14 +75,6 @@ class TestExtendTrace:
         for level in trace.levels():
             assert trace.alpha(level) == trace.trends[level].params.c
 
-    def test_anchor_needs_the_run_policy(self):
-        series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=4))
-        trace = LearningTrace()
-        extend_trace(trace, series, 3)
-        with pytest.raises(ValueError):
-            extend_trace(trace, series, 4, anchor=REFERENCE_FIT.c)
-        assert trace.levels() == [3]
-
     def test_earlier_trends_unchanged(self):
         series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=6))
         trace = LearningTrace()
