@@ -42,9 +42,10 @@ def next_canonical_anchor(trace: "LearningTrace", omega: int) -> float:
     chain; with nothing usable past the working level the base anchor is
     reused.
     """
-    if omega is None or trace.last_level is None or trace.last_level < omega:
+    last = trace.last_level
+    if omega is None or last is None or last < omega:
         raise SequencingError("canonical anchors start after the working level")
-    for level in range(trace.last_level, omega, -1):
+    for level in range(last, omega, -1):
         trend = trace.trends[level]
         if trend.anchor_residual is None:
             raise SequencingError(

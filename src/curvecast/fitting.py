@@ -48,9 +48,14 @@ stops where the cost is sloped but no curvature is positive, is returned
 with ``converged=False``.
 
 A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
-prefix, the parameters, the scale of ``u``, the anchor row's residual and
-the diagnostics. The trend recomputes its residuals on read with the
-function the fit took ``final_cost`` from.
+prefix, the parameters, the scale of ``u``, the anchor row's residual (the
+anchor minus ``c``, a scalar) and the fit's ``converged`` and
+``iterations``. The fit makes no residual pass: the trend computes its
+residuals and ``final_cost`` on read, with the same arithmetic. The anchor
+keeps a column of the buffer instead of entering the sums as scalars
+after the product: that way the target mean and every Gram sum reduce
+over the same ``m`` values in the same order, and no fit moves in its last
+bits.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .model import (
     Observation,
     ObservationSeries,
     PowerLawParams,
-    _residuals,
 )
 
 # Range of the log-decay walk; generous enough never to bind on an
@@ -94,34 +98,43 @@ _MAX_IDENTIFIED_DECAY = -math.log(sys.float_info.epsilon)
 class _Work:
     """One fit's rows, which :func:`_evaluate` fills in place.
 
-    ``targets`` holds the observations' accuracies, then the anchor, if
-    any; the anchor row has power term 0. ``rows`` holds ``u - 1``,
-    ``u'`` and ``t*u'`` (written per evaluation, which also sets
-    ``e_mean``, the mean of ``u - 1``), then the centred targets and ones.
+    Five rows of ``m`` columns: one column per observation, then one for
+    the anchor, if any, whose power term is 0. The ``left`` rows are
+    ``u - 1``, ``u'`` and ``t*u'`` (written per evaluation, which also sets
+    ``e_mean``, the mean of ``u - 1``); the centred targets and ones
+    follow. ``right`` is all five, transposed for the Gram product. The
+    anchor keeps a column of its own so that the target mean and every
+    Gram sum reduce over the same ``m`` values, in one order.
     """
 
-    __slots__ = ("lx0", "shifted", "t", "t_power", "e_power", "targets", "rows", "left",
+    __slots__ = ("m", "lx0", "shifted", "t", "t_power", "e_power", "left", "right",
                  "t_mean", "tt", "e_mean")
 
     def __init__(self, series, anchor):
-        n = len(series)
-        m = n + (anchor is not None)
-        buffer = np.empty((8, m))
-        self.shifted, self.t, self.targets = buffer[0], buffer[1], buffer[2]
-        self.rows = rows = buffer[3:]
-        self.lx0 = float(series.log_positions[0])
-        np.subtract(series.log_positions, self.lx0, out=self.shifted[:n])
-        self.targets[:n] = series.accuracies
-        if anchor is not None:
-            self.targets[n] = anchor
-            self.shifted[n] = 0.0
-            rows[0, n] = -1.0  # u = 0, so u' = t*u' = 0 too
-        self.t_power, self.e_power = self.t[:n], rows[0, :n]
-        self.t_mean = float(self.targets.sum() / m)
-        np.subtract(self.targets, self.t_mean, out=rows[3])
-        self.tt = float(rows[3] @ rows[3])
-        rows[4] = 1.0
-        self.left = rows[:3]
+        log_positions, targets = series.log_positions, series.accuracies
+        n = len(targets)
+        self.m = m = n + (anchor is not None)
+        buffer = np.empty((7, m))
+        self.shifted, self.t = shifted, t = buffer[0], buffer[1]
+        rows = buffer[2:]
+        self.left, self.right = rows[:3], rows.T
+        e, centred = rows[0], rows[3]
+        self.lx0 = lx0 = float(log_positions[0])
+        if anchor is None:
+            np.subtract(log_positions, lx0, out=shifted)
+            self.t_power, self.e_power = t, e
+        else:
+            np.subtract(log_positions, lx0, out=shifted[:n])
+            shifted[n] = 0.0
+            e[n] = -1.0  # u = 0, so u' = t*u' = 0 too
+            self.t_power, self.e_power = t[:n], e[:n]
+            centred[:n] = targets
+            centred[n] = anchor
+            targets = centred
+        self.t_mean = t_mean = float(np.add.reduce(targets) / m)
+        np.subtract(targets, t_mean, out=centred)
+        self.tt = float(centred.dot(centred))
+        rows[4].fill(1.0)
 
 
 def _evaluate(work, v):
@@ -135,17 +148,17 @@ def _evaluate(work, v):
     off span{1, u}. All but the cost are 0 where ``u`` spans nothing beside
     ``1``.
     """
-    rows, t = work.rows, work.t
+    left, t = work.left, work.t
     np.multiply(work.shifted, -math.exp(v), out=t)
     np.expm1(work.t_power, out=work.e_power)
-    du = np.add(rows[0], 1.0, out=rows[1])
+    du = np.add(left[0], 1.0, out=left[1])
     np.multiply(du, t, out=du)
-    np.multiply(du, t, out=rows[2])
+    np.multiply(du, t, out=left[2])
     # Rows e = u - 1, u' and z = t*u' (so u'' = u' + z) against those, the
     # centred targets y and ones.
     (ee, eu, ez, ey, e_sum), (_, uu, _, uy, u_sum), (_, _, _, zy, z_sum) = (
-        np.inner(work.left, rows).tolist())
-    m = rows.shape[1]
+        left.dot(work.right).tolist())
+    m = work.m
     work.e_mean = mean = e_sum / m
     # With S = e.y, Q = |e - mean|**2 and R = u'.(e - mean): a = -S/Q,
     # phi = T + a*S, phi' = 2a(S' + aR) and
@@ -213,7 +226,7 @@ def fit_power_law(
             target = v + step
         else:
             # No descent along v: a (numerical) stationary point. The rows
-            # go back to v for c and the residuals.
+            # go back to v for the mean of u - 1, which c needs.
             _evaluate(work, v)
             converged = True
             break
@@ -233,18 +246,14 @@ def fit_power_law(
     else:
         params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=work.t_mean)
         converged = False
-        # The rows go to start_b, where the power term a * x**(-b) is
-        # a * x0**(-b) times u.
-        np.multiply(work.shifted, -start_b, out=work.t)
-        np.expm1(work.t_power, out=work.e_power)
+        # At start_b the power term a * x**(-b) is a * x0**(-b) times u.
         u_scale = params.a * math.exp(-start_b * work.lx0)
-    residuals = _residuals(work.rows[0], work.targets, params.c, u_scale)
     return LearningTrend(
         series=series,
         params=params,
         u_scale=u_scale,
-        anchor_residual=float(residuals[-1]) if anchor is not None else None,
+        # The anchor row's residual, anchor - c + u_scale*0, bit for bit.
+        anchor_residual=float(anchor) - params.c if anchor is not None else None,
         converged=converged,
         iterations=iterations,
-        final_cost=float(residuals @ residuals),
     )

@@ -104,12 +104,8 @@ class ObservationSeries:
 
     def __new__(cls, points=()):
         points = tuple(points)
-        positions = np.array([p.position for p in points], dtype=np.int64)
-        if (np.diff(positions) <= 0).any():
-            raise ValueError("positions must be strictly increasing")
-        columns = (positions, np.log(positions.astype(float)),
-                   np.array([p.accuracy for p in points], dtype=float))
-        return _ColumnBuffer(columns, len(points)).series(len(points))
+        return _series_of_columns(np.array([p.position for p in points], dtype=np.int64),
+                                  np.array([p.accuracy for p in points], dtype=float))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -122,6 +118,25 @@ class ObservationSeries:
             return NotImplemented
         return (np.array_equal(self.positions, other.positions)
                 and np.array_equal(self.accuracies, other.accuracies))
+
+    @classmethod
+    def from_columns(cls, positions, accuracies) -> "ObservationSeries":
+        """Series of a sequence of Python int ``positions`` and one of real
+        ``accuracies``, checked a column at a time: the values that
+        :class:`Observation` and the constructor reject are rejected here
+        too, without an ``Observation`` per point."""
+        if len(positions) != len(accuracies):
+            raise ValueError(f"{len(positions)} positions but {len(accuracies)} accuracies")
+        if len(positions) and not (set(map(type, positions)) == {int}
+                              and 1 <= min(positions) and max(positions) < 2**63):
+            bad = next(p for p in positions if type(p) is not int or not 1 <= p < 2**63)
+            raise ValueError(f"position must be an integer in [1, 2**63), got {bad!r}")
+        values = np.array(accuracies, dtype=float)
+        valid = np.isfinite(values) & (values > 0.0) & (values <= 100.0)
+        if not valid.all():
+            bad = float(values[np.argmin(valid)])
+            raise ValueError(f"accuracy must be in (0, 100], got {bad!r}")
+        return _series_of_columns(np.array(positions, dtype=np.int64), values)
 
     @classmethod
     def from_points(cls, points) -> "ObservationSeries":
@@ -169,6 +184,15 @@ class ObservationSeries:
         return buffer.series(length + 1)
 
 
+def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> ObservationSeries:
+    """Series of checked int64 ``positions`` and float64 ``accuracies``,
+    once the positions are found to increase strictly."""
+    if (np.diff(positions) <= 0).any():
+        raise ValueError("positions must be strictly increasing")
+    columns = (positions, np.log(positions.astype(float)), accuracies)
+    return _ColumnBuffer(columns, len(positions)).series(len(positions))
+
+
 @dataclass(frozen=True)
 class PowerLawParams:
     """Parameters of one fitted curve: scale ``a``, decay ``b``, asymptote ``c``.
@@ -183,22 +207,14 @@ class PowerLawParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.a <= 0.0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-
-
-def _residuals(u_minus_1, targets, c, u_scale):
-    """The fit's residual rows, ``targets - c + u_scale*u``, in its order."""
-    power = np.add(u_minus_1, 1.0)
-    power *= u_scale
-    residuals = np.subtract(targets, c)
-    residuals += power
-    return residuals
+        a, b, c = self.a, self.b, self.c
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            name = "a" if not math.isfinite(a) else "b" if not math.isfinite(b) else "c"
+            raise ValueError(f"{name} must be finite")
+        if a <= 0.0:
+            raise ValueError(f"a must be > 0, got {a}")
+        if b <= 0.0:
+            raise ValueError(f"b must be > 0, got {b}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,10 +224,11 @@ class LearningTrend:
     ``position`` are the series' length and last position.
 
     ``u_scale`` is the fit's scale of ``u = (x/x0)**(-b)``, the power term
-    divided by the first observation's. ``residuals`` are recomputed on each
-    read, bit for bit the rows the fit summed into ``final_cost`` (the sum
-    of squares, anchor row included). ``anchor_residual`` is the anchor
-    row's residual when the fit was anchored, else None.
+    divided by the first observation's. ``anchor_residual`` is the anchor
+    row's residual, the anchor minus ``c``, when the fit was anchored, else
+    None. ``residuals`` and ``final_cost`` are computed on each read, bit
+    for bit the rows the fit summed and the sum of their squares, anchor
+    row included: the fit itself makes no residual pass.
     """
 
     series: ObservationSeries
@@ -220,7 +237,6 @@ class LearningTrend:
     anchor_residual: float | None = None
     converged: bool = True
     iterations: int = 0
-    final_cost: float = 0.0
 
     def __post_init__(self):
         if len(self.series) < FIRST_LEVEL:
@@ -236,12 +252,24 @@ class LearningTrend:
 
     @property
     def residuals(self) -> np.ndarray:
-        """Observed minus fitted, one per observation (read-only float64)."""
+        """Observed minus fitted, one per observation (read-only float64):
+        ``accuracies - c + u_scale*u``, in the fit's arithmetic."""
         log_positions = self.series.log_positions
-        t = np.subtract(log_positions, float(log_positions[0]))
-        t *= -self.params.b
-        return _read_only(_residuals(np.expm1(t, out=t), self.series.accuracies, self.params.c,
-                                     self.u_scale))
+        power = np.subtract(log_positions, float(log_positions[0]))
+        power *= -self.params.b
+        np.expm1(power, out=power)
+        power += 1.0
+        power *= self.u_scale
+        power += np.subtract(self.series.accuracies, self.params.c)
+        return _read_only(power)
+
+    @property
+    def final_cost(self) -> float:
+        """Sum of the squared residuals, then the anchor row's, if any."""
+        rows = self.residuals
+        if self.anchor_residual is not None:
+            rows = np.append(rows, self.anchor_residual)
+        return float(rows @ rows)
 
 
 def _scaled_power(scale: float, x: float, exponent: float) -> float:

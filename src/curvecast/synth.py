@@ -18,7 +18,7 @@ import numpy as np
 
 from .anchoring import AnchorPolicy
 from .levels import LevelParams, working_level
-from .model import FIRST_LEVEL, Observation, ObservationSeries, PowerLawParams, eval_pattern
+from .model import FIRST_LEVEL, ObservationSeries, PowerLawParams, eval_pattern
 from .trace import (
     LearningTrace,
     _params_close,
@@ -80,7 +80,7 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
         for k, i in enumerate(eligible[: spec.noise.count]):
             values[i] += spec.noise.magnitude * (1 if k % 2 == 0 else -1)
     values = np.clip(values, _MIN_ACCURACY, 100.0)
-    return ObservationSeries(Observation(x, float(y)) for x, y in zip(positions, values))
+    return ObservationSeries.from_columns(positions, values)
 
 
 @dataclass(frozen=True)

@@ -79,15 +79,16 @@ def extend_trace(
     Levels must arrive consecutively. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
     """
-    expected = FIRST_LEVEL if trace.last_level is None else trace.last_level + 1
+    last = trace.last_level
+    expected = FIRST_LEVEL if last is None else last + 1
     if level != expected:
         raise SequencingError(f"expected level {expected}, got {level}")
     if len(series) < level:
         raise InsufficientDataError(f"series has {len(series)} points, level {level} needs {level}")
     prefix = series.prefix(level)
     initial = None
-    if trace.last_level is not None:
-        previous = trace.trends[trace.last_level]
+    if last is not None:
+        previous = trace.trends[last]
         if previous.converged:
             initial = previous.params
     if anchor is None:

@@ -202,6 +202,28 @@ def projected_cost(xs, ys, b, anchor=None):
     return float(r @ r)
 
 
+def end_of_fit_residual_pass(xs, ys, b, c, u_scale, anchor=None):
+    """``(cost, last row)`` of a fit with decay ``b``, asymptote ``c`` and
+    scale ``u_scale`` of ``u = (x/x0)**(-b)``, by the pass the fitter once
+    made at the end of every fit: the residuals ``targets - c + u_scale*u``
+    over its ``m``-row buffer (the observations, then the anchor, whose
+    ``u - 1`` is -1), their sum of squares and the last one."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    n = len(lx)
+    m = n + (anchor is not None)
+    u_minus_1, targets = np.empty((2, m))
+    np.multiply(lx - lx[0], -b, out=u_minus_1[:n])
+    np.expm1(u_minus_1[:n], out=u_minus_1[:n])
+    targets[:n] = ys
+    if anchor is not None:
+        u_minus_1[n], targets[n] = -1.0, anchor
+    power = np.add(u_minus_1, 1.0)
+    power *= u_scale
+    r = np.subtract(targets, c)
+    r += power
+    return float(r @ r), float(r[-1])
+
+
 def projected_cost_grid(xs, ys, lo=-23.0, hi=6.0, count=20_001):
     """``(log b grid, cost at each)`` of the unanchored fit: the
     least-squares cost over ``(a, c)`` at every ``b = exp(v)``, in closed

@@ -110,7 +110,7 @@ class TestFit:
 
         def stuck_fit(points, *args, **kwargs):
             return LearningTrend(series=points, params=PowerLawParams(1.0, 1.0, 99.0),
-                                 u_scale=1.0, converged=False, iterations=200, final_cost=1.0)
+                                 u_scale=1.0, converged=False, iterations=200)
 
         monkeypatch.setattr(cli, "fit_power_law", stuck_fit)
         assert main(["fit", "--input", str(path)]) == 4

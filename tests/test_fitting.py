@@ -20,6 +20,7 @@ from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 from conftest import REFERENCE_FIT, exact_series_points, sample_params, steep_params
 from oracles import (
     central_difference,
+    end_of_fit_residual_pass,
     grid_polish_fit,
     projected_cost,
     projected_cost_grid,
@@ -176,6 +177,38 @@ class TestFitPowerLaw:
             assert fit.final_cost == pytest.approx(sum(r * r for r in _rows(fit)),
                                                    rel=1e-12, abs=0)
         assert fit_anchored_trend(prefix, anchor) == fits["anchored"]
+
+
+class TestReadOnDemandDiagnostics:
+    """``final_cost`` and ``anchor_residual`` equal what the residual pass
+    the fit no longer makes would have given, bit for bit."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("kind", ["plain", "anchored", "degenerate", "degenerate-anchored"])
+    def test_diagnostics_match_the_residual_pass(self, rng, kind, warm):
+        for _ in range(25):
+            n = int(rng.integers(3, 120))
+            xs = np.cumsum(rng.integers(1, 20_000, size=n)) + 1000
+            if kind.startswith("degenerate"):  # falling data: the best a is <= 0
+                ys = 95.0 - 1e-4 * (xs - xs[0]) + rng.normal(0, 0.01, size=n)
+            else:
+                true = steep_params(rng)
+                ys = [eval_pattern(true, int(x)) + rng.normal(0, 0.05) for x in xs]
+            points = [Observation(int(x), float(min(max(y, 0.01), 100.0)))
+                      for x, y in zip(xs, ys)]
+            # Below falling data an anchor keeps the best a <= 0.
+            low = 60 if kind.startswith("degenerate") else 90
+            anchor = float(rng.uniform(low, low + 10)) if kind.endswith("anchored") else None
+            initial = PowerLawParams(1.0, float(rng.uniform(0.05, 2.0)), 95.0) if warm else None
+            trend = fit_power_law(points, anchor, initial=initial)
+            if kind.startswith("degenerate"):
+                assert trend.params.a == curvecast.fitting._DEGENERATE_A
+                assert trend.params.b == (initial.b if warm else curvecast.fitting._START_B)
+            cost, last = end_of_fit_residual_pass(
+                [p.position for p in points], [p.accuracy for p in points],
+                trend.params.b, trend.params.c, trend.u_scale, anchor)
+            assert trend.final_cost == cost
+            assert trend.anchor_residual == (last if anchor is not None else None)
 
 
 class TestProjectedCost:

@@ -215,6 +215,28 @@ def _grown_series(draw):
 COLUMNS = ("positions", "log_positions", "accuracies")
 
 
+@st.composite
+def _column_rows(draw):
+    """Positions and accuracies, mostly valid. Positions mostly step up by 1
+    to 3, but some repeat or fall; now and then one position is replaced by
+    a value of the wrong type or outside [1, 2**63), and one accuracy by any
+    float, a small integer, a bool or a value at the edge of (0, 100]."""
+    count = draw(st.integers(0, 6))
+    position, positions = 0, []
+    for _ in range(count):
+        position += draw(st.sampled_from([1, 1, 1, 1, 2, 2, 3, 3, 0, -1]))
+        positions.append(position)
+    if count and draw(st.booleans()):
+        positions[draw(st.integers(0, count - 1))] = draw(st.sampled_from(
+            [True, False, 5.0, np.int64(7), 0, -1, 2**63 - 1, 2**63, 2**64, None, "9"]))
+    accuracies = draw(st.lists(st.floats(0.01, 100.0), min_size=count, max_size=count))
+    if count and draw(st.booleans()):
+        accuracies[draw(st.integers(0, count - 1))] = draw(st.one_of(
+            st.floats(), st.integers(-5, 200), st.booleans(),
+            st.sampled_from([0.0, -0.0, 100.0, math.nextafter(100.0, math.inf), 5e-324])))
+    return positions, accuracies
+
+
 class TestSeriesColumns:
     @settings(max_examples=60, deadline=None)
     @given(_grown_series())
@@ -286,6 +308,38 @@ class TestSeriesColumns:
                 with pytest.raises(ValueError):
                     getattr(series, name)[0] = 1
 
+    @settings(max_examples=400, deadline=None)
+    @given(_column_rows())
+    def test_column_path_rejects_what_the_points_reject(self, rows):
+        """``from_columns`` rejects exactly the rows that ``Observation``
+        or the constructor rejects, and otherwise builds the same series."""
+        positions, accuracies = rows
+        try:
+            expected = ObservationSeries(map(Observation, positions, accuracies))
+        except (ValueError, TypeError):
+            with pytest.raises((ValueError, TypeError)):
+                ObservationSeries.from_columns(positions, accuracies)
+            return
+        series = ObservationSeries.from_columns(positions, accuracies)
+        assert series == expected
+        for name in COLUMNS:
+            column = getattr(series, name)
+            assert column.dtype == getattr(expected, name).dtype
+            assert column.tobytes() == getattr(expected, name).tobytes()
+            with pytest.raises(ValueError):
+                column[0:0] = 1
+
+    def test_column_path_names_the_bad_value(self):
+        with pytest.raises(ValueError, match=r"accuracy .* got 250\.0"):
+            ObservationSeries.from_columns([5, 10], [50.0, 250.0])
+        for position in (True, 5.0, 2**63):
+            with pytest.raises(ValueError, match=rf"got {position!r}"):
+                ObservationSeries.from_columns([1, position], [50.0, 60.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ObservationSeries.from_columns([5, 5], [50.0, 60.0])
+        with pytest.raises(ValueError, match="2 positions but 1 accuracies"):
+            ObservationSeries.from_columns([5, 6], [50.0])
+
     @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_rebuild_read_only_columns(self, duplicate):
@@ -340,7 +394,7 @@ class TestResidualArrays:
         trend = _noisy_trend()
         rebuilt = LearningTrend(series=trend.series, params=trend.params, u_scale=trend.u_scale,
                                 anchor_residual=trend.anchor_residual, converged=trend.converged,
-                                iterations=trend.iterations, final_cost=trend.final_cost)
+                                iterations=trend.iterations)
         assert rebuilt == trend
         assert (rebuilt.level, rebuilt.position) == (12, 60000)
         assert rebuilt.residuals.tobytes() == trend.residuals.tobytes()
