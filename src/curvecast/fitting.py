@@ -19,16 +19,17 @@ steps run on to the rail. A step that raises the cost is halved.
 
 One evaluation, one Gram product. An evaluation fills a per-fit buffer in
 place and reads ``(a, phi, phi', phi'')`` off one product of three rows
-with five, about eight numpy calls. The power term is divided by the first
-row's, ``u = (x/x0)**(-b)``; with ``1`` it spans the same two columns, so
-``phi`` is unchanged. Its derivatives are ``u' = t*u`` and
-``u'' = (1 + t)*u'``, with ``t = -b*log(x/x0)``. The left rows are
-``u - 1``, ``u'`` and ``t*u'``; the right rows add the centred targets and
-ones, so every dot product and every sum comes out of the one product. The
-scaling keeps ``u`` in (0, 1] at any ``b``, so large ``b`` neither
-underflows nor loses the mean of ``u``. ``u - 1`` comes from ``expm1``, so
-small ``b`` keeps its digits. The first row has ``u - 1 = u' = 0``, so no
-centred sum cancels by more than a factor of the row count.
+with five: five ufunc calls, the product and a ``tolist``. The power term
+is divided by the first row's, ``u = (x/x0)**(-b)``; with ``1`` it spans
+the same two columns, so ``phi`` is unchanged. Its derivatives are
+``u' = t*u`` and ``u'' = (1 + t)*u'``, with ``t = -b*log(x/x0)``. The left
+rows are ``u - 1``, ``u'`` and ``t*u'``; the right rows add the centred
+targets and ones, so every dot product and every sum comes out of the one
+product. The scaling keeps ``u`` in (0, 1] at any ``b``, so large ``b``
+neither underflows nor loses the mean of ``u``. ``u - 1`` comes from
+``expm1``, so small ``b`` keeps its digits. The first row has
+``u - 1 = u' = 0``, so no centred sum cancels by more than a factor of the
+row count.
 
 Stopping. The loop stops when the next step would move ``log b`` by less
 than the parameter tolerance, or when its quadratic model would lower the
@@ -37,8 +38,15 @@ exact only to a few ulps of ``T``. That is too coarse to judge such a step,
 so a trial step may also raise it by up to the cost tolerance of ``T``.
 
 The rows come from the series' columns, which a prefix views in its
-parent's. Means are taken as ``sum / size``, numpy's own definition of
-``mean`` without its call overhead.
+parent's. ``log(x/x0)`` is one of them: the series' buffer keeps it, since
+every prefix shares ``x0``, so a fit only slices it. What a fit sets up is
+what its level adds: one ``(5, m)`` block, with the rows, ufuncs and the
+product bound once in a closure. The block is allocated per fit, contiguous
+over exactly its ``m`` columns, and not cut out of a wider workspace: the
+strided rows of such a cut give a Gram product that differs from the
+contiguous one in its last bits for most ``m`` (OpenBLAS 0.3.31), and
+every fit keeps its bits. Means are taken as ``sum / size``, numpy's own
+definition of ``mean`` without its call overhead.
 
 A fit has no optimum inside the family when its best ``a`` is <= 0 (flat or
 decreasing data), when ``v`` ends on a rail of its range, or when
@@ -50,12 +58,13 @@ with ``converged=False``.
 A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
 prefix, the parameters, the scale of ``u``, the anchor row's residual (the
 anchor minus ``c``, a scalar) and the fit's ``converged`` and
-``iterations``. The fit makes no residual pass: the trend computes its
-residuals and ``final_cost`` on read, with the same arithmetic. The anchor
-keeps a column of the buffer instead of entering the sums as scalars
-after the product: that way the target mean and every Gram sum reduce
-over the same ``m`` values in the same order, and no fit moves in its last
-bits.
+``iterations``, built without the constructor's length check, which the
+fit has already made. The fit makes no residual pass: the trend computes
+its residuals and ``final_cost`` on read, with the same arithmetic. The
+anchor keeps a column of the buffer instead of entering the sums as
+scalars after the product: that way the target mean and every Gram sum
+reduce over the same ``m`` values in the same order, and no fit moves in
+its last bits.
 """
 
 from __future__ import annotations
@@ -69,10 +78,10 @@ import numpy as np
 from .errors import InsufficientDataError
 from .model import (
     FIRST_LEVEL,
-    LearningTrend,
     Observation,
     ObservationSeries,
     PowerLawParams,
+    _fitted_trend,
 )
 
 # Range of the log-decay walk; generous enough never to bind on an
@@ -95,86 +104,83 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MAX_IDENTIFIED_DECAY = -math.log(sys.float_info.epsilon)
 
 
-class _Work:
-    """One fit's rows, which :func:`_evaluate` fills in place.
+def _projection(offsets, targets, anchor):
+    """The rows of one fit of ``targets`` at ``offsets = log(x/x0)`` and
+    the evaluation that fills them in place: ``(t_mean, tt, evaluate)``,
+    the target mean, the centred targets' sum of squares and
+    ``evaluate(v)``.
 
     Five rows of ``m`` columns: one column per observation, then one for
-    the anchor, if any, whose power term is 0. The ``left`` rows are
-    ``u - 1``, ``u'`` and ``t*u'`` (written per evaluation, which also sets
-    ``e_mean``, the mean of ``u - 1``); the centred targets and ones
-    follow. ``right`` is all five, transposed for the Gram product. The
-    anchor keeps a column of its own so that the target mean and every
-    Gram sum reduce over the same ``m`` values, in one order.
-    """
+    the anchor, if any, whose power term is 0. The rows are ``u - 1``,
+    ``u'`` and ``t*u'``, written per evaluation, then the centred targets
+    and ones; the first three against all five are the Gram product. They
+    are one contiguous block over exactly ``m`` columns: a block strided
+    out of a wider workspace gives a Gram product that differs in its last
+    bits. The anchor keeps a column of its own, so that the target mean and
+    every Gram sum reduce over the same ``m`` values, in one order; its
+    ``u - 1``, ``u'`` and ``t*u'`` are the constants -1, -0.0 and 0.0, so
+    an evaluation writes only the observations' columns.
 
-    __slots__ = ("m", "lx0", "shifted", "t", "t_power", "e_power", "left", "right",
-                 "t_mean", "tt", "e_mean")
-
-    def __init__(self, series, anchor):
-        log_positions, targets = series.log_positions, series.accuracies
-        n = len(targets)
-        self.m = m = n + (anchor is not None)
-        buffer = np.empty((7, m))
-        self.shifted, self.t = shifted, t = buffer[0], buffer[1]
-        rows = buffer[2:]
-        self.left, self.right = rows[:3], rows.T
-        e, centred = rows[0], rows[3]
-        self.lx0 = lx0 = float(log_positions[0])
-        if anchor is None:
-            np.subtract(log_positions, lx0, out=shifted)
-            self.t_power, self.e_power = t, e
-        else:
-            np.subtract(log_positions, lx0, out=shifted[:n])
-            shifted[n] = 0.0
-            e[n] = -1.0  # u = 0, so u' = t*u' = 0 too
-            self.t_power, self.e_power = t[:n], e[:n]
-            centred[:n] = targets
-            centred[n] = anchor
-            targets = centred
-        self.t_mean = t_mean = float(np.add.reduce(targets) / m)
-        np.subtract(targets, t_mean, out=centred)
-        self.tt = float(centred.dot(centred))
-        rows[4].fill(1.0)
-
-
-def _evaluate(work, v):
-    """The projected cost at ``v = log b``, read off one Gram product:
-    ``(a_u, cost, slope, curvature, gauss_newton)``.
-
-    ``a_u`` is the exact scale of ``u`` (the curve's ``a`` is
-    ``a_u * x0**b``). ``cost``, ``slope`` and ``curvature`` are ``phi`` and
-    its exact first and second derivatives. ``gauss_newton`` is the
+    The rows, ufuncs and the product are bound here, once per fit.
+    ``evaluate(v)`` returns ``(a_u, cost, slope, curvature, gauss_newton,
+    e_mean)``: ``a_u`` is the exact scale of ``u`` (the curve's ``a`` is
+    ``a_u * x0**b``); ``cost``, ``slope`` and ``curvature`` are ``phi`` and
+    its exact first and second derivatives; ``gauss_newton`` is the
     Gauss-Newton curvature ``2 a_u**2 |P u'|**2``, with ``P`` the projector
-    off span{1, u}. All but the cost are 0 where ``u`` spans nothing beside
+    off span{1, u}; ``e_mean`` is the mean of ``u - 1``, which ``c`` needs.
+    All but the cost and the mean are 0 where ``u`` spans nothing beside
     ``1``.
     """
-    left, t = work.left, work.t
-    np.multiply(work.shifted, -math.exp(v), out=t)
-    np.expm1(work.t_power, out=work.e_power)
-    du = np.add(left[0], 1.0, out=left[1])
-    np.multiply(du, t, out=du)
-    np.multiply(du, t, out=left[2])
-    # Rows e = u - 1, u' and z = t*u' (so u'' = u' + z) against those, the
-    # centred targets y and ones.
-    (ee, eu, ez, ey, e_sum), (_, uu, _, uy, u_sum), (_, _, _, zy, z_sum) = (
-        left.dot(work.right).tolist())
-    m = work.m
-    work.e_mean = mean = e_sum / m
-    # With S = e.y, Q = |e - mean|**2 and R = u'.(e - mean): a = -S/Q,
-    # phi = T + a*S, phi' = 2a(S' + aR) and
-    # phi'' = 2a*S'' + a**2*Q'' - 2(S' + 2aR)**2/Q, where S' = u'.y,
-    # S'' = S' + z.y and Q''/2 = |u' - mean u'|**2 + (e - mean).(u' + z).
-    q = ee - mean * e_sum
-    if not q > 0.0:
-        return 0.0, work.tt, 0.0, 0.0, 0.0
-    a = -ey / q
-    r = eu - mean * u_sum
-    uu_centred = uu - u_sum * u_sum / m
-    slope = 2.0 * a * (uy + a * r)
-    curvature = (2.0 * a * (uy + zy + a * (uu_centred + eu + ez - mean * (u_sum + z_sum)))
-                 - 2.0 * (uy + 2.0 * a * r) ** 2 / q)
-    gauss_newton = 2.0 * a * a * (uu_centred - r * r / q)
-    return a, work.tt + a * ey, slope, curvature, gauss_newton
+    n = len(targets)
+    m = n + (anchor is not None)
+    rows = np.empty((5, m))
+    e, du, z, centred, ones = rows
+    if anchor is None:
+        e_n, du_n, z_n = e, du, z
+    else:
+        e_n, du_n, z_n = e[:n], du[:n], z[:n]
+        # u = 0, so u' = t*u' = 0, with the signs that t = -0.0 gives them.
+        e[n], du[n], z[n] = -1.0, -0.0, 0.0
+        centred[:n] = targets
+        centred[n] = anchor
+        targets = centred
+    t_mean = float(np.add.reduce(targets)) / m
+    np.subtract(targets, t_mean, centred)
+    tt = float(centred.dot(centred))
+    ones.fill(1.0)
+    gram = rows[:3].dot
+    right = rows.T
+    multiply, expm1, add, exp = np.multiply, np.expm1, np.add, math.exp
+
+    def evaluate(v):
+        # t = -b*log(x/x0) goes in the z row until u' is formed.
+        multiply(offsets, -exp(v), z_n)
+        expm1(z_n, e_n)
+        add(e_n, 1.0, du_n)
+        multiply(du_n, z_n, du_n)
+        multiply(du_n, z_n, z_n)
+        # Rows e = u - 1, u' and z = t*u' (so u'' = u' + z) against those,
+        # the centred targets y and ones.
+        (ee, eu, ez, ey, e_sum), (_, uu, _, uy, u_sum), (_, _, _, zy, z_sum) = (
+            gram(right).tolist())
+        mean = e_sum / m
+        # With S = e.y, Q = |e - mean|**2 and R = u'.(e - mean): a = -S/Q,
+        # phi = T + a*S, phi' = 2a(S' + aR) and
+        # phi'' = 2a*S'' + a**2*Q'' - 2(S' + 2aR)**2/Q, where S' = u'.y,
+        # S'' = S' + z.y and Q''/2 = |u' - mean u'|**2 + (e - mean).(u' + z).
+        q = ee - mean * e_sum
+        if not q > 0.0:
+            return 0.0, tt, 0.0, 0.0, 0.0, mean
+        a = -ey / q
+        r = eu - mean * u_sum
+        uu_centred = uu - u_sum * u_sum / m
+        slope = 2.0 * a * (uy + a * r)
+        curvature = (2.0 * a * (uy + zy + a * (uu_centred + eu + ez - mean * (u_sum + z_sum)))
+                     - 2.0 * (uy + 2.0 * a * r) ** 2 / q)
+        gauss_newton = 2.0 * a * a * (uu_centred - r * r / q)
+        return a, tt + a * ey, slope, curvature, gauss_newton, mean
+
+    return t_mean, tt, evaluate
 
 
 def fit_power_law(
@@ -194,66 +200,65 @@ def fit_power_law(
     no optimum inside the family; the caller decides what to do with it.
     """
     series = ObservationSeries.from_points(points)
-    if len(series) < FIRST_LEVEL:
-        raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(series)}")
+    offsets, targets = series.offsets, series.accuracies
+    if len(targets) < FIRST_LEVEL:
+        raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(targets)}")
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
-    work = _Work(series, anchor)
-    slack = _COST_TOLERANCE * work.tt
+    t_mean, tt, evaluate = _projection(offsets, targets, anchor)
+    slack = _COST_TOLERANCE * tt
+    # Constants the loop reads on every iteration, bound as locals.
+    lo, hi = _LOG_B_RANGE
+    halvings = range(_MAX_HALVINGS)
+    gauss_newton_share, param_tolerance, cost_tolerance = (
+        _MIN_GAUSS_NEWTON_SHARE, _PARAM_TOLERANCE, _COST_TOLERANCE)
 
     start_b = initial.b if initial is not None else _START_B
-    v = min(max(math.log(start_b), _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
-    a, cost, slope, curvature, gauss_newton = _evaluate(work, v)
+    v = min(max(math.log(start_b), lo), hi)
+    a, cost, slope, curvature, gauss_newton, e_mean = evaluate(v)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        if not curvature > 0.0 or 0.0 < gauss_newton < _MIN_GAUSS_NEWTON_SHARE * curvature:
+        if not curvature > 0.0 or 0.0 < gauss_newton < gauss_newton_share * curvature:
             curvature = gauss_newton
         if not curvature > 0.0:
             converged = slope == 0.0  # no step to take: a minimum if flat
             break
-        target = min(max(v - slope / curvature, _LOG_B_RANGE[0]), _LOG_B_RANGE[1])
+        target = v - slope / curvature
+        target = lo if target < lo else hi if target > hi else target
         step = target - v
-        if (abs(step) <= _PARAM_TOLERANCE * (1.0 + abs(v))
-                or slope * slope <= 2.0 * curvature * _COST_TOLERANCE * max(cost, 1e-300)):
+        if (abs(step) <= param_tolerance * (1.0 + abs(v))
+                or slope * slope <= 2.0 * curvature * cost_tolerance * max(cost, 1e-300)):
             converged = True
             break
-        for _ in range(_MAX_HALVINGS):
-            trial = _evaluate(work, target)
+        for _ in halvings:
+            trial = evaluate(target)
             if trial[1] <= cost + slack:
                 break
             step *= 0.5
             target = v + step
         else:
-            # No descent along v: a (numerical) stationary point. The rows
-            # go back to v for the mean of u - 1, which c needs.
-            _evaluate(work, v)
+            # No descent along v: a (numerical) stationary point.
             converged = True
             break
         v = target
-        a, cost, slope, curvature, gauss_newton = trial
+        a, cost, slope, curvature, gauss_newton, e_mean = trial
 
     b = math.exp(v)
+    lx0 = float(series.log_positions[0])
     # a scales u, so the curve's scale is a * x0**b: beyond floats near the
     # top rail.
-    log_scale = math.log(a) + b * work.lx0 if a > 0.0 else math.inf
+    log_scale = math.log(a) + b * lx0 if a > 0.0 else math.inf
     if log_scale < _LOG_FLOAT_MAX:
-        params = PowerLawParams(a=math.exp(log_scale), b=b,
-                                c=work.t_mean + a * (1.0 + work.e_mean))
+        params = PowerLawParams(a=math.exp(log_scale), b=b, c=t_mean + a * (1.0 + e_mean))
         converged = (converged and v not in _LOG_B_RANGE
-                     and b * float(work.shifted[1]) <= _MAX_IDENTIFIED_DECAY)
+                     and b * float(offsets[1]) <= _MAX_IDENTIFIED_DECAY)
         u_scale = a
     else:
-        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=work.t_mean)
+        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=t_mean)
         converged = False
         # At start_b the power term a * x**(-b) is a * x0**(-b) times u.
-        u_scale = params.a * math.exp(-start_b * work.lx0)
-    return LearningTrend(
-        series=series,
-        params=params,
-        u_scale=u_scale,
-        # The anchor row's residual, anchor - c + u_scale*0, bit for bit.
-        anchor_residual=float(anchor) - params.c if anchor is not None else None,
-        converged=converged,
-        iterations=iterations,
-    )
+        u_scale = params.a * math.exp(-start_b * lx0)
+    # The anchor row's residual is anchor - c + u_scale*0, bit for bit.
+    anchor_residual = float(anchor) - params.c if anchor is not None else None
+    return _fitted_trend(series, params, u_scale, anchor_residual, converged, iterations)

@@ -50,8 +50,13 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 class _ColumnBuffer:
     """Capacity shared by a chain of series grown by ``with_point``: the
-    first ``filled`` rows of the ``(positions, log_positions, accuracies)``
-    columns hold the longest series' values.
+    first ``filled`` rows of the ``(positions, log_positions, accuracies,
+    offsets)`` columns hold the longest series' values.
+
+    ``offsets`` is ``log(x/x0)``, ``log_positions`` minus its first value:
+    every series on a buffer starts at the same ``x0``, so a fit of any
+    prefix slices it instead of subtracting. It lives here, not on the
+    series, so a trend's prefix carries no fourth view.
 
     Only a series of exactly ``filled`` points may append in place; any
     other (a shorter one, or a second child of the same parent) copies. The
@@ -59,7 +64,7 @@ class _ColumnBuffer:
     slice the read-only views, so their columns are read-only too.
     """
 
-    __slots__ = ("_writable", "columns", "filled", "_lock")
+    __slots__ = ("_writable", "columns", "offsets", "filled", "_lock")
 
     def __init__(self, columns, capacity):
         self.filled = n = len(columns[0])
@@ -67,6 +72,7 @@ class _ColumnBuffer:
         for writable, column in zip(self._writable, columns):
             writable[:n] = column
         self.columns = tuple(_read_only(w.view()) for w in self._writable)
+        self.offsets = self.columns[3]
         self._lock = threading.Lock()
 
     def append(self, length, row):
@@ -96,7 +102,8 @@ class ObservationSeries:
 
     The columns are views of a capacity buffer, which :meth:`with_point`
     grows in place and a :meth:`prefix` views, so no column of an existing
-    series ever changes. ``==`` compares the columns. A copy is rebuilt
+    series ever changes. The buffer's fourth column, ``log(x/x0)``, is read
+    through :attr:`offsets`. ``==`` compares the columns. A copy is rebuilt
     from the points, as numpy would unpickle the columns writable.
     """
 
@@ -149,6 +156,13 @@ class ObservationSeries:
         return len(self.positions)
 
     @property
+    def offsets(self) -> np.ndarray:
+        """``log(x/x0)`` per position, ``x0`` the first (read-only float64):
+        bit for bit ``log_positions - log_positions[0]``, a view of the
+        buffer's column."""
+        return self._buffer.offsets[:len(self.positions)]
+
+    @property
     def points(self) -> tuple[Observation, ...]:
         """The observations, rebuilt from the columns, which were checked
         when they were written: the values are set through the slots."""
@@ -160,9 +174,10 @@ class ObservationSeries:
     def prefix(self, level: int) -> "ObservationSeries":
         """First ``level`` observations, whose columns are views of this
         series' columns."""
-        if not 1 <= level <= len(self):
-            raise ValueError(f"series has {len(self)} points, prefix {level} requested")
-        if level == len(self):
+        length = len(self.positions)
+        if not 1 <= level <= length:
+            raise ValueError(f"series has {length} points, prefix {level} requested")
+        if level == length:
             return self
         return self._buffer.series(level)
 
@@ -175,11 +190,13 @@ class ObservationSeries:
             raise ValueError("positions must be strictly increasing")
         # numpy's log, as for a whole column: math.log differs from it in
         # the last bit for some positions.
-        row = (obs.position, np.log(float(obs.position)), obs.accuracy)
+        log_position = np.log(float(obs.position))
+        offset = log_position - self.log_positions[0] if length else 0.0
+        row = (obs.position, log_position, obs.accuracy, offset)
         buffer = self._buffer
         if not buffer.append(length, row):
-            buffer = _ColumnBuffer((self.positions, self.log_positions, self.accuracies),
-                                   2 * (length + 1))
+            buffer = _ColumnBuffer((self.positions, self.log_positions, self.accuracies,
+                                    self.offsets), 2 * (length + 1))
             buffer.append(length, row)
         return buffer.series(length + 1)
 
@@ -189,7 +206,9 @@ def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> Observa
     once the positions are found to increase strictly."""
     if (np.diff(positions) <= 0).any():
         raise ValueError("positions must be strictly increasing")
-    columns = (positions, np.log(positions.astype(float)), accuracies)
+    log_positions = np.log(positions.astype(float))
+    columns = (positions, log_positions, accuracies,
+               np.subtract(log_positions, log_positions[:1]))
     return _ColumnBuffer(columns, len(positions)).series(len(positions))
 
 
@@ -254,9 +273,7 @@ class LearningTrend:
     def residuals(self) -> np.ndarray:
         """Observed minus fitted, one per observation (read-only float64):
         ``accuracies - c + u_scale*u``, in the fit's arithmetic."""
-        log_positions = self.series.log_positions
-        power = np.subtract(log_positions, float(log_positions[0]))
-        power *= -self.params.b
+        power = np.multiply(self.series.offsets, -self.params.b)
         np.expm1(power, out=power)
         power += 1.0
         power *= self.u_scale
@@ -270,6 +287,26 @@ class LearningTrend:
         if self.anchor_residual is not None:
             rows = np.append(rows, self.anchor_residual)
         return float(rows @ rows)
+
+
+_TREND_SLOTS = tuple(getattr(LearningTrend, name).__set__ for name in (
+    "series", "params", "u_scale", "anchor_residual", "converged", "iterations"))
+
+
+def _fitted_trend(series, params, u_scale, anchor_residual, converged, iterations):
+    """The trend a fit returns, built without ``__post_init__``: the fit has
+    already rejected a series too short for a trend. Every other caller
+    goes through the constructor and its check."""
+    trend = object.__new__(LearningTrend)
+    set_series, set_params, set_u_scale, set_anchor, set_converged, set_iterations = (
+        _TREND_SLOTS)
+    set_series(trend, series)
+    set_params(trend, params)
+    set_u_scale(trend, u_scale)
+    set_anchor(trend, anchor_residual)
+    set_converged(trend, converged)
+    set_iterations(trend, iterations)
+    return trend
 
 
 def _scaled_power(scale: float, x: float, exponent: float) -> float:

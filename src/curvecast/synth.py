@@ -29,7 +29,10 @@ from .trace import (
     trend_intersection,
 )
 
-_MIN_ACCURACY = 1e-9
+# Floor of a generated accuracy: the smallest value the six-decimal
+# observation writer prints as positive (0.000001), so a simulated file
+# always reads back.
+_MIN_ACCURACY = 1e-6
 # Comparisons between quantities that may coincide exactly.
 _EQUAL_TOL = 1e-9 + 1e-6
 
@@ -52,6 +55,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "bumps"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.magnitude)):
+            raise ValueError(f"sigma and magnitude must be finite, got {self.sigma}, "
+                             f"{self.magnitude}")
         if self.kind == "gaussian" and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.kind == "bumps" and (self.magnitude <= 0 or self.count < 1):

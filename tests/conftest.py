@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from curvecast.model import Observation, PowerLawParams, eval_pattern
+from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 
 REFERENCE_FIT = PowerLawParams(a=542.5451, b=0.3838, c=99.2876)
 
@@ -19,6 +21,34 @@ def steep_params(rng):
     """Curve shapes with per-level layer decline well above the sigma=0.05
     fit jitter; the regime the convergence statistics are stated for."""
     return sample_params(rng, a=(400, 900), b=(0.35, 0.5), c=(90, 99))
+
+
+def _grown_in_place(points):
+    series = ObservationSeries(())
+    for point in points:
+        series = series.with_point(point)
+    return series
+
+
+def _grown_by_copy(points):
+    # A second child of the same parent copies its parent's columns into a
+    # new buffer, so every row lands on a buffer the copy path built.
+    series = ObservationSeries(())
+    for point in points:
+        series.with_point(point)
+        series = series.with_point(point)
+    return series
+
+
+# Every way a series' buffer is built or grown, by name.
+SERIES_BUILDS = {
+    "constructor": ObservationSeries,
+    "from-columns": lambda points: ObservationSeries.from_columns(
+        [p.position for p in points], [p.accuracy for p in points]),
+    "in-place": _grown_in_place,
+    "by-copy": _grown_by_copy,
+    "pickled": lambda points: pickle.loads(pickle.dumps(_grown_in_place(points))),
+}
 
 
 @pytest.fixture

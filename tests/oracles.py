@@ -7,6 +7,7 @@ trends are the controller's; its milestone bookkeeping is its own.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -222,6 +223,132 @@ def end_of_fit_residual_pass(xs, ys, b, c, u_scale, anchor=None):
     r = np.subtract(targets, c)
     r += power
     return float(r @ r), float(r[-1])
+
+
+class _ReferenceWork:
+    """Rows of one reference fit in a ``(7, m)`` buffer: ``log(x/x0)``,
+    subtracted here per fit, then ``t`` and the five Gram rows."""
+
+    def __init__(self, log_positions, targets, anchor):
+        n = len(targets)
+        self.m = m = n + (anchor is not None)
+        buffer = np.empty((7, m))
+        self.shifted, self.t = shifted, t = buffer[0], buffer[1]
+        rows = buffer[2:]
+        self.left, self.right = rows[:3], rows.T
+        e, centred = rows[0], rows[3]
+        self.lx0 = lx0 = float(log_positions[0])
+        if anchor is None:
+            np.subtract(log_positions, lx0, out=shifted)
+            self.t_power, self.e_power = t, e
+        else:
+            np.subtract(log_positions, lx0, out=shifted[:n])
+            shifted[n] = 0.0
+            e[n] = -1.0
+            self.t_power, self.e_power = t[:n], e[:n]
+            centred[:n] = targets
+            centred[n] = anchor
+            targets = centred
+        self.t_mean = t_mean = float(np.add.reduce(targets) / m)
+        np.subtract(targets, t_mean, out=centred)
+        self.tt = float(centred.dot(centred))
+        rows[4].fill(1.0)
+
+
+def _reference_evaluate(work, v):
+    left, t = work.left, work.t
+    np.multiply(work.shifted, -math.exp(v), out=t)
+    np.expm1(work.t_power, out=work.e_power)
+    du = np.add(left[0], 1.0, out=left[1])
+    np.multiply(du, t, out=du)
+    np.multiply(du, t, out=left[2])
+    (ee, eu, ez, ey, e_sum), (_, uu, _, uy, u_sum), (_, _, _, zy, z_sum) = (
+        left.dot(work.right).tolist())
+    m = work.m
+    work.e_mean = mean = e_sum / m
+    q = ee - mean * e_sum
+    if not q > 0.0:
+        return 0.0, work.tt, 0.0, 0.0, 0.0
+    a = -ey / q
+    r = eu - mean * u_sum
+    uu_centred = uu - u_sum * u_sum / m
+    slope = 2.0 * a * (uy + a * r)
+    curvature = (2.0 * a * (uy + zy + a * (uu_centred + eu + ez - mean * (u_sum + z_sum)))
+                 - 2.0 * (uy + 2.0 * a * r) ** 2 / q)
+    gauss_newton = 2.0 * a * a * (uu_centred - r * r / q)
+    return a, work.tt + a * ey, slope, curvature, gauss_newton
+
+
+def reference_fit(log_positions, accuracies, anchor=None, start_b=None):
+    """The variable-projection Newton fit written plainly, a per-fit buffer
+    object and a module-level evaluation, as a bit-for-bit reference:
+    ``(a, b, c, u_scale, anchor_residual, converged, iterations)`` of the
+    fit of ``accuracies`` at the natural logs ``log_positions`` of their
+    positions, started at ``start_b`` (0.5 when None). It makes the same
+    numpy calls and float operations as ``fit_power_law``, in the same
+    order, so the two agree in every bit; it recomputes ``log(x/x0)`` and
+    re-evaluates at ``v`` after an exhausted halving, which the package
+    does not."""
+    log_range, max_halvings, max_iterations = (-23.0, 6.0), 40, 200
+    cost_tolerance, param_tolerance, gauss_newton_share = 1e-12, 1e-10, 0.5
+    work = _ReferenceWork(log_positions, accuracies, anchor)
+    slack = cost_tolerance * work.tt
+    start_b = 0.5 if start_b is None else start_b
+    v = min(max(math.log(start_b), log_range[0]), log_range[1])
+    a, cost, slope, curvature, gauss_newton = _reference_evaluate(work, v)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        if not curvature > 0.0 or 0.0 < gauss_newton < gauss_newton_share * curvature:
+            curvature = gauss_newton
+        if not curvature > 0.0:
+            converged = slope == 0.0
+            break
+        target = min(max(v - slope / curvature, log_range[0]), log_range[1])
+        step = target - v
+        if (abs(step) <= param_tolerance * (1.0 + abs(v))
+                or slope * slope <= 2.0 * curvature * cost_tolerance * max(cost, 1e-300)):
+            converged = True
+            break
+        for _ in range(max_halvings):
+            trial = _reference_evaluate(work, target)
+            if trial[1] <= cost + slack:
+                break
+            step *= 0.5
+            target = v + step
+        else:
+            _reference_evaluate(work, v)
+            converged = True
+            break
+        v = target
+        a, cost, slope, curvature, gauss_newton = trial
+
+    b = math.exp(v)
+    log_scale = math.log(a) + b * work.lx0 if a > 0.0 else math.inf
+    if log_scale < math.log(sys.float_info.max):
+        params = (math.exp(log_scale), b, work.t_mean + a * (1.0 + work.e_mean))
+        converged = (converged and v not in log_range
+                     and b * float(work.shifted[1]) <= -math.log(sys.float_info.epsilon))
+        u_scale = a
+    else:
+        params = (1e-20, start_b, work.t_mean)
+        converged = False
+        u_scale = params[0] * math.exp(-start_b * work.lx0)
+    anchor_residual = float(anchor) - params[2] if anchor is not None else None
+    return (*params, u_scale, anchor_residual, converged, iterations)
+
+
+def residuals_as_read(log_positions, accuracies, b, c, u_scale):
+    """A trend's residuals ``accuracies - c + u_scale*u``, with
+    ``log(x/x0)`` subtracted here instead of read off the series, then the
+    trend's own operations in their order."""
+    power = np.subtract(log_positions, float(log_positions[0]))
+    power *= -b
+    np.expm1(power, out=power)
+    power += 1.0
+    power *= u_scale
+    power += np.subtract(accuracies, c)
+    return power
 
 
 def projected_cost_grid(xs, ys, lo=-23.0, hi=6.0, count=20_001):

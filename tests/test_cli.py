@@ -55,6 +55,22 @@ class TestSimulate:
         assert rc == 0
         assert payload["all_passed"] is True
 
+    def test_clipped_rows_read_back(self, tmp_path, capsys):
+        # Noise of sigma 60 drives some values below 0; the generator clips
+        # them to a floor the six-decimal writer keeps positive, so the file
+        # reads back and runs instead of failing on accuracy 0.
+        rc = main(["simulate", "--a", "600", "--b", "0.4", "--c", "95",
+                   "--noise", "gaussian:60", "--count", "30", "--seed", "1"])
+        obs = tmp_path / "obs.csv"
+        obs.write_text(capsys.readouterr().out)
+        assert rc == 0
+        series = read_observations(obs)
+        assert len(series) == 30 and min(series.accuracies) == 1e-6
+        rc = main(["run", "--input", str(obs), "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert rc in (0, 3) and not captured.err.startswith("error: ")
+        assert len(json.loads(captured.out)["levels"]) == 28  # one row per level from 3
+
     def test_bad_noise_spec_is_input_error(self, capsys):
         rc = main(["simulate", "--a", "1", "--b", "1", "--c", "99",
                    "--noise", "pink:1"])
@@ -298,13 +314,18 @@ class TestEvaluate:
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--runs", "run.json", "--truth", "{obs}", "--controls", "100000,inf"],
     ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:inf"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "gaussian:nan"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "gaussian:inf"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:inf:2"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:nan:2"],
     ["run", "--input", "{obs}", "--tau", "nan"],
     ["run", "--input", "{obs}", "--tau", "inf"],
     ["run", "--input", "{obs}", "--tau", "0", "--predict-at", "nan"],
     ["run", "--input", "{obs}", "--tau", "1e9", "--predict-at", "inf"],
     ["run", "--input", "{obs}", "--tau", "1", "--end-position", "0"],
     ["run", "--input", "{obs}", "--tau", "1", "--end-position", "-5"],
-], ids=["evaluate-controls-inf", "simulate-bumps-maxpos-inf", "run-tau-nan",
+], ids=["evaluate-controls-inf", "simulate-bumps-maxpos-inf", "simulate-gaussian-nan",
+        "simulate-gaussian-inf", "simulate-bumps-inf", "simulate-bumps-nan", "run-tau-nan",
         "run-tau-inf", "run-unstopped-predict-at-nan",
         "run-predict-at-inf", "run-end-position-0", "run-end-position-negative"])
 def test_non_finite_number_is_input_error(tmp_path, capsys, argv):

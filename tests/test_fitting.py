@@ -17,13 +17,20 @@ from curvecast.levels import LevelParams
 from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 
-from conftest import REFERENCE_FIT, exact_series_points, sample_params, steep_params
+from conftest import (
+    REFERENCE_FIT,
+    SERIES_BUILDS,
+    exact_series_points,
+    sample_params,
+    steep_params,
+)
 from oracles import (
     central_difference,
     end_of_fit_residual_pass,
     grid_polish_fit,
     projected_cost,
     projected_cost_grid,
+    reference_fit,
     sum_squared_cost,
 )
 
@@ -211,6 +218,39 @@ class TestReadOnDemandDiagnostics:
             assert trend.anchor_residual == (last if anchor is not None else None)
 
 
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 120),
+       sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0, "falling"]),
+       build=st.sampled_from(sorted(SERIES_BUILDS)), anchored=st.booleans(), warm=st.booleans())
+def test_fit_equals_the_reference_fit(seed, count, sigma, build, anchored, warm):
+    # Every prefix fit of a series, however the series was built, equals
+    # the reference fit on the same columns in every bit of its outcome.
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.integers(1, 20_000, size=count)) + int(rng.integers(1, 10_000))
+    if sigma == "falling":  # the best a is <= 0: the degenerate path
+        ys = 95.0 - 1e-4 * (xs - xs[0]) + rng.normal(0, 0.01, size=count)
+    else:
+        true = steep_params(rng)
+        ys = [eval_pattern(true, int(x)) + rng.normal(0, sigma) for x in xs]
+    points = [Observation(int(x), float(min(max(y, 0.01), 100.0))) for x, y in zip(xs, ys)]
+    series = SERIES_BUILDS[build](points)
+    for level in sorted({3, count, *rng.integers(3, count + 1, size=3).tolist()}):
+        prefix = series.prefix(level)
+        anchor = float(rng.uniform(60, 100)) if anchored else None
+        start_b = float(rng.uniform(0.01, 5.0)) if warm else None
+        initial = PowerLawParams(1.0, start_b, 95.0) if warm else None
+        trend = fit_power_law(prefix, anchor, initial=initial)
+        expected = reference_fit(prefix.log_positions, prefix.accuracies, anchor, start_b)
+        params = trend.params
+        fitted = (params.a, params.b, params.c, trend.u_scale, trend.anchor_residual,
+                  trend.converged, trend.iterations)
+        assert _bits(fitted) == _bits(expected), (build, level)
+
+
 class TestProjectedCost:
     """One evaluation of the projected cost against a least-squares oracle."""
 
@@ -220,17 +260,16 @@ class TestProjectedCost:
         xs = [5000 * (i + 1) for i in range(20)]
         ys = [eval_pattern(REFERENCE_FIT, x) + rng.normal(0, 0.05) for x in xs]
         series = ObservationSeries.from_points([Observation(x, y) for x, y in zip(xs, ys)])
-        work = curvecast.fitting._Work(series, anchor)
-        evaluate = curvecast.fitting._evaluate
+        _, _, evaluate = curvecast.fitting._projection(series.offsets, series.accuracies, anchor)
         v = math.log(b)
-        _, cost, slope, curvature, _ = evaluate(work, v)
+        _, cost, slope, curvature, _, _ = evaluate(v)
 
         def oracle(at):
             return projected_cost(xs, ys, math.exp(at), anchor)
 
         assert cost == pytest.approx(oracle(v), rel=1e-8)
         assert slope == pytest.approx(central_difference(oracle, v), rel=1e-4)
-        assert curvature == pytest.approx(central_difference(lambda at: evaluate(work, at)[2], v),
+        assert curvature == pytest.approx(central_difference(lambda at: evaluate(at)[2], v),
                                           rel=1e-5)
 
 
@@ -241,15 +280,25 @@ def test_evaluations_per_fit():
     series = generate_series(SynthSpec(steep_params(rng), count=60,
                                        noise=NoiseSpec("gaussian", sigma=0.05), seed=7))
     fit = curvecast.fitting.fit_power_law
-    with mock.patch.object(curvecast.fitting, "_evaluate",
-                           wraps=curvecast.fitting._evaluate) as evaluations, \
+    projection = curvecast.fitting._projection
+    evaluations = []
+
+    def counted_projection(offsets, targets, anchor):
+        t_mean, tt, evaluate = projection(offsets, targets, anchor)
+
+        def counted(v):
+            evaluations.append(v)
+            return evaluate(v)
+        return t_mean, tt, counted
+
+    with mock.patch.object(curvecast.fitting, "_projection", counted_projection), \
             mock.patch.object(curvecast.trace, "fit_power_law", wraps=fit) as plain, \
             mock.patch.object(curvecast.anchoring, "fit_power_law", wraps=fit) as anchored:
         run_stream(RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical")),
                    series.points)
     fits = plain.call_count + anchored.call_count
     assert fits >= 58
-    assert evaluations.call_count <= 4.5 * fits
+    assert len(evaluations) <= 4.5 * fits
 
 
 @settings(max_examples=3, deadline=None)

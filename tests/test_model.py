@@ -19,8 +19,8 @@ from curvecast.model import (
     pattern_slope,
 )
 
-from conftest import REFERENCE_FIT
-from oracles import central_difference
+from conftest import REFERENCE_FIT, SERIES_BUILDS
+from oracles import central_difference, residuals_as_read
 
 params_st = st.builds(
     PowerLawParams,
@@ -340,6 +340,35 @@ class TestSeriesColumns:
         with pytest.raises(ValueError, match="2 positions but 1 accuracies"):
             ObservationSeries.from_columns([5, 6], [50.0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.integers(1, 2**62), steps=st.lists(st.integers(1, 2**40), max_size=40),
+           copies=st.lists(st.booleans(), min_size=41, max_size=41), cut=st.integers(1, 41))
+    def test_offsets_are_the_shifted_log_positions(self, start, steps, copies, cut):
+        """``offsets`` equals ``log_positions - log_positions[0]`` bit for
+        bit, read-only, on every path that builds or grows a buffer: the
+        constructor, ``from_columns``, copies, appends in place and by copy,
+        and prefixes of each."""
+        positions = np.cumsum([start, *steps]).tolist()
+        accuracies = [1.0 + i % 99 for i in range(len(positions))]
+        points = list(map(Observation, positions, accuracies))
+        built = ObservationSeries(points)
+        made = [ObservationSeries(()), built, ObservationSeries.from_points(points),
+                ObservationSeries.from_columns(positions, accuracies),
+                pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
+        grown = ObservationSeries(())
+        for point, copied in zip(points, copies):
+            if copied:
+                grown.with_point(point)  # a sibling takes the row, so this append copies
+            grown = grown.with_point(point)
+            made.append(grown)
+        made += [series.prefix(min(cut, len(series))) for series in made if len(series)]
+        for series in made:
+            offsets, log_positions = series.offsets, series.log_positions
+            assert offsets.dtype == np.float64 and len(offsets) == len(series)
+            assert offsets.tobytes() == (log_positions - log_positions[:1]).tobytes()
+            with pytest.raises(ValueError):
+                offsets[0:1] = 1.0
+
     @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_rebuild_read_only_columns(self, duplicate):
@@ -389,6 +418,19 @@ class TestResidualArrays:
         assert len(trend.residuals) == trend.level == 12
         assert trend.iterations >= 1
         assert trend.final_cost == float(rows @ rows)
+
+    @pytest.mark.parametrize("anchor", [None, REFERENCE_FIT.c], ids=["plain", "analytic"])
+    @pytest.mark.parametrize("build", sorted(SERIES_BUILDS))
+    def test_residuals_read_as_the_fit_computes_them(self, build, anchor):
+        points = [Observation(5000 * i + 7 * i * i, eval_pattern(REFERENCE_FIT, 5000 * i) +
+                              0.03 * math.sin(i)) for i in range(1, 41)]
+        series = SERIES_BUILDS[build](points)
+        for level in (3, 17, 40):
+            trend = fit_power_law(series.prefix(level), anchor=anchor)
+            prefix = trend.series
+            expected = residuals_as_read(prefix.log_positions, prefix.accuracies,
+                                         trend.params.b, trend.params.c, trend.u_scale)
+            assert trend.residuals.tobytes() == expected.tobytes()
 
     def test_constructor_rebuilds_the_fits_trend(self):
         trend = _noisy_trend()
