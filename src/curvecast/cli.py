@@ -190,9 +190,9 @@ def _selected_row(name: str, report) -> tuple[dict, list, dict]:
         raise ValueError(f"run {name!r}: summary levels are not integers")
     for index, row in enumerate(rows):
         if not (isinstance(row, dict) and isinstance(row.get("level"), int)
-                and _is_number(row.get("alpha"))
+                and _is_number(row.get("c"))
                 and isinstance(row.get("converged"), bool)):
-            raise ValueError(f"run {name!r}: level row {index} lacks level, alpha "
+            raise ValueError(f"run {name!r}: level row {index} lacks level, c "
                              "or converged")
     for row in rows:
         if row["level"] == clevel:
@@ -231,7 +231,7 @@ def _cmd_evaluate(args) -> int:
         )
         if summary["wlevel"] is not None:
             segments[name] = [
-                row["alpha"] for row in rows
+                row["c"] for row in rows
                 if summary["wlevel"] <= row["level"] <= summary["clevel"]
                 and row["converged"]
             ]

@@ -120,10 +120,11 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     if state.stopped:
         state.ignored_after_stop += 1
         return state
-    positions = state.series.positions
-    if len(positions) and observation.position <= positions[-1]:
-        raise SequencingError(f"position {observation.position} is not past {positions[-1]}")
-    state.series = state.series.with_point(observation)
+    try:
+        state.series = state.series.with_point(observation)
+    except ValueError as error:
+        raise SequencingError(f"position {observation.position} is not past "
+                              f"{state.series.positions[-1]}") from error
     level = len(state.series)
     if level < FIRST_LEVEL:
         return state

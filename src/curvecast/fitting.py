@@ -37,9 +37,10 @@ cost by less than the cost tolerance. Read as ``T + a*S``, the cost is
 exact only to a few ulps of ``T``. That is too coarse to judge such a step,
 so a trial step may also raise it by up to the cost tolerance of ``T``.
 
-The rows come from the series' columns, which a prefix views in its
-parent's. ``log(x/x0)`` is one of them: the series' buffer keeps it, since
-every prefix shares ``x0``, so a fit only slices it. What a fit sets up is
+The rows come from the series' columns, which a prefix slices from its
+parent's buffer. ``log(x/x0)`` is one of them: the buffer keeps it, since
+every prefix shares ``x0``, so a fit only slices it, and keeps ``log x0``
+as a scalar, which scales ``a`` back to ``x``. What a fit sets up is
 what its level adds: one ``(5, m)`` block, with the rows, ufuncs and the
 product bound once in a closure. The block is allocated per fit, contiguous
 over exactly its ``m`` columns, and not cut out of a wider workspace: the
@@ -245,7 +246,7 @@ def fit_power_law(
         a, cost, slope, curvature, gauss_newton, e_mean = trial
 
     b = math.exp(v)
-    lx0 = float(series.log_positions[0])
+    lx0 = float(series._buffer.log_x0)
     # a scales u, so the curve's scale is a * x0**b: beyond floats near the
     # top rail.
     log_scale = math.log(a) + b * lx0 if a > 0.0 else math.inf

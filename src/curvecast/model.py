@@ -4,8 +4,8 @@ The curve family is ``f(x) = c - a * x**(-b)`` with ``a > 0`` and ``b > 0``:
 positive, strictly increasing and concave on (0, inf), with horizontal
 asymptote ``y = c``.
 
-A series is its columns, and a trend is its fit's parameters plus its
-prefix series, a view of those columns; residuals are computed on read.
+A series is a length on a buffer of columns, and a trend is its fit's
+parameters plus its prefix series; residuals are computed on read.
 """
 
 from __future__ import annotations
@@ -50,13 +50,16 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 class _ColumnBuffer:
     """Capacity shared by a chain of series grown by ``with_point``: the
-    first ``filled`` rows of the ``(positions, log_positions, accuracies,
-    offsets)`` columns hold the longest series' values.
+    first ``filled`` rows of the ``(positions, accuracies, offsets)``
+    columns hold the longest series' values.
 
-    ``offsets`` is ``log(x/x0)``, ``log_positions`` minus its first value:
-    every series on a buffer starts at the same ``x0``, so a fit of any
-    prefix slices it instead of subtracting. It lives here, not on the
-    series, so a trend's prefix carries no fourth view.
+    ``offsets`` is ``log(x/x0)``: every series on a buffer starts at the
+    same ``x0``, so a fit of any prefix slices it instead of subtracting.
+    ``log_x0``, the natural log of ``x0``, is the one log kept beside it,
+    as a scalar: each appended row's offset is taken from it, and a fit
+    scales its ``a`` by it. It is set when the buffer is built; an empty
+    series' buffer has no rows and no room, so a first row is always
+    written into a new buffer, which takes that row's log.
 
     Only a series of exactly ``filled`` points may append in place; any
     other (a shorter one, or a second child of the same parent) copies. The
@@ -64,15 +67,15 @@ class _ColumnBuffer:
     slice the read-only views, so their columns are read-only too.
     """
 
-    __slots__ = ("_writable", "columns", "offsets", "filled", "_lock")
+    __slots__ = ("_writable", "columns", "log_x0", "filled", "_lock")
 
-    def __init__(self, columns, capacity):
+    def __init__(self, columns, capacity, log_x0):
         self.filled = n = len(columns[0])
         self._writable = tuple(np.empty(capacity, column.dtype) for column in columns)
         for writable, column in zip(self._writable, columns):
             writable[:n] = column
         self.columns = tuple(_read_only(w.view()) for w in self._writable)
-        self.offsets = self.columns[3]
+        self.log_x0 = log_x0
         self._lock = threading.Lock()
 
     def append(self, length, row):
@@ -88,26 +91,25 @@ class _ColumnBuffer:
     def series(self, length) -> "ObservationSeries":
         """Series of the first ``length`` rows, which are not checked again."""
         series = object.__new__(ObservationSeries)
-        set_slot = object.__setattr__
-        set_slot(series, "_buffer", self)
-        for name, column in zip(("positions", "log_positions", "accuracies"), self.columns):
-            set_slot(series, name, column[:length])
+        object.__setattr__(series, "_buffer", self)
+        object.__setattr__(series, "_length", length)
         return series
 
 
 class ObservationSeries:
     """Observations with strictly increasing positions, however they were
-    sampled, stored as three read-only columns: int64 ``positions``, their
-    natural logs ``log_positions`` and ``accuracies`` (both float64).
+    sampled: a capacity buffer and a length, the series being the buffer's
+    first ``len(series)`` rows. Each read of :attr:`positions` (int64),
+    :attr:`accuracies` or :attr:`offsets` (float64) slices a read-only view
+    off the buffer, so a series stores no column of its own.
 
-    The columns are views of a capacity buffer, which :meth:`with_point`
-    grows in place and a :meth:`prefix` views, so no column of an existing
-    series ever changes. The buffer's fourth column, ``log(x/x0)``, is read
-    through :attr:`offsets`. ``==`` compares the columns. A copy is rebuilt
-    from the points, as numpy would unpickle the columns writable.
+    :meth:`with_point` grows the buffer in place and a :meth:`prefix`
+    shares it, so no row of an existing series ever changes. ``==``
+    compares the columns. A copy is rebuilt from the points, as numpy would
+    unpickle the columns writable.
     """
 
-    __slots__ = ("positions", "log_positions", "accuracies", "_buffer")
+    __slots__ = ("_buffer", "_length")
 
     def __new__(cls, points=()):
         points = tuple(points)
@@ -153,28 +155,37 @@ class ObservationSeries:
         return cls(points)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return self._length
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The positions (read-only int64), a view of the buffer's column."""
+        return self._buffer.columns[0][:self._length]
+
+    @property
+    def accuracies(self) -> np.ndarray:
+        """The accuracies (read-only float64), a view of the buffer's column."""
+        return self._buffer.columns[1][:self._length]
 
     @property
     def offsets(self) -> np.ndarray:
-        """``log(x/x0)`` per position, ``x0`` the first (read-only float64):
-        bit for bit ``log_positions - log_positions[0]``, a view of the
-        buffer's column."""
-        return self._buffer.offsets[:len(self.positions)]
+        """``log(x/x0)`` per position, ``x0`` the first (read-only float64),
+        a view of the buffer's column: bit for bit ``log(x) - log(x0)``,
+        each log taken by numpy."""
+        return self._buffer.columns[2][:self._length]
 
     @property
     def points(self) -> tuple[Observation, ...]:
         """The observations, rebuilt from the columns, which were checked
         when they were written: the values are set through the slots."""
-        points = tuple(map(object.__new__, repeat(Observation, len(self))))
+        points = tuple(map(object.__new__, repeat(Observation, self._length)))
         list(map(Observation.position.__set__, points, self.positions.tolist()))
         list(map(Observation.accuracy.__set__, points, self.accuracies.tolist()))
         return points
 
     def prefix(self, level: int) -> "ObservationSeries":
-        """First ``level`` observations, whose columns are views of this
-        series' columns."""
-        length = len(self.positions)
+        """First ``level`` observations, on this series' buffer."""
+        length = self._length
         if not 1 <= level <= length:
             raise ValueError(f"series has {length} points, prefix {level} requested")
         if level == length:
@@ -185,18 +196,17 @@ class ObservationSeries:
         """New series with one observation appended (positions must grow);
         only the new point is checked. It is written in place when this
         series is the longest on its buffer, else into one twice as long."""
-        length = len(self.positions)
-        if length and obs.position <= self.positions[-1]:
+        buffer, length = self._buffer, self._length
+        if length and obs.position <= buffer.columns[0][length - 1]:
             raise ValueError("positions must be strictly increasing")
         # numpy's log, as for a whole column: math.log differs from it in
         # the last bit for some positions.
         log_position = np.log(float(obs.position))
-        offset = log_position - self.log_positions[0] if length else 0.0
-        row = (obs.position, log_position, obs.accuracy, offset)
-        buffer = self._buffer
+        log_x0 = buffer.log_x0 if length else log_position
+        row = (obs.position, obs.accuracy, log_position - log_x0)
         if not buffer.append(length, row):
-            buffer = _ColumnBuffer((self.positions, self.log_positions, self.accuracies,
-                                    self.offsets), 2 * (length + 1))
+            buffer = _ColumnBuffer([column[:length] for column in buffer.columns],
+                                   2 * (length + 1), log_x0)
             buffer.append(length, row)
         return buffer.series(length + 1)
 
@@ -206,10 +216,11 @@ def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> Observa
     once the positions are found to increase strictly."""
     if (np.diff(positions) <= 0).any():
         raise ValueError("positions must be strictly increasing")
-    log_positions = np.log(positions.astype(float))
-    columns = (positions, log_positions, accuracies,
-               np.subtract(log_positions, log_positions[:1]))
-    return _ColumnBuffer(columns, len(positions)).series(len(positions))
+    logs = np.log(positions.astype(float))
+    offsets = np.subtract(logs, logs[:1])
+    log_x0 = logs[0] if len(logs) else None
+    return _ColumnBuffer((positions, accuracies, offsets), len(positions),
+                         log_x0).series(len(positions))
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,6 @@ def build_run_report(state: RunState, predict_at: Iterable[float] = ()) -> dict:
             "a": _disp(trend.params.a),
             "b": _disp(trend.params.b),
             "c": _disp(trend.params.c),
-            "alpha": _disp(trend.params.c),
             "layer": _disp(convergence_layer(trend)),
             "layer_bounded": _disp(bounded),
             "anchored": trend.anchor_residual is not None,
@@ -234,7 +233,7 @@ def report_to_json(report: dict) -> str:
 
 def report_to_csv(report: dict) -> str:
     """Flatten the per-level records; the summary is JSON-only."""
-    columns = ["level", "position", "a", "b", "c", "alpha", "layer",
+    columns = ["level", "position", "a", "b", "c", "layer",
                "layer_bounded", "anchored", "converged", "flags"]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

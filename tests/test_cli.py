@@ -256,7 +256,7 @@ class TestEvaluate:
                           noise=NoiseSpec("gaussian", sigma=0.05),
                           seed=i)).points}
             pairs[f"run{i}"] = [(t[c], eval_pattern(p, c)) for c in controls]
-            segment = [r["alpha"] for r in rep["levels"]
+            segment = [r["c"] for r in rep["levels"]
                        if rep["summary"]["wlevel"] <= r["level"]
                        <= rep["summary"]["clevel"] and r["converged"]]
             assert payload["runs"][f"run{i}"]["rr"] == round(rr(segment), 6)
@@ -264,6 +264,27 @@ class TestEvaluate:
             rer(pairs["run0"], pairs["run1"]), 6)
         assert payload["runs"]["run0"]["dmr"] == round(
             dmr(pairs["run0"], [pairs["run1"]]), 6)
+
+    def test_older_report_with_an_alpha_column_reads_the_same(self, tmp_path, capsys):
+        # Reports written before the level rows dropped ``alpha`` carry it
+        # beside ``c``, with the same value; evaluate reads ``c``.
+        obs = make_obs_file(tmp_path, count=40)
+        out = tmp_path / "run.json"
+        assert main(["run", "--input", str(obs), "--tau", "6.0",
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert all("alpha" not in row for row in report["levels"])
+        older = tmp_path / "older" / "run.json"  # same stem, so the same run name
+        older.parent.mkdir()
+        older.write_text(json.dumps(dict(report, levels=[
+            dict(row, alpha=row["c"]) for row in report["levels"]])))
+        outputs = []
+        for path in (out, older):
+            assert main(["evaluate", "--runs", str(path), "--truth", str(obs),
+                         "--controls", "100000,200000"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["runs"]["run"]["rr"] is not None
 
     def test_missing_control_is_input_error(self, tmp_path, capsys):
         obs = make_obs_file(tmp_path, count=40)
@@ -294,7 +315,7 @@ class TestEvaluate:
         (lambda report: report.pop("levels"), "report has no levels"),
         (lambda report: report["levels"].clear(), "no level row matches clevel"),
         (lambda report: report["levels"][0].pop("converged"),
-         "level row 0 lacks level, alpha or converged"),
+         "level row 0 lacks level, c or converged"),
     ])
     def test_malformed_report_is_input_error(self, tmp_path, capsys, damage, message):
         obs = make_obs_file(tmp_path, count=40)

@@ -115,6 +115,23 @@ class TestIngestProtocol:
         with pytest.raises(SequencingError):
             ingest(state, Observation(400, 91.0))
 
+    def test_rejected_observation_leaves_the_run_unchanged(self):
+        config = RunConfig(tau=0.0)
+        points = exact_series_points(REFERENCE_FIT, count=6)
+        state = run_stream(config, points)
+        series = state.series
+        for position in (points[-1].position, points[2].position):
+            with pytest.raises(SequencingError, match=f"{position} is not past 30000") as raised:
+                ingest(state, Observation(position, 99.0))
+            assert isinstance(raised.value.__cause__, ValueError)
+            assert state.series is series
+            assert state == run_stream(config, points)
+        # the rejected rows took no room on the buffer: the run goes on as
+        # if they had never been offered
+        after = Observation(points[-1].position + 5000, 99.0)
+        ingest(state, after)
+        assert state == run_stream(config, [*points, after])
+
     def test_ingest_after_stop_is_counted_not_applied(self):
         points = exact_series_points(REFERENCE_FIT, count=12)
         state = run_stream(RunConfig(tau=1e9), points)
@@ -275,6 +292,43 @@ def test_incremental_milestones_match_full_rescan(mode, data):
         assert run_batch(config, points) == state
 
 
+class TestLaterMilestoneScan:
+    """Runs whose asymptote is above 100 at the working level: the scan for
+    the later milestones finds no prediction level, or finds it past levels
+    that it then skips, and both match the full rescan."""
+
+    @pytest.mark.parametrize("mode", ["none", "canonical"])
+    def test_no_prediction_level_while_every_asymptote_is_above_100(self, mode):
+        config = RunConfig(tau=0.5, anchor_policy=AnchorPolicy(mode=mode))
+        points = exact_series_points(PowerLawParams(600, 0.4, 101), count=40)
+        state = run_stream(config, points)
+        assert state.wlevel == 3 and state.plevel is None
+        expected, trace = full_rescan_run(config, points)
+        assert {name: getattr(state, name) for name in _MILESTONES} == expected
+        assert state.trace == trace
+
+    @pytest.mark.parametrize("mode", ["none", "canonical"])
+    def test_prediction_level_declared_in_the_working_level_scan(self, mode):
+        config = RunConfig(tau=0.5, anchor_policy=AnchorPolicy(mode=mode))
+        points = generate_series(SynthSpec(PowerLawParams(600, 0.4, 100.02), count=40,
+                                           noise=NoiseSpec("gaussian", sigma=0.05),
+                                           seed=1)).points
+        state = new_run(config)
+        for obs in points:
+            ingest(state, obs)
+            if state.wlevel is not None:
+                break
+        # The backbone crosses 100 after the working level, within the
+        # levels scanned on the ingest that declared it.
+        assert state.trace.alpha(state.wlevel) > 100.0
+        assert state.wlevel < state.plevel <= state.trace.last_level
+        for obs in points[len(state.series):]:
+            ingest(state, obs)
+        expected, trace = full_rescan_run(config, points)
+        assert {name: getattr(state, name) for name in _MILESTONES} == expected
+        assert state.trace == trace
+
+
 class TestAnchoredRuns:
     def test_trace_is_anchored_past_working_level(self, rng):
         true = steep_params(rng)
@@ -319,8 +373,8 @@ def test_config_validation():
 
 
 def test_finished_long_run_holds_under_a_megabyte():
-    # A trend keeps its parameters and a view of its prefix's columns, no
-    # array of its own, so a run's memory grows linearly with its length.
+    # A trend keeps its parameters and a prefix series, which is its length
+    # on a shared buffer, so a run's memory grows linearly with its length.
     points = noisy_points(steep_params(np.random.default_rng(11)), np.random.default_rng(11),
                           count=1000)
     config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical"))
@@ -334,4 +388,4 @@ def test_finished_long_run_holds_under_a_megabyte():
     finally:
         tracemalloc.stop()
     assert state.wlevel is not None and len(state.trace.trends) == 998
-    assert held < 1_000_000
+    assert held < 600_000

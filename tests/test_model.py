@@ -212,7 +212,7 @@ def _grown_series(draw):
     return points, draw(st.integers(3, count))
 
 
-COLUMNS = ("positions", "log_positions", "accuracies")
+COLUMNS = ("positions", "accuracies", "offsets")
 
 
 @st.composite
@@ -344,10 +344,10 @@ class TestSeriesColumns:
     @given(start=st.integers(1, 2**62), steps=st.lists(st.integers(1, 2**40), max_size=40),
            copies=st.lists(st.booleans(), min_size=41, max_size=41), cut=st.integers(1, 41))
     def test_offsets_are_the_shifted_log_positions(self, start, steps, copies, cut):
-        """``offsets`` equals ``log_positions - log_positions[0]`` bit for
-        bit, read-only, on every path that builds or grows a buffer: the
-        constructor, ``from_columns``, copies, appends in place and by copy,
-        and prefixes of each."""
+        """``offsets`` equals ``logs - logs[0]`` bit for bit, with ``logs``
+        numpy's log of the positions column, read-only, on every path that
+        builds or grows a buffer: the constructor, ``from_columns``, copies,
+        appends in place and by copy, and prefixes of each."""
         positions = np.cumsum([start, *steps]).tolist()
         accuracies = [1.0 + i % 99 for i in range(len(positions))]
         points = list(map(Observation, positions, accuracies))
@@ -363,9 +363,9 @@ class TestSeriesColumns:
             made.append(grown)
         made += [series.prefix(min(cut, len(series))) for series in made if len(series)]
         for series in made:
-            offsets, log_positions = series.offsets, series.log_positions
+            offsets, logs = series.offsets, np.log(series.positions.astype(float))
             assert offsets.dtype == np.float64 and len(offsets) == len(series)
-            assert offsets.tobytes() == (log_positions - log_positions[:1]).tobytes()
+            assert offsets.tobytes() == (logs - logs[:1]).tobytes()
             with pytest.raises(ValueError):
                 offsets[0:1] = 1.0
 
@@ -428,8 +428,9 @@ class TestResidualArrays:
         for level in (3, 17, 40):
             trend = fit_power_law(series.prefix(level), anchor=anchor)
             prefix = trend.series
-            expected = residuals_as_read(prefix.log_positions, prefix.accuracies,
-                                         trend.params.b, trend.params.c, trend.u_scale)
+            logs = np.log(prefix.positions.astype(float))
+            expected = residuals_as_read(logs, prefix.accuracies, trend.params.b,
+                                         trend.params.c, trend.u_scale)
             assert trend.residuals.tobytes() == expected.tobytes()
 
     def test_constructor_rebuilds_the_fits_trend(self):

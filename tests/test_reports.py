@@ -96,7 +96,7 @@ class TestRunReport:
     def test_six_decimal_display(self, finished_state):
         report = build_run_report(finished_state)
         for row in report["levels"]:
-            for key in ("a", "b", "c", "alpha", "layer", "layer_bounded"):
+            for key in ("a", "b", "c", "layer", "layer_bounded"):
                 value = row[key]
                 if value is not None:
                     assert value == round(value, 6)
@@ -124,7 +124,8 @@ class TestRunReport:
     def test_csv_flattens_levels(self, finished_state):
         text = report_to_csv(build_run_report(finished_state))
         lines = text.strip().splitlines()
-        assert lines[0].startswith("level,position,a,b,c,alpha,layer")
+        assert lines[0] == ("level,position,a,b,c,layer,layer_bounded,anchored,converged,"
+                            "flags")
         assert len(lines) == 1 + len(finished_state.trace.levels())
 
     def test_prediction_keys_are_positions(self, finished_state):
@@ -165,10 +166,16 @@ def test_every_report_is_schema_valid_strict_json(run):
     report = build_run_report(state, predict_at=predict_at)
     schema = load_report_schema()
     jsonschema.Draft7Validator(schema).validate(report)
-    # Every setting the writer reports is in the schema, and nothing else.
+    # Every block, setting and level-row column the writer reports is in
+    # the schema, and nothing else.
+    assert list(report) == schema["required"]
+    assert set(schema["properties"]) == set(schema["required"])
     config = schema["properties"]["config"]
     assert list(report["config"]) == config["required"]
     assert set(config["properties"]) == set(config["required"])
+    row = schema["properties"]["levels"]["items"]
+    assert all(list(level) == row["required"] for level in report["levels"])
+    assert set(row["properties"]) == set(row["required"])
     # no NaN or Infinity anywhere, whichever serializer writes it
     json.loads(json.dumps(report), parse_constant=_no_constant)
     assert json.loads(report_to_json(report), parse_constant=_no_constant) == json.loads(
@@ -220,7 +227,7 @@ class TestJsonText:
 
     @pytest.mark.parametrize("edit", [
         lambda rows: rows[-1].update(a="1, 2"),
-        lambda rows: rows[-1].pop("alpha"),
+        lambda rows: rows[-1].pop("c"),
     ])
     def test_level_rows_outside_the_layout_raise(self, finished_state, edit):
         # The row leaves are split out of one C-encoder call, which holds

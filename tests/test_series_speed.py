@@ -38,7 +38,7 @@ def _append_chain(series, tail):
 def test_with_point_speed(benchmark, points, n):
     def setup():
         series = ObservationSeries.from_points(points[:n - 1])
-        series.log_positions  # read, as a fit reads it
+        series.offsets, series.accuracies  # read, as a fit reads them
         return (series.with_point(points[n - 1]), points[n:n + CHAIN]), {}
 
     grown = benchmark.pedantic(_append_chain, setup=setup, rounds=ROUNDS, warmup_rounds=10)

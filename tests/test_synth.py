@@ -5,6 +5,7 @@ from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams, verticality_limit
 from curvecast.model import PowerLawParams
 from curvecast.synth import (
+    CheckResult,
     NoiseSpec,
     SynthSpec,
     TheoremSuiteConfig,
@@ -91,6 +92,18 @@ class TestTheoremSuite:
                 "anchored_residual_balance",
                 "anchor_correction_inequality",
                 "canonical_anchor_ordering"} <= names
+
+    def test_series_without_a_working_level_skips_the_anchored_checks(self):
+        # Six levels are one short of the default look-ahead window, so no
+        # working level is declared and the anchored trace is never built.
+        series = generate_series(SynthSpec(REFERENCE_FIT, count=8))
+        _, omega, anchored = build_traces(series, LevelParams(), AnchorPolicy(mode="canonical"))
+        assert omega is None and anchored is None
+        report = theorem_suite(series, TheoremSuiteConfig(true_params=REFERENCE_FIT))
+        for name in ("anchored_residual_balance", "anchor_residual_vanishes",
+                     "anchor_correction_inequality", "canonical_anchor_ordering"):
+            assert report.results[name] == CheckResult(True, 0, 0, "no working level")
+        assert report.results["backbone_monotone_after_working_level"].detail == "omega=None"
 
     def test_noisy_data_within_budget(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=40,
