@@ -6,6 +6,9 @@ residual is the anchor minus the trend's asymptote. The canonical chain
 starts from the unanchored asymptote at the working level and thereafter
 feeds each new trend the asymptote of the previous anchored one, which
 damps backbone irregularities without touching the underlying fitter.
+:func:`~curvecast.trace.anchored_chain` builds the chain over a reference
+trace; :func:`next_canonical_anchor` continues it, and
+:func:`fit_anchored_trend` is its fit, started from the decay it is given.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import SequencingError
 from .fitting import fit_power_law
-from .model import LearningTrend, Observation, ObservationSeries, PowerLawParams
+from .model import LearningTrend, Observation, ObservationSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace import LearningTrace
@@ -60,10 +63,10 @@ def fit_anchored_trend(
     points: ObservationSeries | Sequence[Observation],
     anchor: float,
     *,
-    initial: PowerLawParams | None = None,
+    start_b: float | None = None,
 ) -> LearningTrend:
     """Trend of ``points`` (a series, or observations made into one)
     anchored at ``anchor``: :func:`~curvecast.fitting.fit_power_law` with
-    the anchor row at infinity.
+    the anchor row at infinity, started from ``start_b``.
     """
-    return fit_power_law(points, anchor=anchor, initial=initial)
+    return fit_power_law(points, anchor=anchor, start_b=start_b)

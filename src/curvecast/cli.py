@@ -23,7 +23,7 @@ from .fitting import fit_power_law
 from .levels import LevelParams
 from .metrics import ControlSequence, evaluate_runs
 from .model import PowerLawParams, eval_pattern
-from .plotting import emit_plot
+from .plotting import render_svg
 from .reports import (
     ObservationFileError,
     build_run_report,
@@ -164,8 +164,9 @@ def _cmd_run(args) -> int:
                                                  ("prediction", state.pposition),
                                                  ("convergence", state.cposition))
                    if pos is not None}
-        emit_plot(state.trace, state.series, args.plot,
-                  selected=state.selected_trend, markers=markers)
+        svg = render_svg(state.trace, state.series, selected=state.selected_trend,
+                         markers=markers)
+        Path(args.plot).write_text(svg, encoding="utf-8")
     return EXIT_OK if state.stopped else EXIT_NO_CLEVEL
 
 
@@ -186,10 +187,11 @@ def _selected_row(name: str, report) -> tuple[dict, list, dict]:
     if not summary.get("stopped") or clevel is None:
         raise ValueError(f"run {name!r} never reached its convergence level")
     wlevel = summary.get("wlevel")
-    if not isinstance(clevel, int) or not (wlevel is None or isinstance(wlevel, int)):
+    # JSON true and false load as bools, which isinstance counts as ints.
+    if type(clevel) is not int or not (wlevel is None or type(wlevel) is int):
         raise ValueError(f"run {name!r}: summary levels are not integers")
     for index, row in enumerate(rows):
-        if not (isinstance(row, dict) and isinstance(row.get("level"), int)
+        if not (isinstance(row, dict) and type(row.get("level")) is int
                 and _is_number(row.get("c"))
                 and isinstance(row.get("converged"), bool)):
             raise ValueError(f"run {name!r}: level row {index} lacks level, c "

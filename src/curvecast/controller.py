@@ -128,7 +128,7 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     level = len(state.series)
     if level < FIRST_LEVEL:
         return state
-    _extend(state, level)
+    _extend(state)
     if state.wlevel is None:
         omega = _newest_working_level(state.trace, state.config.level_params)
         if omega is not None:
@@ -138,14 +138,14 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     return state
 
 
-def _extend(state: RunState, level: int) -> None:
-    """Fit ``level`` onto the run's trace, anchored past the working level
-    when the policy asks for it."""
+def _extend(state: RunState) -> None:
+    """Fit the run's next level onto its trace, anchored past the working
+    level when the policy asks for it."""
     if state.config.anchor_policy.mode == "canonical" and state.wlevel is not None:
         anchor = next_canonical_anchor(state.trace, state.wlevel)
-        extend_trace(state.trace, state.series, level, anchor=anchor)
+        extend_trace(state.trace, state.series, anchor=anchor)
     else:
-        extend_trace(state.trace, state.series, level)
+        extend_trace(state.trace, state.series)
 
 
 def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | None:
@@ -175,7 +175,7 @@ def _declare_working_level(state: RunState, omega: int) -> None:
     and scan every level from ``omega`` for the later milestones once."""
     state.wlevel = omega
     if state.config.anchor_policy.mode == "canonical":
-        state.trace = anchored_chain(state.trace, state.series, omega)
+        state.trace = anchored_chain(state.trace, omega)
     _declare_later_milestones(state, range(omega, state.trace.last_level + 1))
 
 

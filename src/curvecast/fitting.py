@@ -15,7 +15,9 @@ the loop takes Newton steps ``-phi'/phi''``. It takes the Gauss-Newton
 not positive, or where that residual-free part is less than half of
 ``phi''``. The latter is the ``b -> 0`` valley, where ``phi`` flattens
 like ``e**v``: there Newton steps shrink to unit length, while Gauss-Newton
-steps run on to the rail. A step that raises the cost is halved.
+steps run on to the rail. A step that raises the cost is halved. The walk
+starts at ``log start_b``: 0.5 by default; a trace passes the decay its
+previous level converged to.
 
 One evaluation, one Gram product. An evaluation fills a per-fit buffer in
 place and reads ``(a, phi, phi', phi'')`` off one product of three rows
@@ -188,7 +190,7 @@ def fit_power_law(
     points: ObservationSeries | Sequence[Observation],
     anchor: float | None = None,
     *,
-    initial: PowerLawParams | None = None,
+    start_b: float | None = None,
 ) -> LearningTrend:
     """Trend of ``points``, a series or any sequence of observations (which
     is first made a series): the least-squares fit of the curve, at level
@@ -196,9 +198,10 @@ def fit_power_law(
 
     ``anchor`` adds one pseudo-observation at infinity. Its residual, the
     anchor minus ``c``, is the trend's ``anchor_residual`` and counts in
-    ``final_cost``. Only ``initial.b`` is used as a start (default 0.5).
-    ``converged`` is False when the iteration cap was hit or the data have
-    no optimum inside the family; the caller decides what to do with it.
+    ``final_cost``. The fit starts from the decay ``start_b`` (default
+    0.5), which must be finite and > 0. ``converged`` is False when the
+    iteration cap was hit or the data have no optimum inside the family;
+    the caller decides what to do with it.
     """
     series = ObservationSeries.from_points(points)
     offsets, targets = series.offsets, series.accuracies
@@ -206,6 +209,10 @@ def fit_power_law(
         raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(targets)}")
     if anchor is not None and not (math.isfinite(anchor) and anchor > 0):
         raise ValueError(f"anchor must be finite and > 0, got {anchor}")
+    if start_b is None:
+        start_b = _START_B
+    elif not (math.isfinite(start_b) and start_b > 0):
+        raise ValueError(f"start_b must be finite and > 0, got {start_b}")
     t_mean, tt, evaluate = _projection(offsets, targets, anchor)
     slack = _COST_TOLERANCE * tt
     # Constants the loop reads on every iteration, bound as locals.
@@ -214,7 +221,6 @@ def fit_power_law(
     gauss_newton_share, param_tolerance, cost_tolerance = (
         _MIN_GAUSS_NEWTON_SHARE, _PARAM_TOLERANCE, _COST_TOLERANCE)
 
-    start_b = initial.b if initial is not None else _START_B
     v = min(max(math.log(start_b), lo), hi)
     a, cost, slope, curvature, gauss_newton, e_mean = evaluate(v)
     converged = False

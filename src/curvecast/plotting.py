@@ -19,6 +19,7 @@ from .trace import LearningTrace
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 30.0, 30.0, 50.0
 CURVE_SAMPLES = 256
+TICKS = 5  # per axis, at both ends and evenly between
 
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
@@ -40,9 +41,9 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
     span = hi - lo or 1.0
-    return [lo + span * i / (count - 1) for i in range(count)]
+    return [lo + span * i / (TICKS - 1) for i in range(TICKS)]
 
 
 def render_svg(
@@ -149,10 +150,3 @@ def render_svg(
 
     parts.append("</svg>\n")
     return "\n".join(parts)
-
-
-def emit_plot(trace, series, path, *, selected=None, markers=None) -> None:
-    """Write the SVG to ``path``; byte-identical for identical inputs."""
-    svg = render_svg(trace, series, selected=selected, markers=markers)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -69,11 +69,6 @@ def format_observations(series: ObservationSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_observations(series: ObservationSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_observations(series))
-
-
 def _disp(value):
     """Six-decimal display of a float; None and ints pass through."""
     if value is None or isinstance(value, int):

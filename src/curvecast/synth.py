@@ -73,6 +73,10 @@ class SynthSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+
 
 def generate_series(spec: SynthSpec) -> ObservationSeries:
     """Deterministic series for the spec; same seed, same series."""
@@ -137,13 +141,13 @@ def build_traces(
     level found on it, and the canonically anchored trace past that level
     (None when no working level emerged or anchoring is off)."""
     reference = LearningTrace()
-    for level in range(FIRST_LEVEL, len(series) + 1):
-        extend_trace(reference, series, level)
+    for _ in range(FIRST_LEVEL, len(series) + 1):
+        extend_trace(reference, series)
     levels, alphas, positions = reference.converged_view()
     omega = working_level(alphas, positions, level_params, levels=levels)
     anchored = None
     if omega is not None and policy.mode == "canonical":
-        anchored = anchored_chain(reference, series, omega)
+        anchored = anchored_chain(reference, omega)
     return reference, omega, anchored
 
 

@@ -1,5 +1,11 @@
 """Learning trace: one trend per level, its asymptote backbone, convergence
-layers, trend intersections and the correctness bound derived from them."""
+layers, trend intersections and the correctness bound derived from them.
+
+A trace grows from itself: :func:`extend_trace` fits the level after its
+last, started from the previous trend's decay when that trend converged,
+and :func:`anchored_chain` refits the levels past the working level on the
+series of the reference's last trend.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .anchoring import fit_anchored_trend, next_canonical_anchor
-from .errors import InsufficientDataError, SequencingError
+from .errors import InsufficientDataError
 from .fitting import fit_power_law
 from .model import FIRST_LEVEL, LearningTrend, ObservationSeries, PowerLawParams, eval_pattern
 
@@ -69,54 +75,50 @@ class LearningTrace:
 def extend_trace(
     trace: LearningTrace,
     series: ObservationSeries,
-    level: int,
     *,
     anchor: float | None = None,
 ) -> LearningTrace:
-    """Fit the prefix of length ``level`` and append the trend, anchored
-    at ``anchor`` when one is given.
+    """Fit the trace's next level on the prefix of ``series`` that long and
+    append the trend, anchored at ``anchor`` when one is given.
 
-    Levels must arrive consecutively. A failed fit is stored flagged as
+    The next level is ``FIRST_LEVEL`` on an empty trace and one past the
+    last level after that. The fit starts from the previous trend's decay
+    when that trend converged. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
     """
     last = trace.last_level
-    expected = FIRST_LEVEL if last is None else last + 1
-    if level != expected:
-        raise SequencingError(f"expected level {expected}, got {level}")
+    level = FIRST_LEVEL if last is None else last + 1
     if len(series) < level:
         raise InsufficientDataError(f"series has {len(series)} points, level {level} needs {level}")
     prefix = series.prefix(level)
-    initial = None
+    start_b = None
     if last is not None:
         previous = trace.trends[last]
         if previous.converged:
-            initial = previous.params
+            start_b = previous.params.b
     if anchor is None:
-        trend = fit_power_law(prefix, initial=initial)
+        trend = fit_power_law(prefix, start_b=start_b)
     else:
-        trend = fit_anchored_trend(prefix, anchor, initial=initial)
+        trend = fit_anchored_trend(prefix, anchor, start_b=start_b)
     trace.trends[level] = trend
     return trace
 
 
-def anchored_chain(
-    reference: LearningTrace,
-    series: ObservationSeries,
-    omega: int,
-) -> LearningTrace:
-    """Canonical anchor chain over the levels of ``reference``.
+def anchored_chain(reference: LearningTrace, omega: int) -> LearningTrace:
+    """Canonical anchor chain over the levels of ``reference``, on the
+    series of its last trend.
 
     Levels up to the working level ``omega`` are copied as fitted; every
     later level is refitted with the anchor chained from the one before.
     Extending the result with :func:`next_canonical_anchor` continues the
     same chain.
     """
+    series = reference.trends[reference.last_level].series
     chain = LearningTrace()
     for level in range(FIRST_LEVEL, omega + 1):
         chain.trends[level] = reference.trends[level]
-    for level in range(omega + 1, reference.last_level + 1):
-        anchor = next_canonical_anchor(chain, omega)
-        extend_trace(chain, series, level, anchor=anchor)
+    for _ in range(omega + 1, reference.last_level + 1):
+        extend_trace(chain, series, anchor=next_canonical_anchor(chain, omega))
     return chain
 
 

@@ -147,9 +147,9 @@ def full_rescan_run(config, points):
             continue
         series = ObservationSeries.from_points(seen)
         if canonical and m["wlevel"] is not None:
-            extend_trace(trace, series, level, anchor=next_canonical_anchor(trace, m["wlevel"]))
+            extend_trace(trace, series, anchor=next_canonical_anchor(trace, m["wlevel"]))
         else:
-            extend_trace(trace, series, level)
+            extend_trace(trace, series)
 
         if m["wlevel"] is None:
             conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
@@ -164,7 +164,7 @@ def full_rescan_run(config, points):
                         if lv <= omega:
                             rebuilt.trends[lv] = trace.trends[lv]
                         else:
-                            extend_trace(rebuilt, series, lv,
+                            extend_trace(rebuilt, series,
                                          anchor=next_canonical_anchor(rebuilt, omega))
                     trace = rebuilt
 

@@ -28,28 +28,28 @@ class TestCanonicalAnchorSequence:
     def test_base_case_reuses_working_level_asymptote(self):
         series = noiseless_series(8)
         trace = LearningTrace()
-        for level in range(3, 7):
-            extend_trace(trace, series, level)
+        for _ in range(3, 7):
+            extend_trace(trace, series)
         omega = 6
         assert next_canonical_anchor(trace, omega) == trace.alpha(6)
 
     def test_chains_previous_anchored_asymptote(self):
         series = noiseless_series(8)
         trace = LearningTrace()
-        for level in range(3, 6):
-            extend_trace(trace, series, level)
+        for _ in range(3, 6):
+            extend_trace(trace, series)
         omega = 5
         anchor = next_canonical_anchor(trace, omega)
-        extend_trace(trace, series, 6, anchor=anchor)
+        extend_trace(trace, series, anchor=anchor)
         assert next_canonical_anchor(trace, omega) == trace.trends[6].params.c
 
     def test_skips_nonconverged_links(self):
         series = noiseless_series(8)
         trace = LearningTrace()
-        for level in range(3, 6):
-            extend_trace(trace, series, level)
+        for _ in range(3, 6):
+            extend_trace(trace, series)
         anchor = next_canonical_anchor(trace, 5)
-        extend_trace(trace, series, 6, anchor=anchor)
+        extend_trace(trace, series, anchor=anchor)
         broken = trace.trends[6]
         object.__setattr__(broken, "converged", False)
         assert next_canonical_anchor(trace, 5) == trace.alpha(5)
@@ -57,8 +57,16 @@ class TestCanonicalAnchorSequence:
     def test_sequencing_error_before_working_level(self):
         series = noiseless_series(8)
         trace = LearningTrace()
-        extend_trace(trace, series, 3)
+        extend_trace(trace, series)
         with pytest.raises(SequencingError):
+            next_canonical_anchor(trace, 5)
+
+    def test_unanchored_trend_past_the_working_level_breaks_the_chain(self):
+        series = noiseless_series(8)
+        trace = LearningTrace()
+        for _ in range(3, 7):
+            extend_trace(trace, series)
+        with pytest.raises(SequencingError, match="level 6 is not anchored"):
             next_canonical_anchor(trace, 5)
 
     def test_noiseless_anchors_stay_at_true_asymptote(self):

@@ -6,6 +6,12 @@ under the span tracer, and must pass the workload's own output checks: the
 trace and stop state, the report schema, the SVG, the offline/online
 equality and the residual count the benchmark reads. A library change that
 breaks any of these readers fails here instead of in a benchmark run.
+
+Traced, the unit must reach exactly its workload's set of the tracer's
+targets, and its ingests must still refit: a call path that moves work
+past a wrapped function (an anchored fit that no longer goes through
+``fit_anchored_trend``, a rebuild that no longer calls ``extend_trace``)
+would otherwise zero a per-layer figure without failing anything.
 """
 
 import dataclasses
@@ -20,9 +26,22 @@ from curvecast import reports
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import TARGETS, Tracer  # noqa: E402
 
 SEED = 7
+
+# The tracer's spans that one traced unit of each workload never opens: the
+# pool is generated before tracing, only the audit takes the offline path
+# and runs the suite, and the stream writes and scores nothing.
+_AUDIT_ONLY = {"trace.trend_intersection", "trace.epsilon_bound", "controller.run_stream",
+               "controller.run_batch", "synth.build_traces", "synth.theorem_suite"}
+_OUTPUT = {"reports.build_run_report", "reports.report_to_json", "plotting.render_svg",
+           "metrics.evaluate_runs"}
+UNREACHED = {
+    "fleet-stop": _AUDIT_ONLY | {"synth.generate_series"},
+    "offline-audit": _OUTPUT | {"synth.generate_series"},
+    "stream-long": _AUDIT_ONLY | _OUTPUT | {"synth.generate_series", "trace.converged_view"},
+}
 
 
 def _unit(name):
@@ -49,7 +68,12 @@ def test_one_unit_passes_its_checks(pool, traced):
         with Tracer() as tracer:
             _unit(spec.name)(items, 0, rec, quality=False, tracer=tracer)
         assert tracer.counters["fitting.calls"] > 0
-        assert tracer.summary()["controller.ingest"]["calls"] > 0
+        reached = {name for name, figures in tracer.summary().items() if figures["calls"]}
+        targets = {name for _, _, name, _ in TARGETS}
+        assert reached & targets == targets - UNREACHED[spec.name]
+        # controller.refits: extend_trace calls under ingest past one per level
+        extends = tracer.child_time("controller.ingest", "trace.extend_trace")[0]
+        assert extends > rec.levels_reached
     else:
         _unit(spec.name)(items, 0, rec, quality=True)
         assert rec.used and (rec.mape or spec.name == "offline-audit")

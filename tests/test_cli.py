@@ -7,7 +7,7 @@ from curvecast.cli import main
 from curvecast.controller import RunConfig, run_stream
 from curvecast.metrics import percentage_error
 from curvecast.model import PowerLawParams, eval_pattern
-from curvecast.reports import format_observations, read_observations, write_observations
+from curvecast.reports import format_observations, read_observations
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
 from conftest import REFERENCE_FIT
@@ -21,7 +21,7 @@ def make_obs_file(tmp_path, name="obs.csv", true=REFERENCE_FIT, count=30, sigma=
     noise = NoiseSpec("gaussian", sigma=sigma) if sigma else NoiseSpec()
     series = generate_series(SynthSpec(true, count=count, noise=noise, seed=seed))
     path = tmp_path / name
-    write_observations(series, path)
+    path.write_text(format_observations(series), encoding="utf-8")
     return path
 
 
@@ -75,6 +75,16 @@ class TestSimulate:
         rc = main(["simulate", "--a", "1", "--b", "1", "--c", "99",
                    "--noise", "pink:1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("theorems", [False, True], ids=["series", "theorems"])
+    def test_count_below_one_is_input_error(self, capsys, count, theorems):
+        rc = main(["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--count", count]
+                  + ["--theorems"] * theorems)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: count must be >= 1, got {count}\n"
 
     def test_failed_checks_exit_one(self, capsys, monkeypatch):
         import curvecast.cli as cli
@@ -165,6 +175,23 @@ class TestRun:
                    "convergence": state.cposition}
         assert plot.read_text(encoding="utf-8") == naive_render_svg(
             state.trace, state.series, selected=state.selected_trend, markers=markers)
+
+    def test_plot_is_byte_identical_across_runs(self, tmp_path, capsys):
+        path = make_obs_file(tmp_path, sigma=0.05, seed=3)
+        plots = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for plot in plots:
+            assert main(["run", "--input", str(path), "--tau", "6.0",
+                         "--anchors", "canonical", "--plot", str(plot)]) == 0
+        assert plots[0].read_bytes() == plots[1].read_bytes()
+
+    def test_unwritable_plot_path_is_input_error(self, tmp_path, capsys):
+        path = make_obs_file(tmp_path)
+        plot = tmp_path / "missing_dir" / "view.svg"
+        rc = main(["run", "--input", str(path), "--tau", "6.0", "--plot", str(plot)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not plot.parent.exists()
 
     def test_csv_format(self, tmp_path, capsys):
         path = make_obs_file(tmp_path)
@@ -316,6 +343,13 @@ class TestEvaluate:
         (lambda report: report["levels"].clear(), "no level row matches clevel"),
         (lambda report: report["levels"][0].pop("converged"),
          "level row 0 lacks level, c or converged"),
+        # JSON true loads as a bool, which must not read as level 1.
+        pytest.param(lambda report: report["summary"].update(wlevel=True),
+                     "summary levels are not integers", id="wlevel-true"),
+        pytest.param(lambda report: report["summary"].update(clevel=True),
+                     "summary levels are not integers", id="clevel-true"),
+        pytest.param(lambda report: report["levels"][0].update(level=True),
+                     "level row 0 lacks level, c or converged", id="row-level-true"),
     ])
     def test_malformed_report_is_input_error(self, tmp_path, capsys, damage, message):
         obs = make_obs_file(tmp_path, count=40)

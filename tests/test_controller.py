@@ -372,7 +372,7 @@ def test_config_validation():
     RunConfig(tau=1.0, end_position=1)
 
 
-def test_finished_long_run_holds_under_a_megabyte():
+def test_finished_long_run_holds_under_600_kb():
     # A trend keeps its parameters and a prefix series, which is its length
     # on a shared buffer, so a run's memory grows linearly with its length.
     points = noisy_points(steep_params(np.random.default_rng(11)), np.random.default_rng(11),

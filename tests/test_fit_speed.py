@@ -47,14 +47,14 @@ def series(item):
 def test_fit_speed(benchmark, series, n, anchored):
     base = fit_power_law(series.prefix(n - 2))
     anchor = base.params.c if anchored else None
-    previous = fit_power_law(series.prefix(n - 1), anchor, initial=base.params)
+    previous = fit_power_law(series.prefix(n - 1), anchor, start_b=base.params.b)
     anchor = previous.params.c if anchored else None
     prefix = series.prefix(n)
-    trend = benchmark.pedantic(fit_power_law, (prefix, anchor), {"initial": previous.params},
+    trend = benchmark.pedantic(fit_power_law, (prefix, anchor), {"start_b": previous.params.b},
                                rounds=ROUNDS, warmup_rounds=20)
     assert trend.converged and trend.level == n
     assert (trend.anchor_residual is not None) == anchored
-    assert trend == fit_power_law(prefix, anchor, initial=previous.params)
+    assert trend == fit_power_law(prefix, anchor, start_b=previous.params.b)
 
 
 @pytest.mark.parametrize("n", [60, 1000])

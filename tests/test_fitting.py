@@ -111,7 +111,7 @@ class TestFitPowerLaw:
             for i in range(25)
         ]
         first = fit_power_law(pts)
-        second = fit_power_law(pts, initial=first.params)
+        second = fit_power_law(pts, start_b=first.params.b)
         assert abs(second.final_cost - first.final_cost) < 1e-12 * max(first.final_cost, 1e-300)
 
     def test_positivity_on_decreasing_input(self):
@@ -167,6 +167,13 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(pts, anchor=math.nan)
 
+    @pytest.mark.parametrize("start_b", [0.0, -0.5, math.nan, math.inf])
+    def test_start_decay_validation(self, start_b):
+        # The start decay must be a decay a curve can have: finite and > 0.
+        pts = exact_series_points(REFERENCE_FIT, count=5)
+        with pytest.raises(ValueError, match="start_b must be finite and > 0"):
+            fit_power_law(pts, start_b=start_b)
+
     def test_fit_is_the_trend_of_its_prefix(self, rng):
         points = [Observation(5000 * (i + 1),
                               eval_pattern(REFERENCE_FIT, 5000 * (i + 1)) + rng.normal(0, 0.05))
@@ -206,11 +213,11 @@ class TestReadOnDemandDiagnostics:
             # Below falling data an anchor keeps the best a <= 0.
             low = 60 if kind.startswith("degenerate") else 90
             anchor = float(rng.uniform(low, low + 10)) if kind.endswith("anchored") else None
-            initial = PowerLawParams(1.0, float(rng.uniform(0.05, 2.0)), 95.0) if warm else None
-            trend = fit_power_law(points, anchor, initial=initial)
+            start_b = float(rng.uniform(0.05, 2.0)) if warm else None
+            trend = fit_power_law(points, anchor, start_b=start_b)
             if kind.startswith("degenerate"):
                 assert trend.params.a == curvecast.fitting._DEGENERATE_A
-                assert trend.params.b == (initial.b if warm else curvecast.fitting._START_B)
+                assert trend.params.b == (start_b if warm else curvecast.fitting._START_B)
             cost, last = end_of_fit_residual_pass(
                 [p.position for p in points], [p.accuracy for p in points],
                 trend.params.b, trend.params.c, trend.u_scale, anchor)
@@ -242,8 +249,7 @@ def test_fit_equals_the_reference_fit(seed, count, sigma, build, anchored, warm)
         prefix = series.prefix(level)
         anchor = float(rng.uniform(60, 100)) if anchored else None
         start_b = float(rng.uniform(0.01, 5.0)) if warm else None
-        initial = PowerLawParams(1.0, start_b, 95.0) if warm else None
-        trend = fit_power_law(prefix, anchor, initial=initial)
+        trend = fit_power_law(prefix, anchor, start_b=start_b)
         expected = reference_fit(np.log(prefix.positions.astype(float)), prefix.accuracies,
                                  anchor, start_b)
         params = trend.params

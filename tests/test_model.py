@@ -343,7 +343,7 @@ class TestSeriesColumns:
     @settings(max_examples=60, deadline=None)
     @given(start=st.integers(1, 2**62), steps=st.lists(st.integers(1, 2**40), max_size=40),
            copies=st.lists(st.booleans(), min_size=41, max_size=41), cut=st.integers(1, 41))
-    def test_offsets_are_the_shifted_log_positions(self, start, steps, copies, cut):
+    def test_offsets_are_log_x_over_x0(self, start, steps, copies, cut):
         """``offsets`` equals ``logs - logs[0]`` bit for bit, with ``logs``
         numpy's log of the positions column, read-only, on every path that
         builds or grows a buffer: the constructor, ``from_columns``, copies,

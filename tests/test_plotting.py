@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import RunConfig, run_stream
 from curvecast.model import ObservationSeries
-from curvecast.plotting import emit_plot, render_svg
+from curvecast.plotting import render_svg
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import LearningTrace
 
@@ -48,22 +48,9 @@ def test_single_trend_without_observations():
     assert svg == naive_render_svg(trace, empty)
 
 
-def test_byte_identical_output(tmp_path, run_state):
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_plot(run_state.trace, run_state.series, p1, selected=run_state.selected_trend)
-    emit_plot(run_state.trace, run_state.series, p2, selected=run_state.selected_trend)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
         render_svg(LearningTrace(), ObservationSeries.from_points(()))
-
-
-def test_unwritable_path_raises(run_state, tmp_path):
-    target = tmp_path / "missing_dir" / "plot.svg"
-    with pytest.raises(OSError):
-        emit_plot(run_state.trace, run_state.series, target)
 
 
 def test_marker_labels_are_escaped(run_state):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from curvecast import synth
 from curvecast.anchoring import AnchorPolicy
 from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams, verticality_limit
@@ -13,6 +16,7 @@ from curvecast.synth import (
     generate_series,
     theorem_suite,
 )
+from curvecast.trace import LearningTrace
 
 from conftest import REFERENCE_FIT
 
@@ -154,3 +158,92 @@ class TestTheoremSuite:
             if all(sl <= limit for sl in slopes[s:s + lookahead + 1])
         )
         assert omega == expected
+
+
+ANCHORED_CHECKS = ("anchored_residual_balance", "anchor_residual_vanishes",
+                   "anchor_correction_inequality", "canonical_anchor_ordering")
+
+
+class TestAnchoredChecksOnATamperedChain:
+    """``theorem_suite`` on the real traces of one noisy series, with the
+    anchored chain tampered with: each anchored check reports the damage.
+
+    On this series every anchored step lowers the asymptote and the
+    reference backbone falls past the working level, so a check's
+    decreasing branch is the one a tamper reaches unless it raises ``c``.
+    """
+
+    SPEC = SynthSpec(REFERENCE_FIT, count=40, noise=NoiseSpec("gaussian", sigma=0.05), seed=3)
+    CONFIG = TheoremSuiteConfig(true_params=REFERENCE_FIT, monotone_tolerance=FLUCTUATION_BAND)
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        series = generate_series(self.SPEC)
+        return series, build_traces(series, LevelParams(), AnchorPolicy(mode="canonical"))
+
+    def suite_with(self, monkeypatch, traces, tamper):
+        """Suite results with ``tamper(trends, levels)`` applied to a copy
+        of the anchored trends; ``levels`` are those past the working level."""
+        series, (reference, omega, anchored) = traces
+        trends = dict(anchored.trends)
+        tamper(trends, [level for level in trends if level > omega])
+        tampered = LearningTrace(trends)
+        monkeypatch.setattr(synth, "build_traces",
+                            lambda *args: (reference, omega, tampered))
+        return theorem_suite(series, self.CONFIG).results
+
+    def test_the_untampered_chain_passes(self, monkeypatch, traces):
+        series, (reference, omega, anchored) = traces
+        assert omega is not None and anchored.last_level == len(series)
+        past = [level for level in anchored.levels() if level > omega]
+        assert all(anchored.trends[level].params.c <= anchored.trends[level - 1].params.c
+                   for level in past[1:])
+        assert reference.alpha(past[-1]) < reference.alpha(past[0])
+        results = self.suite_with(monkeypatch, traces, lambda trends, levels: None)
+        for name in ANCHORED_CHECKS:
+            assert results[name].passed and results[name].violations == 0, name
+            assert results[name].checks > 0, name
+
+    @pytest.mark.parametrize("name, at, dc, dr", [
+        # The anchor row no longer cancels the observation residuals.
+        ("anchored_residual_balance", "middle", 0.0, 1.0),
+        # The last anchor residual is the largest.
+        ("anchor_residual_vanishes", "last", 0.0, 1.0),
+        # A falling step whose anchor lies above the bound.
+        ("anchor_correction_inequality", "middle", 0.0, 1.0),
+        # A rising step: c up by 1 lowers the residual sum by the level,
+        # so the anchor lies below the bound.
+        ("anchor_correction_inequality", "middle", 1.0, 0.0),
+        # An anchored asymptote below the falling reference's.
+        ("canonical_anchor_ordering", "middle", -1.0, 0.0),
+    ], ids=["balance", "vanishes", "correction-falling", "correction-rising", "ordering"])
+    def test_one_shifted_trend_is_a_violation(self, monkeypatch, traces, name, at, dc, dr):
+        def tamper(trends, levels):
+            level = levels[-1] if at == "last" else levels[len(levels) // 2]
+            trend = trends[level]
+            p = trend.params
+            trends[level] = dataclasses.replace(
+                trend, params=PowerLawParams(p.a, p.b, p.c + dc),
+                anchor_residual=trend.anchor_residual + dr)
+
+        results = self.suite_with(monkeypatch, traces, tamper)
+        assert not results[name].passed and results[name].violations >= 1, results[name]
+
+    def test_a_single_converged_anchored_level_has_no_steps(self, monkeypatch, traces):
+        def tamper(trends, levels):
+            for level in levels[1:]:
+                trends[level] = dataclasses.replace(trends[level], converged=False)
+
+        results = self.suite_with(monkeypatch, traces, tamper)
+        assert results["anchor_residual_vanishes"] == CheckResult(True, 0, 0)
+        assert results["anchor_correction_inequality"] == CheckResult(True, 0, 0)
+        assert results["canonical_anchor_ordering"] == CheckResult(True, 0, 1)
+
+    def test_no_converged_anchored_level_checks_nothing(self, monkeypatch, traces):
+        def tamper(trends, levels):
+            for level in levels:
+                trends[level] = dataclasses.replace(trends[level], converged=False)
+
+        results = self.suite_with(monkeypatch, traces, tamper)
+        for name in ANCHORED_CHECKS:
+            assert results[name] == CheckResult(True, 0, 0), name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import curvecast.trace
-from curvecast.errors import InsufficientDataError, SequencingError
+from curvecast.errors import InsufficientDataError
 from curvecast.model import LearningTrend, Observation, ObservationSeries, PowerLawParams
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 from curvecast.trace import (
@@ -28,8 +29,8 @@ from oracles import curve_value, sign_scan_crossings
 def build_noiseless_trace(params=REFERENCE_FIT, count=20):
     series = ObservationSeries.from_points(exact_series_points(params, count=count))
     trace = LearningTrace()
-    for level in range(3, count + 1):
-        extend_trace(trace, series, level)
+    for _ in range(3, count + 1):
+        extend_trace(trace, series)
     return trace, series
 
 
@@ -45,25 +46,16 @@ class TestExtendTrace:
     def test_first_level_is_three(self):
         series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=5))
         trace = LearningTrace()
-        extend_trace(trace, series, 3)
+        extend_trace(trace, series)
         assert trace.levels() == [3]
         assert len(trace.trends[3].residuals) == 3
-
-    def test_out_of_order_levels_rejected(self):
-        series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=6))
-        trace = LearningTrace()
-        with pytest.raises(SequencingError):
-            extend_trace(trace, series, 4)
-        extend_trace(trace, series, 3)
-        with pytest.raises(SequencingError):
-            extend_trace(trace, series, 5)
 
     def test_needs_enough_observations(self):
         series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=3))
         trace = LearningTrace()
-        extend_trace(trace, series, 3)
+        extend_trace(trace, series)
         with pytest.raises(InsufficientDataError):
-            extend_trace(trace, series, 4)
+            extend_trace(trace, series)
 
     def test_noiseless_backbone_constant(self):
         trace, _ = build_noiseless_trace(count=20)
@@ -78,9 +70,9 @@ class TestExtendTrace:
     def test_earlier_trends_unchanged(self):
         series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=6))
         trace = LearningTrace()
-        extend_trace(trace, series, 3)
+        extend_trace(trace, series)
         snapshot = trace.trends[3]
-        extend_trace(trace, series, 4)
+        extend_trace(trace, series)
         assert trace.trends[3] is snapshot
 
 
@@ -226,8 +218,8 @@ class TestTrendIntersection:
         series = generate_series(SynthSpec(steep_params(rng), count=60,
                                            noise=NoiseSpec("gaussian", sigma=0.05), seed=7))
         trace = LearningTrace()
-        for level in range(3, 61):
-            extend_trace(trace, series, level)
+        for _ in range(3, 61):
+            extend_trace(trace, series)
         evaluations = []
         solve = curvecast.trace._newton
 
@@ -409,6 +401,14 @@ class TestEpsilonBound:
             trace.trends[level] = trend
         assert epsilon_bound(trace, 4) is None
 
+    def test_unavailable_next_to_a_nonconverged_trend(self):
+        trace = decreasing_synthetic_trace(levels=8)
+        assert epsilon_bound(trace, 5) is not None and epsilon_bound(trace, 6) is not None
+        trace.trends[5] = dataclasses.replace(trace.trends[5], converged=False)
+        assert epsilon_bound(trace, 5) is None
+        assert epsilon_bound(trace, 6) is None
+        assert epsilon_bound(trace, 7) is not None
+
     def test_not_exposed_on_increasing_branch(self):
         trace = LearningTrace()
         for level, c in zip((3, 4), (98.0, 99.0)):
@@ -446,8 +446,8 @@ class TestTrendPivoting:
                                            noise=NoiseSpec("gaussian", sigma=0.05),
                                            seed=2))
         trace = LearningTrace()
-        for level in range(3, 26):
-            extend_trace(trace, series, level)
+        for _ in range(3, 26):
+            extend_trace(trace, series)
         for level in range(5, 26):
             residuals = trace.trends[level].residuals
             assert min(residuals) < 0 < max(residuals)
