@@ -155,10 +155,8 @@ def _cmd_run(args) -> int:
     state = run_stream(config, series.points)
     report = build_run_report(state, predict_at=positions)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # The plot is written first: a plot path that cannot be written fails
+    # the command before any of the report is.
     if args.plot:
         markers = {label: pos for label, pos in (("working", state.wposition),
                                                  ("prediction", state.pposition),
@@ -167,6 +165,10 @@ def _cmd_run(args) -> int:
         svg = render_svg(state.trace, state.series, selected=state.selected_trend,
                          markers=markers)
         Path(args.plot).write_text(svg, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return EXIT_OK if state.stopped else EXIT_NO_CLEVEL
 
 
@@ -186,7 +188,9 @@ def _selected_row(name: str, report) -> tuple[dict, list, dict]:
     clevel = summary.get("clevel")
     if not summary.get("stopped") or clevel is None:
         raise ValueError(f"run {name!r} never reached its convergence level")
-    wlevel = summary.get("wlevel")
+    if "wlevel" not in summary:
+        raise ValueError(f"run {name!r}: summary has no wlevel")
+    wlevel = summary["wlevel"]
     # JSON true and false load as bools, which isinstance counts as ints.
     if type(clevel) is not int or not (wlevel is None or type(wlevel) is int):
         raise ValueError(f"run {name!r}: summary levels are not integers")

@@ -11,10 +11,13 @@ Because milestones are one-time and a stored trend never changes after that
 one rebuild, each ingest checks only what its new level can change: the one
 look-ahead window ending at the newest converged level while the working
 level is open, then the newest trend alone for the prediction and
-convergence levels. All levels from the working level on are scanned once,
-on the ingest that declares it, so no ingest rescans the trace. The
-offline path folds the same ingests, so it stops fitting at the ingest
-where the online run stops.
+convergence levels. The window is read from its newest slope back and the
+read stops at the first slope over the verticality limit; only a window
+whose every slope passes goes to :func:`~curvecast.levels.working_level`,
+which stays the rule and names the level. All levels from the working
+level on are scanned once, on the ingest that declares it, so no ingest
+rescans the trace. The offline path folds the same ingests, so it stops
+fitting at the ingest where the online run stops.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable
 
 from .anchoring import AnchorPolicy, next_canonical_anchor
 from .errors import NotStoppedError, SequencingError
-from .levels import LevelParams, prediction_level, working_level
+from .levels import LevelParams, prediction_level, verticality_limit, working_level
 from .model import FIRST_LEVEL, LearningTrend, Observation, ObservationSeries, eval_pattern
 from .trace import (
     LearningTrace,
@@ -153,21 +156,37 @@ def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | No
 
     Every earlier window was judged, and failed, when its last level
     arrived, and no trend changes before the working level is declared; so
-    only a converged newest trend can complete a new window.
+    only a converged newest trend can complete a new window. The window is
+    read from its newest slope back, each slope as :func:`working_level`
+    computes it, and the first slope over the limit ends the scan: only a
+    full window whose every slope passes goes to :func:`working_level`,
+    which names the level.
     """
-    if not trace.trends[trace.last_level].converged:
+    trends = trace.trends
+    last = trace.last_level
+    newest = trends[last]
+    if not newest.converged:
         return None
+    limit = verticality_limit(params)
     needed = params.lookahead + 2
-    levels: list[int] = []
-    for level in range(trace.last_level, FIRST_LEVEL - 1, -1):
-        if trace.trends[level].converged:
-            levels.append(level)
-            if len(levels) == needed:
-                break
-    levels.reverse()
-    alphas = [trace.alpha(level) for level in levels]
-    positions = [trace.trends[level].position for level in levels]
-    return working_level(alphas, positions, params, levels=levels)
+    alpha, position = newest.params.c, newest.position
+    levels, alphas, positions = [last], [alpha], [position]
+    for level in range(last - 1, FIRST_LEVEL - 1, -1):
+        trend = trends[level]
+        if not trend.converged:
+            continue
+        earlier_alpha, earlier_position = trend.params.c, trend.position
+        if abs(alpha - earlier_alpha) / (position - earlier_position) > limit:
+            return None
+        levels.append(level)
+        alphas.append(earlier_alpha)
+        positions.append(earlier_position)
+        if len(levels) == needed:
+            break
+        alpha, position = earlier_alpha, earlier_position
+    else:
+        return None
+    return working_level(alphas[::-1], positions[::-1], params, levels=levels[::-1])
 
 
 def _declare_working_level(state: RunState, omega: int) -> None:

@@ -62,12 +62,14 @@ A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
 prefix, the parameters, the scale of ``u``, the anchor row's residual (the
 anchor minus ``c``, a scalar) and the fit's ``converged`` and
 ``iterations``, built without the constructor's length check, which the
-fit has already made. The fit makes no residual pass: the trend computes
-its residuals and ``final_cost`` on read, with the same arithmetic. The
-anchor keeps a column of the buffer instead of entering the sums as
-scalars after the product: that way the target mean and every Gram sum
-reduce over the same ``m`` values in the same order, and no fit moves in
-its last bits.
+fit has already made. Its parameters are set through their slots once they
+pass the checks of the :class:`~curvecast.model.PowerLawParams`
+constructor, which raises for any that do not. The fit makes no residual
+pass: the trend computes its residuals and ``final_cost`` on read, with
+the same arithmetic. The anchor keeps a column of the buffer instead of
+entering the sums as scalars after the product: that way the target mean
+and every Gram sum reduce over the same ``m`` values in the same order, and
+no fit moves in its last bits.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .model import (
     FIRST_LEVEL,
     Observation,
     ObservationSeries,
-    PowerLawParams,
+    _fitted_params,
     _fitted_trend,
 )
 
@@ -257,12 +259,12 @@ def fit_power_law(
     # top rail.
     log_scale = math.log(a) + b * lx0 if a > 0.0 else math.inf
     if log_scale < _LOG_FLOAT_MAX:
-        params = PowerLawParams(a=math.exp(log_scale), b=b, c=t_mean + a * (1.0 + e_mean))
+        params = _fitted_params(math.exp(log_scale), b, t_mean + a * (1.0 + e_mean))
         converged = (converged and v not in _LOG_B_RANGE
                      and b * float(offsets[1]) <= _MAX_IDENTIFIED_DECAY)
         u_scale = a
     else:
-        params = PowerLawParams(a=_DEGENERATE_A, b=start_b, c=t_mean)
+        params = _fitted_params(_DEGENERATE_A, start_b, t_mean)
         converged = False
         # At start_b the power term a * x**(-b) is a * x0**(-b) times u.
         u_scale = params.a * math.exp(-start_b * lx0)

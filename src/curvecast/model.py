@@ -223,13 +223,14 @@ def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> Observa
                          log_x0).series(len(positions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerLawParams:
     """Parameters of one fitted curve: scale ``a``, decay ``b``, asymptote ``c``.
 
     ``c`` is intentionally not capped at 100: early fits may overshoot, and
     the prediction level is precisely the point where the asymptote first
-    drops back into the feasible range.
+    drops back into the feasible range. Slotted, so that a fit can set the
+    values it has checked without the constructor (:func:`_fitted_params`).
     """
 
     a: float
@@ -278,7 +279,8 @@ class LearningTrend:
 
     @property
     def position(self) -> int:
-        return int(self.series.positions[-1])
+        series = self.series
+        return series._buffer.columns[0].item(series._length - 1)
 
     @property
     def residuals(self) -> np.ndarray:
@@ -298,6 +300,23 @@ class LearningTrend:
         if self.anchor_residual is not None:
             rows = np.append(rows, self.anchor_residual)
         return float(rows @ rows)
+
+
+_PARAMS_SLOTS = tuple(getattr(PowerLawParams, name).__set__ for name in ("a", "b", "c"))
+
+
+def _fitted_params(a: float, b: float, c: float) -> PowerLawParams:
+    """The parameters a fit returns. Values that pass the constructor's
+    checks (all finite, ``a`` and ``b`` > 0) are set through the slots;
+    any other goes through the constructor, which raises its error."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and -math.inf < c < math.inf):
+        return PowerLawParams(a, b, c)
+    params = object.__new__(PowerLawParams)
+    set_a, set_b, set_c = _PARAMS_SLOTS
+    set_a(params, a)
+    set_b(params, b)
+    set_c(params, c)
+    return params
 
 
 _TREND_SLOTS = tuple(getattr(LearningTrend, name).__set__ for name in (

@@ -185,13 +185,19 @@ class TestRun:
         assert plots[0].read_bytes() == plots[1].read_bytes()
 
     def test_unwritable_plot_path_is_input_error(self, tmp_path, capsys):
+        # The plot is written before the report, so none of the report is,
+        # to stdout or to --output.
         path = make_obs_file(tmp_path)
         plot = tmp_path / "missing_dir" / "view.svg"
-        rc = main(["run", "--input", str(path), "--tau", "6.0", "--plot", str(plot)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert not plot.parent.exists()
+        report = tmp_path / "report.json"
+        argv = ["run", "--input", str(path), "--tau", "6.0", "--plot", str(plot)]
+        for extra in ([], ["--output", str(report)]):
+            rc = main(argv + extra)
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
+            assert not plot.parent.exists() and not report.exists()
 
     def test_csv_format(self, tmp_path, capsys):
         path = make_obs_file(tmp_path)
@@ -340,6 +346,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("damage, message", [
         (lambda report: report.pop("summary"), "report has no summary"),
         (lambda report: report.pop("levels"), "report has no levels"),
+        (lambda report: report["summary"].pop("wlevel"), "summary has no wlevel"),
         (lambda report: report["levels"].clear(), "no level row matches clevel"),
         (lambda report: report["levels"][0].pop("converged"),
          "level row 0 lacks level, c or converged"),
@@ -361,9 +368,10 @@ class TestEvaluate:
         out.write_text(json.dumps(report))
         rc = main(["evaluate", "--runs", str(out), "--truth", str(obs),
                    "--controls", "100000"])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "'damaged'" in err and message in err
+        assert captured.out == ""
+        assert "'damaged'" in captured.err and message in captured.err
 
 
 @pytest.mark.parametrize("argv", [

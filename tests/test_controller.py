@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ import curvecast.trace
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import (
     RunConfig,
+    _newest_working_level,
     backbone_segment,
     ingest,
     new_run,
@@ -23,10 +25,17 @@ from curvecast.controller import (
     stopping_layer,
 )
 from curvecast.errors import NotStoppedError, SequencingError
-from curvecast.levels import LevelParams
-from curvecast.model import Observation, PowerLawParams, eval_pattern
+from curvecast.levels import LevelParams, verticality_limit, working_level
+from curvecast.model import (
+    FIRST_LEVEL,
+    LearningTrend,
+    Observation,
+    ObservationSeries,
+    PowerLawParams,
+    eval_pattern,
+)
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
-from curvecast.trace import convergence_layer, convergence_layer_bounded
+from curvecast.trace import LearningTrace, convergence_layer, convergence_layer_bounded
 
 from conftest import REFERENCE_FIT, exact_series_points, steep_params
 from oracles import full_rescan_run
@@ -327,6 +336,48 @@ class TestLaterMilestoneScan:
         expected, trace = full_rescan_run(config, points)
         assert {name: getattr(state, name) for name in _MILESTONES} == expected
         assert state.trace == trace
+
+
+@st.composite
+def _window_traces(draw):
+    """A trace up to a random last level and random level parameters. Each
+    backbone step is a multiple of the verticality limit times its position
+    gap, mostly at or under it and some just over it, up or down; some
+    trends are not converged."""
+    params = LevelParams(nu=draw(st.floats(1e-6, 0.5)), slowdown=draw(st.integers(1, 3)),
+                         lookahead=draw(st.integers(0, 6)))
+    limit = verticality_limit(params)
+    last = draw(st.integers(FIRST_LEVEL, FIRST_LEVEL + 14))
+    gaps = draw(st.lists(st.integers(1, 10_000), min_size=last, max_size=last))
+    positions = list(itertools.accumulate(gaps))
+    series = ObservationSeries.from_columns(positions, [50.0] * last)
+    factor = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9, 3.0]), st.floats(0.0, 1.2))
+    alpha = draw(st.floats(80.0, 110.0))
+    trace = LearningTrace()
+    for level in range(FIRST_LEVEL, last + 1):
+        if level > FIRST_LEVEL:
+            step = draw(factor) * limit * (positions[level - 1] - positions[level - 2])
+            alpha += step if draw(st.booleans()) else -step
+        trace.trends[level] = LearningTrend(
+            series.prefix(level), PowerLawParams(1.0, 0.5, alpha), u_scale=1.0,
+            converged=draw(st.sampled_from([True, True, True, True, False])))
+    return trace, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_window_traces())
+def test_newest_working_level_follows_the_window_rule(drawn):
+    # The scan that stops at the first slope over the limit answers what
+    # working_level answers on the window ending at the newest level.
+    trace, params = drawn
+    converged = [level for level in trace.levels() if trace.trends[level].converged]
+    window = converged[-(params.lookahead + 2):]
+    expected = None
+    if len(window) == params.lookahead + 2 and window[-1] == trace.last_level:
+        expected = working_level([trace.alpha(level) for level in window],
+                                 [trace.trends[level].position for level in window],
+                                 params, levels=window)
+    assert _newest_working_level(trace, params) == expected
 
 
 class TestAnchoredRuns:

@@ -14,6 +14,7 @@ from curvecast.model import (
     Observation,
     ObservationSeries,
     PowerLawParams,
+    _fitted_params,
     asymptote,
     eval_pattern,
     pattern_slope,
@@ -453,3 +454,69 @@ class TestResidualArrays:
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(_noisy_trend())
+
+
+_TREND_SOURCES = {
+    "fitted": fit_power_law,
+    "prefix": lambda points: fit_power_law(ObservationSeries(points).prefix(7)),
+    "grown-in-place": lambda points: fit_power_law(SERIES_BUILDS["in-place"](points)),
+    "branch-copy": lambda points: fit_power_law(SERIES_BUILDS["by-copy"](points)),
+}
+
+
+class TestTrendReads:
+    """The trend's position is one element read off the buffer, and a fit
+    sets its parameters through the slots: the same values and types as
+    the slice and the constructor."""
+
+    points = [Observation(5000 * i + 3 * i * i, eval_pattern(REFERENCE_FIT, 5000 * i)
+                          + 0.02 * (-1) ** i) for i in range(1, 13)]
+
+    @pytest.mark.parametrize("source", sorted(_TREND_SOURCES))
+    def test_position_is_the_last_position_as_an_int(self, source):
+        trend = _TREND_SOURCES[source](self.points)
+        assert type(trend.position) is int
+        assert trend.position == int(trend.series.positions[-1])
+        assert trend.position == self.points[trend.level - 1].position
+
+    def test_grown_series_trends_read_their_own_last_position(self):
+        # Every prefix trend on one buffer reads its own last row, also
+        # after the buffer has grown past it.
+        series = SERIES_BUILDS["in-place"](self.points[:3])
+        trends = [fit_power_law(series)]
+        for point in self.points[3:]:
+            series = series.with_point(point)
+            trends.append(fit_power_law(series))
+        assert [t.position for t in trends] == [p.position for p in self.points[2:]]
+
+    @pytest.mark.parametrize("points", [points, [Observation(5000 * i, 95.0 - i)
+                                                 for i in range(1, 8)]],
+                             ids=["identified", "degenerate"])
+    def test_fit_params_equal_the_constructors(self, points):
+        trend = fit_power_law(points)
+        assert trend.converged == (len(points) == 12)  # the other has no optimum
+        params = trend.params
+        built = PowerLawParams(params.a, params.b, params.c)
+        assert type(params) is PowerLawParams
+        assert params == built and hash(params) == hash(built)
+        assert [type(v) for v in (params.a, params.b, params.c)] == [float] * 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.a = 1.0
+
+    @pytest.mark.parametrize("a, b, c", [
+        (math.nan, 0.5, 90.0), (math.inf, 0.5, 90.0), (0.0, 0.5, 90.0), (-1.0, 0.5, 90.0),
+        (1.0, math.nan, 90.0), (1.0, math.inf, 90.0), (1.0, 0.0, 90.0), (1.0, -0.5, 90.0),
+        (1.0, 0.5, math.nan), (1.0, 0.5, math.inf), (1.0, 0.5, -math.inf),
+    ])
+    def test_values_the_constructor_rejects_still_raise(self, a, b, c):
+        with pytest.raises(ValueError) as expected:
+            PowerLawParams(a, b, c)
+        with pytest.raises(ValueError) as raised:
+            _fitted_params(a, b, c)
+        assert str(raised.value) == str(expected.value)
+
+    def test_checked_values_are_set_as_given(self):
+        for a, b, c in [(5e-324, 1e-300, -1e308), (1e308, 1e308, 0.0), (1.0, 0.5, 105.0)]:
+            params = _fitted_params(a, b, c)
+            assert (params.a, params.b, params.c) == (a, b, c)
+            assert params == PowerLawParams(a, b, c)
