@@ -29,9 +29,7 @@ from .model import (
     Observation,
     ObservationSeries,
     PowerLawParams,
-    asymptote,
     eval_pattern,
-    pattern_slope,
 )
 from .synth import NoiseSpec, SynthSpec, TheoremSuiteConfig, generate_series, theorem_suite
 from .trace import (
@@ -63,7 +61,6 @@ __all__ = [
     "SequencingError",
     "SynthSpec",
     "TheoremSuiteConfig",
-    "asymptote",
     "convergence_layer",
     "convergence_layer_bounded",
     "dmr",
@@ -78,7 +75,6 @@ __all__ = [
     "mape",
     "new_run",
     "next_canonical_anchor",
-    "pattern_slope",
     "percentage_error",
     "prediction_level",
     "predict",

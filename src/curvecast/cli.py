@@ -228,7 +228,7 @@ def _cmd_evaluate(args) -> int:
         summary, rows, selected = _selected_row(name, report)
         params = PowerLawParams(selected["a"], selected["b"], selected["c"])
         truth = read_observations(truth_path)
-        truth_map = {p.position: p.accuracy for p in truth.points}
+        truth_map = dict(zip(truth.positions.tolist(), truth.accuracies.tolist()))
         missing = [c for c in controls if c not in truth_map]
         if missing:
             raise ValueError(f"truth for {name!r} lacks control positions {missing}")

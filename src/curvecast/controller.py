@@ -18,6 +18,9 @@ which stays the rule and names the level. All levels from the working
 level on are scanned once, on the ingest that declares it, so no ingest
 rescans the trace. The offline path folds the same ingests, so it stops
 fitting at the ingest where the online run stops.
+
+Every run starts from one shared empty series, built once at import: its
+buffer has no room, so a run's first ingest copies into a buffer of its own.
 """
 
 from __future__ import annotations
@@ -98,12 +101,13 @@ class RunState:
         return None if self.clevel is None else self.trace.trends[self.clevel]
 
 
+# Never changes: an empty buffer has no room to append in place.
+_EMPTY_SERIES = ObservationSeries()
+
+
 def new_run(config: RunConfig) -> RunState:
-    return RunState(
-        config=config,
-        series=ObservationSeries.from_points(()),
-        trace=LearningTrace(),
-    )
+    """A run with no observations, on the shared empty series."""
+    return RunState(config=config, series=_EMPTY_SERIES, trace=LearningTrace())
 
 
 def stopping_layer(trend: LearningTrend, end_position: int | None) -> float:
@@ -243,8 +247,7 @@ def run_batch(config: RunConfig, observations) -> RunState:
     :func:`run_stream`, so it stops fitting at the ingest where the online
     run stops and yields the identical state from the same fits.
     """
-    series = ObservationSeries.from_points(observations)
-    return run_stream(config, series.points)
+    return run_stream(config, ObservationSeries(observations).points)
 
 
 def backbone_segment(state: RunState, from_level: int, to_level: int) -> list[float]:

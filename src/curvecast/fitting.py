@@ -205,7 +205,7 @@ def fit_power_law(
     iteration cap was hit or the data have no optimum inside the family;
     the caller decides what to do with it.
     """
-    series = ObservationSeries.from_points(points)
+    series = ObservationSeries(points)
     offsets, targets = series.offsets, series.accuracies
     if len(targets) < FIRST_LEVEL:
         raise InsufficientDataError(f"need at least {FIRST_LEVEL} points, got {len(targets)}")

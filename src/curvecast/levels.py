@@ -56,15 +56,15 @@ def working_level(
     if levels is None:
         levels = range(FIRST_LEVEL, FIRST_LEVEL + len(backbone))
     limit = verticality_limit(params)
-    n = len(backbone)
-    slopes = [
-        abs(backbone[i + 1] - backbone[i]) / (positions[i + 1] - positions[i])
-        for i in range(n - 1)
-    ]
     window = params.lookahead + 1
-    for start in range(n - window):
-        if all(slopes[i] <= limit for i in range(start, start + window)):
-            return levels[start]
+    run = 0  # consecutive slopes under the limit, ending at entry i
+    for i in range(1, len(backbone)):
+        if abs(backbone[i] - backbone[i - 1]) / (positions[i] - positions[i - 1]) <= limit:
+            run += 1
+            if run == window:
+                return levels[i - window]
+        else:
+            run = 0
     return None
 
 

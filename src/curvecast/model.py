@@ -6,6 +6,8 @@ asymptote ``y = c``.
 
 A series is a length on a buffer of columns, and a trend is its fit's
 parameters plus its prefix series; residuals are computed on read.
+``ObservationSeries(points)`` is the one way in from observations, and it
+returns a series as it is; ``from_columns`` builds one from two columns.
 """
 
 from __future__ import annotations
@@ -103,15 +105,18 @@ class ObservationSeries:
     :attr:`accuracies` or :attr:`offsets` (float64) slices a read-only view
     off the buffer, so a series stores no column of its own.
 
-    :meth:`with_point` grows the buffer in place and a :meth:`prefix`
-    shares it, so no row of an existing series ever changes. ``==``
-    compares the columns. A copy is rebuilt from the points, as numpy would
-    unpickle the columns writable.
+    The constructor takes any iterable of observations and checks it as a
+    whole; a series passed to it is returned as it is. :meth:`with_point`
+    grows the buffer in place and a :meth:`prefix` shares it, so no row of
+    an existing series ever changes. ``==`` compares the columns. A copy is
+    rebuilt from the points, as numpy would unpickle the columns writable.
     """
 
     __slots__ = ("_buffer", "_length")
 
     def __new__(cls, points=()):
+        if isinstance(points, ObservationSeries):
+            return points
         points = tuple(points)
         return _series_of_columns(np.array([p.position for p in points], dtype=np.int64),
                                   np.array([p.accuracy for p in points], dtype=float))
@@ -146,13 +151,6 @@ class ObservationSeries:
             bad = float(values[np.argmin(valid)])
             raise ValueError(f"accuracy must be in (0, 100], got {bad!r}")
         return _series_of_columns(np.array(positions, dtype=np.int64), values)
-
-    @classmethod
-    def from_points(cls, points) -> "ObservationSeries":
-        """Series of ``points``; a series is returned as it is."""
-        if isinstance(points, ObservationSeries):
-            return points
-        return cls(points)
 
     def __len__(self) -> int:
         return self._length
@@ -339,32 +337,15 @@ def _fitted_trend(series, params, u_scale, anchor_residual, converged, iteration
     return trend
 
 
-def _scaled_power(scale: float, x: float, exponent: float) -> float:
-    """``scale * x**exponent`` at a finite position ``x > 0``;
-    ``ValueError`` naming ``x`` where it overflows a float."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"position must be finite and > 0, got {x}")
-    try:
-        value = scale * float(x) ** exponent
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise ValueError(f"the power term overflows at position {x}")
-    return value
-
-
 def eval_pattern(params: PowerLawParams, x: float) -> float:
     """Curve value at a finite position ``x > 0``; ``ValueError`` where the
     power term overflows a float."""
-    return params.c - _scaled_power(params.a, x, -params.b)
-
-
-def pattern_slope(params: PowerLawParams, x: float) -> float:
-    """First derivative at a finite ``x > 0``; always positive for valid
-    params. ``ValueError`` where the power term overflows a float."""
-    return _scaled_power(params.a * params.b, x, -(params.b + 1.0))
-
-
-def asymptote(params: PowerLawParams) -> float:
-    """Limit of the curve as the position grows without bound."""
-    return params.c
+    if not 0 < x < math.inf:
+        raise ValueError(f"position must be finite and > 0, got {x}")
+    try:
+        power = params.a * float(x) ** -params.b
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise ValueError(f"the power term overflows at position {x}")
+    return params.c - power

@@ -53,7 +53,7 @@ def parse_observations(text: str) -> ObservationSeries:
             )
         points.append(point)
         last_position = point.position
-    return ObservationSeries.from_points(points)
+    return ObservationSeries(points)
 
 
 def read_observations(path) -> ObservationSeries:
@@ -64,7 +64,8 @@ def read_observations(path) -> ObservationSeries:
 def format_observations(series: ObservationSeries) -> str:
     lines = ["position,accuracy"]
     lines.extend(
-        f"{p.position},{p.accuracy:.{DISPLAY_DECIMALS}f}" for p in series.points
+        f"{position},{accuracy:.{DISPLAY_DECIMALS}f}"
+        for position, accuracy in zip(series.positions.tolist(), series.accuracies.tolist())
     )
     return "\n".join(lines) + "\n"
 

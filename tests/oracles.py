@@ -74,10 +74,11 @@ def sign_scan_crossings(p1, p2, n=1_000_000, lo=1e-6, hi=1e12):
     diff = dc + (np.exp(np.where(huge, 0.0, e2)) - np.exp(np.where(huge, 0.0, e1)))
     diff = np.where(huge, np.where(e1 == e2, dc, np.sign(e2 - e1)), diff)
     signs = np.sign(diff)
-    nonzero = signs[signs != 0]
-    flips = int(np.sum(nonzero[1:] != nonzero[:-1]))
-    flip_idx = np.where(signs[1:] * signs[:-1] < 0)[0]
-    return flips, [float(math.sqrt(xs[i] * xs[i + 1])) for i in flip_idx]
+    # A flip is between neighbouring nonzero signs, across any exact zeros.
+    nonzero = np.flatnonzero(signs)
+    flip_idx = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
+    return len(flip_idx), [float(math.sqrt(xs[nonzero[i]] * xs[nonzero[i + 1]]))
+                           for i in flip_idx]
 
 
 def central_difference(fn, x, h=None):
@@ -100,9 +101,10 @@ def longest_monotone_bruteforce(values):
     return best
 
 
-def _working_level_scan(levels, alphas, positions, nu, slowdown, lookahead):
+def working_level_scan(levels, alphas, positions, nu, slowdown, lookahead):
     """First level whose whole window of lookahead + 1 backbone slopes stays
-    under the verticality limit."""
+    under the verticality limit: every slope computed first, then every
+    window judged on its own. The reference for ``levels.working_level``."""
     limit = nu ** (1.0 / slowdown) / (1.0 - nu)
     slopes = [abs(alphas[i + 1] - alphas[i]) / (positions[i + 1] - positions[i])
               for i in range(len(alphas) - 1)]
@@ -145,7 +147,7 @@ def full_rescan_run(config, points):
         level = len(seen)
         if level < 3:
             continue
-        series = ObservationSeries.from_points(seen)
+        series = ObservationSeries(seen)
         if canonical and m["wlevel"] is not None:
             extend_trace(trace, series, anchor=next_canonical_anchor(trace, m["wlevel"]))
         else:
@@ -153,7 +155,7 @@ def full_rescan_run(config, points):
 
         if m["wlevel"] is None:
             conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
-            omega = _working_level_scan(
+            omega = working_level_scan(
                 conv, [trace.trends[lv].params.c for lv in conv],
                 [trace.trends[lv].position for lv in conv], lp.nu, lp.slowdown, lp.lookahead)
             if omega is not None:

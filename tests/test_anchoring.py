@@ -12,7 +12,7 @@ from conftest import REFERENCE_FIT, exact_series_points, steep_params
 
 
 def noiseless_series(count=18):
-    return ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=count))
+    return ObservationSeries(exact_series_points(REFERENCE_FIT, count=count))
 
 
 class TestAnchorPolicy:

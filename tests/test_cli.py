@@ -257,8 +257,19 @@ class TestEvaluate:
                    "--runs", ",".join(n for n, _ in names),
                    "--truth", ",".join(t for _, t in names),
                    "--controls", ",".join(map(str, controls))])
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
         assert rc == 0
+        assert out == json.dumps({
+            "controls": controls,
+            "runs": {
+                "run0": {"pe": [-0.068587, -0.055236, 0.052716], "mape": 0.058846,
+                         "dmr": 100.0, "rr": 55.319149},
+                "run1": {"pe": [-0.011125, -0.05366, 0.01084], "mape": 0.025209,
+                         "dmr": 100.0, "rr": 34.090909},
+            },
+            "rer": {"run0|run1": 100.0},
+        }, indent=2) + "\n"
+        payload = json.loads(out)
         assert set(payload["runs"]) == {"run0", "run1"}
         assert "run0|run1" in payload["rer"]
         # PE recomputed from the emitted report and the truth file agrees

@@ -124,6 +124,18 @@ class TestIngestProtocol:
         with pytest.raises(SequencingError):
             ingest(state, Observation(400, 91.0))
 
+    def test_runs_share_only_the_empty_series(self):
+        config = RunConfig(tau=1.0)
+        empty = new_run(config).series
+        assert len(empty) == 0 and empty == ObservationSeries(())
+        first, second = new_run(config), new_run(config)
+        assert first.series is second.series is empty
+        ingest(first, Observation(5000, 90.0))
+        ingest(second, Observation(7000, 91.0))
+        assert first.series == ObservationSeries([Observation(5000, 90.0)])
+        assert second.series == ObservationSeries([Observation(7000, 91.0)])
+        assert len(empty) == 0 and new_run(config).series == ObservationSeries(())
+
     def test_rejected_observation_leaves_the_run_unchanged(self):
         config = RunConfig(tau=0.0)
         points = exact_series_points(REFERENCE_FIT, count=6)

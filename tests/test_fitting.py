@@ -178,7 +178,7 @@ class TestFitPowerLaw:
         points = [Observation(5000 * (i + 1),
                               eval_pattern(REFERENCE_FIT, 5000 * (i + 1)) + rng.normal(0, 0.05))
                   for i in range(20)]
-        prefix = ObservationSeries.from_points(points).prefix(14)
+        prefix = ObservationSeries(points).prefix(14)
         anchor = REFERENCE_FIT.c + 0.2
         fits = {
             "plain": fit_power_law(prefix),
@@ -266,7 +266,7 @@ class TestProjectedCost:
     def test_cost_and_derivatives_match_oracle(self, rng, b, anchor):
         xs = [5000 * (i + 1) for i in range(20)]
         ys = [eval_pattern(REFERENCE_FIT, x) + rng.normal(0, 0.05) for x in xs]
-        series = ObservationSeries.from_points([Observation(x, y) for x, y in zip(xs, ys)])
+        series = ObservationSeries([Observation(x, y) for x, y in zip(xs, ys)])
         _, _, evaluate = curvecast.fitting._projection(series.offsets, series.accuracies, anchor)
         v = math.log(b)
         _, cost, slope, curvature, _, _ = evaluate(v)

@@ -54,7 +54,7 @@ def test_run_to_stop_speed(benchmark, anchors):
 
 @pytest.mark.parametrize("sigma", [0.05, 0.0], ids=["noisy", "exact"])
 def test_newest_working_level_speed(benchmark, sigma):
-    series = ObservationSeries.from_points(_points(TRACE_LEVELS + 2, sigma))
+    series = ObservationSeries(_points(TRACE_LEVELS + 2, sigma))
     trace = LearningTrace()
     for _ in range(TRACE_LEVELS):
         extend_trace(trace, series)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecast.levels import (
     LevelParams,
@@ -6,6 +8,8 @@ from curvecast.levels import (
     verticality_limit,
     working_level,
 )
+
+from oracles import working_level_scan
 
 
 def positions_for(n, step=5000):
@@ -91,6 +95,47 @@ class TestWorkingLevel:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             working_level([95.0, 95.0], positions_for(3), LevelParams())
+
+
+@st.composite
+def _backbones(draw):
+    """Level params, a backbone, its positions and its levels (None for the
+    default numbering). Backbones run from empty to longer than the window.
+    Half the draws take nu = 0.5, whose limit is exactly 1.0, with whole
+    alphas on position steps of 1 or 2, so that slopes land exactly on the
+    limit; the others step each alpha by a multiple of the limit near 1."""
+    lookahead = draw(st.integers(0, 6))
+    count = draw(st.integers(0, lookahead + 8))
+    steps = draw(st.lists(st.integers(1, 2), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        params = LevelParams(nu=0.5, lookahead=lookahead)
+        alphas = [float(v) for v in draw(
+            st.lists(st.integers(90, 93), min_size=count, max_size=count))]
+    else:
+        params = LevelParams(nu=draw(st.floats(1e-6, 0.5)), slowdown=draw(st.integers(1, 3)),
+                             lookahead=lookahead)
+        limit = verticality_limit(params)
+        factors = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, -1.0, 3.0]),
+                                min_size=count, max_size=count))
+        alphas = [95.0]
+        for factor, step in zip(factors[1:], steps[1:]):
+            alphas.append(alphas[-1] + factor * limit * step)
+        alphas = alphas[:count]
+    positions = [sum(steps[:i + 1]) for i in range(count)]
+    levels = None
+    if draw(st.booleans()):
+        levels = sorted(draw(st.sets(st.integers(3, 60), min_size=count, max_size=count)))
+    return params, alphas, positions, levels
+
+
+@settings(max_examples=500, deadline=None)
+@given(_backbones())
+def test_working_level_matches_the_all_windows_scan(drawn):
+    params, alphas, positions, levels = drawn
+    expected = working_level_scan(
+        levels if levels is not None else range(3, 3 + len(alphas)), alphas, positions,
+        params.nu, params.slowdown, params.lookahead)
+    assert working_level(alphas, positions, params, levels=levels) == expected
 
 
 class TestPredictionLevel:

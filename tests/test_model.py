@@ -15,13 +15,11 @@ from curvecast.model import (
     ObservationSeries,
     PowerLawParams,
     _fitted_params,
-    asymptote,
     eval_pattern,
-    pattern_slope,
 )
 
 from conftest import REFERENCE_FIT, SERIES_BUILDS
-from oracles import central_difference, residuals_as_read
+from oracles import residuals_as_read
 
 params_st = st.builds(
     PowerLawParams,
@@ -59,42 +57,6 @@ class TestEvalPattern:
                 eval_pattern(params, x)
 
 
-class TestPatternSlope:
-    def test_unit_case(self):
-        assert pattern_slope(PowerLawParams(1, 1, 100), 1) == 1.0
-
-    def test_hand_value(self):
-        assert pattern_slope(PowerLawParams(2, 0.5, 99), 4) == pytest.approx(0.125, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [10.0, 1e3, 1e5])
-    def test_matches_finite_difference(self, x):
-        fd = central_difference(lambda v: eval_pattern(REFERENCE_FIT, v), x)
-        assert pattern_slope(REFERENCE_FIT, x) == pytest.approx(fd, rel=1e-6)
-
-    def test_rejects_nonpositive_position(self):
-        with pytest.raises(ValueError):
-            pattern_slope(REFERENCE_FIT, 0)
-        for x in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                pattern_slope(REFERENCE_FIT, x)
-
-    def test_overflowing_power_names_the_position(self):
-        for params, x in ((PowerLawParams(5000, 1.2, 95), 1e-300),
-                          (PowerLawParams(1e300, 1.2, 95), 1e-10)):
-            with pytest.raises(ValueError, match=f"position {x}"):
-                pattern_slope(params, x)
-
-
-class TestAsymptote:
-    @pytest.mark.parametrize("p, expected", [
-        (REFERENCE_FIT, 99.2876),
-        (PowerLawParams(1, 1, 100), 100.0),
-        (PowerLawParams(5, 2, 87.3), 87.3),
-    ])
-    def test_projection(self, p, expected):
-        assert asymptote(p) == expected
-
-
 # Strategies keep the power term and its variation far above float
 # resolution of values near 100, so the strict inequalities are testable.
 visible_params_st = st.builds(
@@ -122,15 +84,6 @@ def test_concavity(params, x, h_frac):
     gain1 = eval_pattern(params, x + h) - eval_pattern(params, x)
     gain2 = eval_pattern(params, x + 2 * h) - eval_pattern(params, x + h)
     assert gain1 > gain2
-
-
-@given(params_st, st.floats(min_value=1.0, max_value=1e6))
-@settings(max_examples=50, deadline=None)
-def test_slope_positive_and_decreasing(params, x):
-    s1 = pattern_slope(params, x)
-    s2 = pattern_slope(params, x * 2)
-    assert s1 > 0
-    assert s2 < s1  # negative second derivative
 
 
 class TestDomainTypes:
@@ -169,8 +122,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ObservationSeries(pts[:1] * 2)
 
+    def test_constructor_returns_a_series_as_it_is(self):
+        pts = [Observation(5000, 90.0), Observation(10000, 91.0)]
+        series = ObservationSeries(pts)
+        assert ObservationSeries(series) is series
+        for built in (ObservationSeries(tuple(pts)), ObservationSeries(p for p in pts),
+                      ObservationSeries(series.points)):
+            assert built is not series and built == series
+
     def test_series_can_be_empty_and_grow(self):
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
         assert len(series) == 0
         series = series.with_point(Observation(5000, 90.0))
         series = series.with_point(Observation(10000, 91.0))
@@ -179,17 +140,17 @@ class TestDomainTypes:
 
     def test_with_point_equals_rebuilding_the_series(self):
         pts = tuple(Observation(5000 + 4000 * i + i * i, 90.0 + i * 0.01) for i in range(6))
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
         for k, point in enumerate(pts):
             series = series.with_point(point)
-            assert series == ObservationSeries.from_points(pts[:k + 1])
+            assert series == ObservationSeries(pts[:k + 1])
         for late in (pts[-1].position, pts[-1].position - 1):
             with pytest.raises(ValueError):
                 series.with_point(Observation(late, 95.0))
 
     def test_prefix(self):
         pts = tuple(Observation(5000 * i, 90.0 + i * 0.01) for i in range(1, 6))
-        series = ObservationSeries.from_points(pts)
+        series = ObservationSeries(pts)
         assert series.prefix(3).points == pts[:3]
         assert series.prefix(5) is series
         for level in (9, 6, 0, -2):
@@ -243,10 +204,10 @@ class TestSeriesColumns:
     @given(_grown_series())
     def test_grown_columns_and_prefix_fits_match_rebuilt_points(self, drawn):
         points, k = drawn
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
         for point in points:
             series = series.with_point(point)
-        rebuilt = ObservationSeries.from_points(points)
+        rebuilt = ObservationSeries(points)
         for name in COLUMNS:
             grown, fresh = getattr(series, name), getattr(rebuilt, name)
             assert grown.dtype == fresh.dtype == (np.int64 if name == "positions" else np.float64)
@@ -285,7 +246,7 @@ class TestSeriesColumns:
             seen.append((series, [getattr(series, name).tobytes() for name in COLUMNS]))
             return series
 
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
         for _ in range(data.draw(st.integers(0, 5))):
             series = grow(series)
         parent = keep(grow(series))
@@ -353,7 +314,7 @@ class TestSeriesColumns:
         accuracies = [1.0 + i % 99 for i in range(len(positions))]
         points = list(map(Observation, positions, accuracies))
         built = ObservationSeries(points)
-        made = [ObservationSeries(()), built, ObservationSeries.from_points(points),
+        made = [ObservationSeries(()), built, ObservationSeries(iter(points)),
                 ObservationSeries.from_columns(positions, accuracies),
                 pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
         grown = ObservationSeries(())
@@ -373,7 +334,7 @@ class TestSeriesColumns:
     @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_rebuild_read_only_columns(self, duplicate):
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
         for i in range(1, 9):
             series = series.with_point(Observation(5000 * i, eval_pattern(REFERENCE_FIT, 5000 * i)))
         before = fit_power_law(series.prefix(6))

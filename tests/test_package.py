@@ -1,3 +1,5 @@
+import types
+
 import curvecast
 
 
@@ -5,3 +7,15 @@ def test_exports_resolve_once():
     assert len(curvecast.__all__) == len(set(curvecast.__all__))
     missing = [name for name in curvecast.__all__ if not hasattr(curvecast, name)]
     assert missing == []
+
+
+def test_every_public_name_is_exported():
+    public = {name for name, value in vars(curvecast).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(curvecast.__all__)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from curvecast import *", namespace)
+    assert set(curvecast.__all__) <= namespace.keys()

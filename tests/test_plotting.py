@@ -41,7 +41,7 @@ def test_structural_elements(run_state):
 def test_single_trend_without_observations():
     donor = run_stream(RunConfig(tau=0.0), exact_series_points(REFERENCE_FIT, 3))
     trace = donor.trace
-    empty = ObservationSeries.from_points(())
+    empty = ObservationSeries(())
     svg = render_svg(trace, empty)
     assert svg.count("<path") == 1
     assert '<circle class="obs"' not in svg
@@ -50,7 +50,7 @@ def test_single_trend_without_observations():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        render_svg(LearningTrace(), ObservationSeries.from_points(()))
+        render_svg(LearningTrace(), ObservationSeries(()))
 
 
 def test_marker_labels_are_escaped(run_state):
@@ -85,7 +85,7 @@ def plotted_runs(draw):
     selected = draw(st.one_of(st.none(), st.sampled_from(levels)))
     series = state.series
     if draw(st.booleans()):
-        series = ObservationSeries.from_points(())
+        series = ObservationSeries(())
     return (state.trace, series,
             None if selected is None else state.trace.trends[selected], markers or None)
 

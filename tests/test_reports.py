@@ -20,7 +20,7 @@ from curvecast.reports import (
 )
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
 
-from conftest import REFERENCE_FIT, exact_series_points, steep_params
+from conftest import REFERENCE_FIT, SERIES_BUILDS, exact_series_points, steep_params
 
 
 @pytest.fixture
@@ -41,6 +41,13 @@ class TestObservationFiles:
         text = format_observations(series)
         parsed = parse_observations(text)
         assert format_observations(parsed) == text
+
+    def test_same_text_for_every_build(self):
+        points = exact_series_points(REFERENCE_FIT, count=7)
+        texts = {name: format_observations(build(points))
+                 for name, build in SERIES_BUILDS.items()}
+        assert len(set(texts.values())) == 1
+        assert texts["constructor"].splitlines()[:2] == ["position,accuracy", "5000,78.644679"]
 
     def test_header_required(self):
         with pytest.raises(ObservationFileError):

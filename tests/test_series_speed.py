@@ -37,9 +37,9 @@ def _append_chain(series, tail):
 @pytest.mark.parametrize("n", [60, 1000])
 def test_with_point_speed(benchmark, points, n):
     def setup():
-        series = ObservationSeries.from_points(points[:n - 1])
+        series = ObservationSeries(points[:n - 1])
         series.offsets, series.accuracies  # read, as a fit reads them
         return (series.with_point(points[n - 1]), points[n:n + CHAIN]), {}
 
     grown = benchmark.pedantic(_append_chain, setup=setup, rounds=ROUNDS, warmup_rounds=10)
-    assert grown == ObservationSeries.from_points(points[:n + CHAIN])
+    assert grown == ObservationSeries(points[:n + CHAIN])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curvecast.trace
@@ -27,7 +27,7 @@ from oracles import curve_value, sign_scan_crossings
 
 
 def build_noiseless_trace(params=REFERENCE_FIT, count=20):
-    series = ObservationSeries.from_points(exact_series_points(params, count=count))
+    series = ObservationSeries(exact_series_points(params, count=count))
     trace = LearningTrace()
     for _ in range(3, count + 1):
         extend_trace(trace, series)
@@ -37,21 +37,21 @@ def build_noiseless_trace(params=REFERENCE_FIT, count=20):
 def make_trend(a, b, c, level=5, position=25000, converged=True):
     """Trend of ``level`` evenly spaced points ending at ``position``."""
     positions = [position * (i + 1) // level for i in range(level)]
-    series = ObservationSeries.from_points(Observation(x, 50.0) for x in positions)
+    series = ObservationSeries(Observation(x, 50.0) for x in positions)
     return LearningTrend(series=series, params=PowerLawParams(a, b, c),
                          u_scale=a * positions[0] ** -b, converged=converged)
 
 
 class TestExtendTrace:
     def test_first_level_is_three(self):
-        series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=5))
+        series = ObservationSeries(exact_series_points(REFERENCE_FIT, count=5))
         trace = LearningTrace()
         extend_trace(trace, series)
         assert trace.levels() == [3]
         assert len(trace.trends[3].residuals) == 3
 
     def test_needs_enough_observations(self):
-        series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=3))
+        series = ObservationSeries(exact_series_points(REFERENCE_FIT, count=3))
         trace = LearningTrace()
         extend_trace(trace, series)
         with pytest.raises(InsufficientDataError):
@@ -68,7 +68,7 @@ class TestExtendTrace:
             assert trace.alpha(level) == trace.trends[level].params.c
 
     def test_earlier_trends_unchanged(self):
-        series = ObservationSeries.from_points(exact_series_points(REFERENCE_FIT, count=6))
+        series = ObservationSeries(exact_series_points(REFERENCE_FIT, count=6))
         trace = LearningTrace()
         extend_trace(trace, series)
         snapshot = trace.trends[3]
@@ -276,9 +276,22 @@ _REGIMES = {name: _params_st(**ranges) for name, ranges in _RANGES.items()}
 
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_intersection_matches_sign_scan_property(regime, data):
-    p1, p2 = data.draw(_REGIMES[regime]), data.draw(_REGIMES[regime])
+# Stiff decays one ulp apart, where the sign scan sees rounding noise. In
+# the first, the difference stays inside its rounding band for x in about
+# 0.0021-0.0024, and the last of the scan's 1,137 flips lies 3.2% from the
+# crossing solved; in the second, no crossing is solved and the scan counts
+# 1,326 flips; in the third, the one flip straddles an exact zero. An
+# example fills only the arguments that @given draws, so each runs under
+# every regime.
+@example(data=None, pair=(PowerLawParams(10.0, 5.0, 60.0),
+                          PowerLawParams(10.0, 5.000000000000001, 61.0)))
+@example(data=None, pair=(PowerLawParams(27.47957328580167, 25.9978406687762, 63.214517935263615),
+                          PowerLawParams(27.47957328580167, 25.997840668776202, 82.94166237245696)))
+@example(data=None, pair=(PowerLawParams(963.75202448836, 52.686905073971396, 82.0),
+                          PowerLawParams(963.75202448836, 52.68690507397141, 83.0)))
+@given(data=st.data(), pair=st.none())
+def test_intersection_matches_sign_scan_property(regime, data, pair):
+    p1, p2 = pair or (data.draw(_REGIMES[regime]), data.draw(_REGIMES[regime]))
     if _params_close(p1, p2):
         with pytest.raises(ValueError):
             trend_intersection(p1, p2)
@@ -288,8 +301,19 @@ def test_intersection_matches_sign_scan_property(regime, data):
     # any root inside it, well within the 1e-3 tolerance
     flips, approx_roots = sign_scan_crossings((p1.a, p1.b, p1.c), (p2.a, p2.b, p2.c),
                                               n=50_000)
-    assert (crossing is None) == (flips == 0)
-    if crossing is not None:
+    # A flip inside the difference's rounding band is rounding noise: there
+    # the difference is zero to float precision, as it is at every point of
+    # the band, so a crossing solved there need only lie in the band too,
+    # and no crossing is as good an answer as any.
+    if crossing is None:
+        assert all(g <= band for g, band in (_rounding_band(p1, p2, x) for x in approx_roots))
+        return
+    assert flips > 0
+    g, band = _rounding_band(p1, p2, approx_roots[-1])
+    if g <= band:
+        g, band = _rounding_band(p1, p2, crossing[0])
+        assert g <= band
+    else:
         assert crossing[0] == pytest.approx(approx_roots[-1], rel=1e-3)
 
 
