@@ -6,9 +6,12 @@ residual is the anchor minus the trend's asymptote. The canonical chain
 starts from the unanchored asymptote at the working level and thereafter
 feeds each new trend the asymptote of the previous anchored one, which
 damps backbone irregularities without touching the underlying fitter.
-:func:`~curvecast.trace.anchored_chain` builds the chain over a reference
-trace; :func:`next_canonical_anchor` continues it, and
-:func:`fit_anchored_trend` is its fit, started from the decay it is given.
+:func:`next_canonical_anchor` reads the next link off a trace and its
+working level, and :func:`fit_anchored_trend` is the link's fit, started
+from the decay it is given. No caller computes an anchor: given the working
+level, :func:`~curvecast.trace.extend_trace` fits the next link with both,
+and :func:`~curvecast.trace.anchored_chain` builds the chain over a
+reference trace that way.
 """
 
 from __future__ import annotations

@@ -18,14 +18,12 @@ from pathlib import Path
 
 from .anchoring import AnchorPolicy
 from .controller import RunConfig, run_stream
-from .errors import InsufficientDataError
 from .fitting import fit_power_law
 from .levels import LevelParams
 from .metrics import ControlSequence, evaluate_runs
 from .model import PowerLawParams, eval_pattern
 from .plotting import render_svg
 from .reports import (
-    ObservationFileError,
     build_run_report,
     format_observations,
     metrics_report_to_dict,
@@ -91,8 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_int(text: str) -> int:
-    """Integer part of a number written in any float form, e.g. ``5e3``."""
-    value = float(text)
+    """An integer written as one, read exactly, or the integer part of a
+    finite number written in any float form, e.g. ``5e3``."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return int(value)
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ObservationFileError, InsufficientDataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

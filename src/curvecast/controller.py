@@ -5,7 +5,9 @@ Level milestones are one-time events: once declared they are never
 retracted, which gives downstream consumers a stable reference frame. With
 canonical anchoring, the levels between the working level and the moment it
 became verifiable are refitted with anchors on declaration, so the stored
-trace always matches the canonical chain regardless of arrival timing.
+trace always matches the canonical chain regardless of arrival timing;
+every later ingest hands the trace its working level, and the trace derives
+the next anchor from it.
 
 Because milestones are one-time and a stored trend never changes after that
 one rebuild, each ingest checks only what its new level can change: the one
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .anchoring import AnchorPolicy, next_canonical_anchor
+from .anchoring import AnchorPolicy
 from .errors import NotStoppedError, SequencingError
 from .levels import LevelParams, prediction_level, verticality_limit, working_level
 from .model import FIRST_LEVEL, LearningTrend, Observation, ObservationSeries, eval_pattern
@@ -135,7 +137,8 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     level = len(state.series)
     if level < FIRST_LEVEL:
         return state
-    _extend(state)
+    canonical = state.config.anchor_policy.mode == "canonical"
+    extend_trace(state.trace, state.series, omega=state.wlevel if canonical else None)
     if state.wlevel is None:
         omega = _newest_working_level(state.trace, state.config.level_params)
         if omega is not None:
@@ -143,16 +146,6 @@ def ingest(state: RunState, observation: Observation) -> RunState:
     else:
         _declare_later_milestones(state, (level,))
     return state
-
-
-def _extend(state: RunState) -> None:
-    """Fit the run's next level onto its trace, anchored past the working
-    level when the policy asks for it."""
-    if state.config.anchor_policy.mode == "canonical" and state.wlevel is not None:
-        anchor = next_canonical_anchor(state.trace, state.wlevel)
-        extend_trace(state.trace, state.series, anchor=anchor)
-    else:
-        extend_trace(state.trace, state.series)
 
 
 def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | None:

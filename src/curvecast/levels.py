@@ -50,6 +50,10 @@ def working_level(
     consecutive. A window is only judged once all of it is observable, so
     the answer is stable under data growth: later entries can never retract
     an already-reported level.
+
+    Raises ``ValueError`` when the lengths differ, or when two neighbouring
+    positions do not strictly increase: each pair is checked as its slope
+    is read, so pairs past the window that names the level are not read.
     """
     if len(backbone) != len(positions):
         raise ValueError("backbone and positions must have equal length")
@@ -59,7 +63,10 @@ def working_level(
     window = params.lookahead + 1
     run = 0  # consecutive slopes under the limit, ending at entry i
     for i in range(1, len(backbone)):
-        if abs(backbone[i] - backbone[i - 1]) / (positions[i] - positions[i - 1]) <= limit:
+        step = positions[i] - positions[i - 1]
+        if step <= 0:
+            raise ValueError(f"positions {positions[i - 1]}, {positions[i]} do not increase")
+        if abs(backbone[i] - backbone[i - 1]) / step <= limit:
             run += 1
             if run == window:
                 return levels[i - window]

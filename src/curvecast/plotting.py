@@ -60,7 +60,7 @@ def render_svg(
     """
     if not trace.trends:
         raise ValueError("cannot plot an empty trace")
-    trend = selected if selected is not None else trace.trends[max(trace.trends)]
+    trend = selected if selected is not None else trace.trends[trace.last_level]
     a, b, c = trend.params.a, trend.params.b, trend.params.c
     markers = markers or {}
 

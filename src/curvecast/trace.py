@@ -2,9 +2,10 @@
 layers, trend intersections and the correctness bound derived from them.
 
 A trace grows from itself: :func:`extend_trace` fits the level after its
-last, started from the previous trend's decay when that trend converged,
-and :func:`anchored_chain` refits the levels past the working level on the
-series of the reference's last trend.
+last, started from the previous trend's decay when that trend converged
+and, given the working level, anchored at the canonical anchor the trace
+itself determines; :func:`anchored_chain` refits the levels past the
+working level on the series of the reference's last trend.
 """
 
 from __future__ import annotations
@@ -76,15 +77,19 @@ def extend_trace(
     trace: LearningTrace,
     series: ObservationSeries,
     *,
-    anchor: float | None = None,
-) -> LearningTrace:
+    omega: int | None = None,
+) -> None:
     """Fit the trace's next level on the prefix of ``series`` that long and
-    append the trend, anchored at ``anchor`` when one is given.
+    append the trend; past the working level ``omega``, when one is given,
+    the fit is anchored at the trace's next canonical anchor.
 
     The next level is ``FIRST_LEVEL`` on an empty trace and one past the
     last level after that. The fit starts from the previous trend's decay
     when that trend converged. A failed fit is stored flagged as
     non-converged rather than raised, so one bad level cannot wedge a run.
+    An ``omega`` that no chain continues from, past the trace's last level
+    or with an unanchored level after it, raises ``SequencingError`` (from
+    :func:`~curvecast.anchoring.next_canonical_anchor`) and stores nothing.
     """
     last = trace.last_level
     level = FIRST_LEVEL if last is None else last + 1
@@ -96,12 +101,11 @@ def extend_trace(
         previous = trace.trends[last]
         if previous.converged:
             start_b = previous.params.b
-    if anchor is None:
+    if omega is None:
         trend = fit_power_law(prefix, start_b=start_b)
     else:
-        trend = fit_anchored_trend(prefix, anchor, start_b=start_b)
+        trend = fit_anchored_trend(prefix, next_canonical_anchor(trace, omega), start_b=start_b)
     trace.trends[level] = trend
-    return trace
 
 
 def anchored_chain(reference: LearningTrace, omega: int) -> LearningTrace:
@@ -110,15 +114,15 @@ def anchored_chain(reference: LearningTrace, omega: int) -> LearningTrace:
 
     Levels up to the working level ``omega`` are copied as fitted; every
     later level is refitted with the anchor chained from the one before.
-    Extending the result with :func:`next_canonical_anchor` continues the
-    same chain.
+    Extending the result with :func:`extend_trace` and ``omega`` continues
+    the same chain.
     """
     series = reference.trends[reference.last_level].series
     chain = LearningTrace()
     for level in range(FIRST_LEVEL, omega + 1):
         chain.trends[level] = reference.trends[level]
     for _ in range(omega + 1, reference.last_level + 1):
-        extend_trace(chain, series, anchor=next_canonical_anchor(chain, omega))
+        extend_trace(chain, series, omega=omega)
     return chain
 
 

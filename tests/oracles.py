@@ -129,7 +129,6 @@ def full_rescan_run(config, points):
     Returns ``(milestones, trace)``: a dict of the ``RunState`` milestone
     fields plus ``stopped`` and ``ignored_after_stop``, and the final trace.
     """
-    from curvecast.anchoring import next_canonical_anchor
     from curvecast.model import ObservationSeries
     from curvecast.trace import LearningTrace, extend_trace
 
@@ -148,10 +147,7 @@ def full_rescan_run(config, points):
         if level < 3:
             continue
         series = ObservationSeries(seen)
-        if canonical and m["wlevel"] is not None:
-            extend_trace(trace, series, anchor=next_canonical_anchor(trace, m["wlevel"]))
-        else:
-            extend_trace(trace, series)
+        extend_trace(trace, series, omega=m["wlevel"] if canonical else None)
 
         if m["wlevel"] is None:
             conv = [lv for lv in trace.levels() if trace.trends[lv].converged]
@@ -166,8 +162,7 @@ def full_rescan_run(config, points):
                         if lv <= omega:
                             rebuilt.trends[lv] = trace.trends[lv]
                         else:
-                            extend_trace(rebuilt, series,
-                                         anchor=next_canonical_anchor(rebuilt, omega))
+                            extend_trace(rebuilt, series, omega=omega)
                     trace = rebuilt
 
         conv = [lv for lv in trace.levels() if trace.trends[lv].converged]

@@ -4,7 +4,8 @@ from curvecast.anchoring import AnchorPolicy, fit_anchored_trend, next_canonical
 from curvecast.errors import SequencingError
 from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams
-from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
+from curvecast.model import (FIRST_LEVEL, Observation, ObservationSeries, PowerLawParams,
+                             eval_pattern)
 from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 from curvecast.trace import LearningTrace, extend_trace
 
@@ -39,8 +40,7 @@ class TestCanonicalAnchorSequence:
         for _ in range(3, 6):
             extend_trace(trace, series)
         omega = 5
-        anchor = next_canonical_anchor(trace, omega)
-        extend_trace(trace, series, anchor=anchor)
+        extend_trace(trace, series, omega=omega)
         assert next_canonical_anchor(trace, omega) == trace.trends[6].params.c
 
     def test_skips_nonconverged_links(self):
@@ -48,8 +48,7 @@ class TestCanonicalAnchorSequence:
         trace = LearningTrace()
         for _ in range(3, 6):
             extend_trace(trace, series)
-        anchor = next_canonical_anchor(trace, 5)
-        extend_trace(trace, series, anchor=anchor)
+        extend_trace(trace, series, omega=5)
         broken = trace.trends[6]
         object.__setattr__(broken, "converged", False)
         assert next_canonical_anchor(trace, 5) == trace.alpha(5)
@@ -79,6 +78,72 @@ class TestCanonicalAnchorSequence:
                 trend = anchored.trends[level]
                 anchor_value = trend.params.c + trend.anchor_residual
                 assert anchor_value == pytest.approx(REFERENCE_FIT.c, abs=1e-4)
+
+
+class TestExtendWithWorkingLevel:
+    @staticmethod
+    def noisy_series(count=16):
+        return generate_series(SynthSpec(REFERENCE_FIT, count=count,
+                                         noise=NoiseSpec("gaussian", sigma=0.05), seed=3))
+
+    def test_is_the_anchored_fit_at_the_canonical_anchor(self):
+        series = self.noisy_series()
+        omega = 6
+        trace = LearningTrace()
+        for _ in range(3, omega + 1):
+            extend_trace(trace, series)
+        for level in range(omega + 1, len(series) + 1):
+            previous = trace.trends[level - 1]
+            expected = fit_anchored_trend(
+                series.prefix(level), next_canonical_anchor(trace, omega),
+                start_b=previous.params.b if previous.converged else None)
+            assert extend_trace(trace, series, omega=omega) is None
+            assert trace.trends[level] == expected
+            assert trace.trends[level].anchor_residual is not None
+
+    def test_anchor_and_fit_go_through_the_module_attributes(self, monkeypatch):
+        # The bench tracer counts anchored fits and anchors by rebinding
+        # these names; every level past the working level calls each once.
+        import curvecast.trace as trace_module
+
+        calls = []
+        for name in ("next_canonical_anchor", "fit_anchored_trend"):
+            original = getattr(trace_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trace_module, name, counted)
+        series = self.noisy_series(10)
+        trace = LearningTrace()
+        for _ in range(3, 6):
+            extend_trace(trace, series)
+        assert calls == []
+        for _ in range(6, 11):
+            extend_trace(trace, series, omega=5)
+        assert calls == ["next_canonical_anchor", "fit_anchored_trend"] * 5
+
+    @pytest.mark.parametrize("built", [0, 2, 3], ids=["empty", "two-levels", "three-levels"])
+    def test_omega_ahead_of_the_trace_raises_and_stores_nothing(self, built):
+        series = noiseless_series(8)
+        trace = LearningTrace()
+        for _ in range(built):
+            extend_trace(trace, series)
+        before = dict(trace.trends)
+        with pytest.raises(SequencingError, match="after the working level"):
+            extend_trace(trace, series, omega=FIRST_LEVEL + built)
+        assert trace.trends == before
+
+    def test_unanchored_level_past_omega_raises_and_stores_nothing(self):
+        series = noiseless_series(8)
+        trace = LearningTrace()
+        for _ in range(3, 7):
+            extend_trace(trace, series)
+        before = dict(trace.trends)
+        with pytest.raises(SequencingError, match="level 6 is not anchored"):
+            extend_trace(trace, series, omega=5)
+        assert trace.trends == before
 
 
 class TestFitAnchoredTrend:

@@ -385,6 +385,32 @@ class TestEvaluate:
         assert "'damaged'" in captured.err and message in captured.err
 
 
+def test_integer_controls_are_read_exactly(tmp_path, capsys):
+    # 2**53 + 1 is the first integer a float cannot hold: read through a
+    # float it became 2**53, which this truth file lacks.
+    obs = make_obs_file(tmp_path, count=40)
+    out = tmp_path / "run.json"
+    assert main(["run", "--input", str(obs), "--tau", "6.0", "--output", str(out)]) == 0
+    big = 2**53 + 1
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"position,accuracy\n100000,95.0\n{big},96.0\n", encoding="utf-8")
+    rc = main(["evaluate", "--runs", str(out), "--truth", str(truth),
+               "--controls", f"1e5,{big}"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert json.loads(captured.out)["controls"] == [100000, big]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("9007199254740993", 9007199254740993), ("9223372036854775807", 2**63 - 1),
+    ("5e3", 5000), ("5000.9", 5000),
+])
+def test_parse_int_reads_integer_text_exactly(text, value):
+    from curvecast.cli import _parse_int
+
+    assert _parse_int(text) == value
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--runs", "run.json", "--truth", "{obs}", "--controls", "100000,inf"],
     ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:inf"],

@@ -47,6 +47,20 @@ def noisy_points(true, rng, count=40, sigma=0.05):
                                      seed=int(rng.integers(0, 2 ** 31)))).points
 
 
+def _counted_fits(monkeypatch):
+    """A list that gains one entry per fit a run makes."""
+    calls = []
+    for module in (curvecast.trace, curvecast.anchoring):
+        fit = module.fit_power_law
+
+        def counted(*args, _fit=fit, **kwargs):
+            calls.append(1)
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(module, "fit_power_law", counted)
+    return calls
+
+
 def tau_mid(true, points, frac=0.6):
     x = points[int(len(points) * frac)].position
     return true.a * x ** (-true.b)
@@ -246,15 +260,7 @@ class TestDeterminismAndEquivalence:
 
     @pytest.mark.parametrize("mode", ["none", "canonical"])
     def test_offline_makes_the_online_fits(self, mode, rng, monkeypatch):
-        calls = []
-        for module in (curvecast.trace, curvecast.anchoring):
-            fit = module.fit_power_law
-
-            def counted(*args, _fit=fit, **kwargs):
-                calls.append(1)
-                return _fit(*args, **kwargs)
-
-            monkeypatch.setattr(module, "fit_power_law", counted)
+        calls = _counted_fits(monkeypatch)
         true = steep_params(rng)
         points = noisy_points(true, rng, count=40)
         config = RunConfig(tau=tau_mid(true, points, frac=0.4),
@@ -265,6 +271,22 @@ class TestDeterminismAndEquivalence:
         assert online.stopped and online.ignored_after_stop > 0
         assert online == offline
         assert len(calls) - online_fits == online_fits
+
+    @pytest.mark.parametrize("mode", ["none", "canonical"])
+    def test_offline_rejects_a_bad_log_before_any_fit(self, mode, rng, monkeypatch):
+        calls = _counted_fits(monkeypatch)
+        points = list(noisy_points(steep_params(rng), rng, count=20))
+        bad = 12  # repeats the position before it
+        points[bad] = Observation(points[bad - 1].position, points[bad].accuracy)
+        config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode=mode))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_batch(config, points)
+        assert calls == []
+        # The online path finds the fault only when it arrives: levels 3 to
+        # 12 are fitted first.
+        with pytest.raises(SequencingError):
+            run_stream(config, points)
+        assert len(calls) == bad - 2 if mode == "none" else len(calls) >= bad - 2
 
 
 _MILESTONES = ("wlevel", "wposition", "plevel", "pposition", "clevel", "cposition",

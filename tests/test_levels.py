@@ -96,6 +96,16 @@ class TestWorkingLevel:
         with pytest.raises(ValueError):
             working_level([95.0, 95.0], positions_for(3), LevelParams())
 
+    @pytest.mark.parametrize("backbone, positions, lookahead, message", [
+        ([95.0, 95.0, 95.0], [5, 5, 6], 0, "positions 5, 5 do not increase"),
+        # Read as slopes, these steps are negative and would pass the limit.
+        ([90.0, 95.0, 99.0], [6, 5, 4], 1, "positions 6, 5 do not increase"),
+    ], ids=["equal", "decreasing"])
+    def test_positions_that_do_not_increase_rejected(self, backbone, positions, lookahead,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            working_level(backbone, positions, LevelParams(lookahead=lookahead))
+
 
 @st.composite
 def _backbones(draw):
