@@ -88,18 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int(text: str) -> int:
-    """An integer written as one, read exactly, or the integer part of a
-    finite number written in any float form, e.g. ``5e3``."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return int(value)
-
-
 def _parse_noise(text: str) -> NoiseSpec:
     parts = text.split(":")
     kind = parts[0]
@@ -112,7 +100,7 @@ def _parse_noise(text: str) -> NoiseSpec:
     if kind == "bumps":
         if len(parts) not in (3, 4):
             raise ValueError("bumps noise is bumps:MAGNITUDE:COUNT[:MAXPOS]")
-        max_position = _parse_int(parts[3]) if len(parts) == 4 else NoiseSpec.max_position
+        max_position = int(parts[3]) if len(parts) == 4 else NoiseSpec.max_position
         return NoiseSpec("bumps", magnitude=float(parts[1]), count=int(parts[2]),
                          max_position=max_position)
     raise ValueError(f"unknown noise kind {kind!r}")
@@ -213,7 +201,7 @@ def _selected_row(name: str, report) -> tuple[dict, list, dict]:
 def _cmd_evaluate(args) -> int:
     run_paths = [p for p in args.runs.split(",") if p]
     truth_paths = [p for p in args.truth.split(",") if p]
-    controls = [_parse_int(v) for v in args.controls.split(",") if v.strip()]
+    controls = [int(v) for v in args.controls.split(",") if v.strip()]
     if len(run_paths) != len(truth_paths):
         raise ValueError("need exactly one truth file per run report")
     if len(run_paths) < 1:

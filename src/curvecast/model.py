@@ -7,7 +7,8 @@ asymptote ``y = c``.
 A series is a length on a buffer of columns, and a trend is its fit's
 parameters plus its prefix series; residuals are computed on read.
 ``ObservationSeries(points)`` is the one way in from observations, and it
-returns a series as it is; ``from_columns`` builds one from two columns.
+returns a series as it is: ``Observation`` checks each value, and the
+constructor checks their order.
 """
 
 from __future__ import annotations
@@ -133,25 +134,6 @@ class ObservationSeries:
         return (np.array_equal(self.positions, other.positions)
                 and np.array_equal(self.accuracies, other.accuracies))
 
-    @classmethod
-    def from_columns(cls, positions, accuracies) -> "ObservationSeries":
-        """Series of a sequence of Python int ``positions`` and one of real
-        ``accuracies``, checked a column at a time: the values that
-        :class:`Observation` and the constructor reject are rejected here
-        too, without an ``Observation`` per point."""
-        if len(positions) != len(accuracies):
-            raise ValueError(f"{len(positions)} positions but {len(accuracies)} accuracies")
-        if len(positions) and not (set(map(type, positions)) == {int}
-                              and 1 <= min(positions) and max(positions) < 2**63):
-            bad = next(p for p in positions if type(p) is not int or not 1 <= p < 2**63)
-            raise ValueError(f"position must be an integer in [1, 2**63), got {bad!r}")
-        values = np.array(accuracies, dtype=float)
-        valid = np.isfinite(values) & (values > 0.0) & (values <= 100.0)
-        if not valid.all():
-            bad = float(values[np.argmin(valid)])
-            raise ValueError(f"accuracy must be in (0, 100], got {bad!r}")
-        return _series_of_columns(np.array(positions, dtype=np.int64), values)
-
     def __len__(self) -> int:
         return self._length
 
@@ -210,8 +192,9 @@ class ObservationSeries:
 
 
 def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> ObservationSeries:
-    """Series of checked int64 ``positions`` and float64 ``accuracies``,
-    once the positions are found to increase strictly."""
+    """Series of int64 ``positions`` and float64 ``accuracies`` whose values
+    were checked, by ``Observation`` or by ``synth.SynthSpec``, once the
+    positions are found to increase strictly."""
     if (np.diff(positions) <= 0).any():
         raise ValueError("positions must be strictly increasing")
     logs = np.log(positions.astype(float))

@@ -2,7 +2,10 @@
 
 The generator samples an ideal curve on a kernel + constant-step schedule,
 optionally distorted by seeded Gaussian noise or by deterministic
-concavity-breaking bumps on the earliest observations. The check suite
+concavity-breaking bumps on the earliest observations. A ``SynthSpec`` is
+valid by construction: it rejects a schedule that is not made of integers
+>= 1 or that reaches 2**63, and a curve that is not an accuracy at every
+sampled position, so only noise is clipped into range. The check suite
 turns the convergence guarantees of the construction into pass/fail
 properties evaluated against the known true curve, always under the
 construction itself: default level detection and canonical analytic
@@ -18,7 +21,13 @@ import numpy as np
 
 from .anchoring import AnchorPolicy
 from .levels import LevelParams, working_level
-from .model import FIRST_LEVEL, ObservationSeries, PowerLawParams, eval_pattern
+from .model import (
+    FIRST_LEVEL,
+    ObservationSeries,
+    PowerLawParams,
+    _series_of_columns,
+    eval_pattern,
+)
 from .trace import (
     LearningTrace,
     _params_close,
@@ -55,6 +64,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "bumps"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if type(self.count) is not int or type(self.max_position) is not int:
+            raise ValueError(f"count and max_position must be integers, got {self.count!r}, "
+                             f"{self.max_position!r}")
         if not (math.isfinite(self.sigma) and math.isfinite(self.magnitude)):
             raise ValueError(f"sigma and magnitude must be finite, got {self.sigma}, "
                              f"{self.magnitude}")
@@ -66,6 +78,15 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """The ideal curve ``true_params`` sampled at ``count`` positions from
+    ``kernel`` in steps of ``step``, then distorted by ``noise``.
+
+    Checked whole: the schedule is integers >= 1 whose last position is
+    below 2**63, and the ideal curve is an accuracy at every position, at
+    least ``_MIN_ACCURACY`` (1e-6) at the kernel and at most 100 at the
+    last position. The curve increases, so its two ends decide.
+    """
+
     true_params: PowerLawParams
     kernel: int = 5000
     step: int = 5000
@@ -74,8 +95,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        for name in ("kernel", "step", "count"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        last = self.kernel + self.step * (self.count - 1)
+        if last >= 2**63:
+            raise ValueError(f"the last position {last} is not below 2**63")
+        low, high = (eval_pattern(self.true_params, x) for x in (self.kernel, last))
+        if not (_MIN_ACCURACY <= low and high <= 100.0):
+            raise ValueError(f"the curve runs from {low!r} at {self.kernel} to {high!r} at "
+                             f"{last}, outside [{_MIN_ACCURACY}, 100]")
 
 
 def generate_series(spec: SynthSpec) -> ObservationSeries:
@@ -89,8 +119,9 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
         eligible = [i for i, x in enumerate(positions) if x <= spec.noise.max_position]
         for k, i in enumerate(eligible[: spec.noise.count]):
             values[i] += spec.noise.magnitude * (1 if k % 2 == 0 else -1)
+    # Clips only noise: the spec has checked that the ideal curve is in range.
     values = np.clip(values, _MIN_ACCURACY, 100.0)
-    return ObservationSeries.from_columns(positions, values)
+    return _series_of_columns(np.array(positions, dtype=np.int64), values)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ def _grown_by_copy(points):
 # Every way a series' buffer is built or grown, by name.
 SERIES_BUILDS = {
     "constructor": ObservationSeries,
-    "from-columns": lambda points: ObservationSeries.from_columns(
-        [p.position for p in points], [p.accuracy for p in points]),
     "in-place": _grown_in_place,
     "by-copy": _grown_by_copy,
     "pickled": lambda points: pickle.loads(pickle.dumps(_grown_in_place(points))),

@@ -84,7 +84,34 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err == f"error: count must be >= 1, got {count}\n"
+        assert captured.err == f"error: count must be an integer >= 1, got {count}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--a", "1772", "--b", "0.366", "--c", "74.86"],
+        ["--a", "1", "--b", "0.01", "--c", "101"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--kernel", "0"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--kernel", "-5000"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--step", "0"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--step", "-5000"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--kernel", str(2**63 - 1), "--count", "2"],
+    ], ids=["below-zero-at-the-kernel", "above-100-at-the-end", "kernel-0", "kernel-negative",
+            "step-0", "step-negative", "past-int64"])
+    @pytest.mark.parametrize("theorems", [False, True], ids=["series", "theorems"])
+    def test_unsampleable_spec_is_input_error(self, capsys, flags, theorems):
+        # The curve or schedule is rejected before any row is printed,
+        # instead of printing clipped values.
+        rc = main(["simulate", *flags] + ["--theorems"] * theorems)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--kernel", "--step", "--count"])
+    def test_float_schedule_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--a", "500", "--b", "0.45", "--c", "96", flag, "5e3"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_failed_checks_exit_one(self, capsys, monkeypatch):
         import curvecast.cli as cli
@@ -395,20 +422,29 @@ def test_integer_controls_are_read_exactly(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     truth.write_text(f"position,accuracy\n100000,95.0\n{big},96.0\n", encoding="utf-8")
     rc = main(["evaluate", "--runs", str(out), "--truth", str(truth),
-               "--controls", f"1e5,{big}"])
+               "--controls", f"100000,{big}"])
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert json.loads(captured.out)["controls"] == [100000, big]
 
 
-@pytest.mark.parametrize("text, value", [
-    ("9007199254740993", 9007199254740993), ("9223372036854775807", 2**63 - 1),
-    ("5e3", 5000), ("5000.9", 5000),
-])
-def test_parse_int_reads_integer_text_exactly(text, value):
-    from curvecast.cli import _parse_int
-
-    assert _parse_int(text) == value
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--runs", "{run}", "--truth", "{obs}", "--controls", "5e3"],
+    ["evaluate", "--runs", "{run}", "--truth", "{obs}", "--controls", "5000.9"],
+    ["simulate", "--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1:2:5e3"],
+], ids=["evaluate-controls-float-form", "evaluate-controls-fraction",
+        "simulate-bumps-maxpos-float-form"])
+def test_integer_options_take_integer_text_only(tmp_path, capsys, argv):
+    # Every integer option is read by int(): a float form is an input error,
+    # not rounded or cut to an integer.
+    obs = make_obs_file(tmp_path, count=40)
+    run = tmp_path / "run.json"
+    assert main(["run", "--input", str(obs), "--tau", "6.0", "--output", str(run)]) == 0
+    rc = main([arg.format(run=run, obs=obs) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

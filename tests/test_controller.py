@@ -384,7 +384,7 @@ def _window_traces(draw):
     last = draw(st.integers(FIRST_LEVEL, FIRST_LEVEL + 14))
     gaps = draw(st.lists(st.integers(1, 10_000), min_size=last, max_size=last))
     positions = list(itertools.accumulate(gaps))
-    series = ObservationSeries.from_columns(positions, [50.0] * last)
+    series = ObservationSeries(Observation(x, 50.0) for x in positions)
     factor = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9, 3.0]), st.floats(0.0, 1.2))
     alpha = draw(st.floats(80.0, 110.0))
     trace = LearningTrace()

@@ -67,8 +67,7 @@ def test_ingest_speed(benchmark, item, n):
     def fresh_run():
         # The first n - 2 points copied, then one appended: the copy has room
         # for the timed append, as a growing stream's buffer does.
-        grown = ObservationSeries.from_columns(series.positions[:n - 2].tolist(),
-                                               series.accuracies[:n - 2].tolist())
+        grown = ObservationSeries(points[:n - 2])
         state = controller.RunState(
             config=config, series=grown.with_point(points[n - 2]),
             trace=LearningTrace(dict(before.trace.trends)), wlevel=before.wlevel,

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -177,28 +179,6 @@ def _grown_series(draw):
 COLUMNS = ("positions", "accuracies", "offsets")
 
 
-@st.composite
-def _column_rows(draw):
-    """Positions and accuracies, mostly valid. Positions mostly step up by 1
-    to 3, but some repeat or fall; now and then one position is replaced by
-    a value of the wrong type or outside [1, 2**63), and one accuracy by any
-    float, a small integer, a bool or a value at the edge of (0, 100]."""
-    count = draw(st.integers(0, 6))
-    position, positions = 0, []
-    for _ in range(count):
-        position += draw(st.sampled_from([1, 1, 1, 1, 2, 2, 3, 3, 0, -1]))
-        positions.append(position)
-    if count and draw(st.booleans()):
-        positions[draw(st.integers(0, count - 1))] = draw(st.sampled_from(
-            [True, False, 5.0, np.int64(7), 0, -1, 2**63 - 1, 2**63, 2**64, None, "9"]))
-    accuracies = draw(st.lists(st.floats(0.01, 100.0), min_size=count, max_size=count))
-    if count and draw(st.booleans()):
-        accuracies[draw(st.integers(0, count - 1))] = draw(st.one_of(
-            st.floats(), st.integers(-5, 200), st.booleans(),
-            st.sampled_from([0.0, -0.0, 100.0, math.nextafter(100.0, math.inf), 5e-324])))
-    return positions, accuracies
-
-
 class TestSeriesColumns:
     @settings(max_examples=60, deadline=None)
     @given(_grown_series())
@@ -270,37 +250,40 @@ class TestSeriesColumns:
                 with pytest.raises(ValueError):
                     getattr(series, name)[0] = 1
 
-    @settings(max_examples=400, deadline=None)
-    @given(_column_rows())
-    def test_column_path_rejects_what_the_points_reject(self, rows):
-        """``from_columns`` rejects exactly the rows that ``Observation``
-        or the constructor rejects, and otherwise builds the same series."""
-        positions, accuracies = rows
-        try:
-            expected = ObservationSeries(map(Observation, positions, accuracies))
-        except (ValueError, TypeError):
-            with pytest.raises((ValueError, TypeError)):
-                ObservationSeries.from_columns(positions, accuracies)
-            return
-        series = ObservationSeries.from_columns(positions, accuracies)
-        assert series == expected
-        for name in COLUMNS:
-            column = getattr(series, name)
-            assert column.dtype == getattr(expected, name).dtype
-            assert column.tobytes() == getattr(expected, name).tobytes()
-            with pytest.raises(ValueError):
-                column[0:0] = 1
+    def test_two_threads_growing_one_parent_each_get_their_own_point(self):
+        """Two threads grow the same parent, each with its own point, one
+        fresh parent per round and the threads in step. The buffer's lock
+        makes the check and the claim of the next row one step: one child
+        is written in place, the other copies, and no child reads the
+        other thread's point."""
+        rounds, first = 2000, Observation(1, 50.0)
+        parents = [ObservationSeries(()).with_point(first) for _ in range(rounds)]
+        points = (Observation(2, 60.0), Observation(3, 70.0))
+        children, started = ([], []), [-1, -1]
 
-    def test_column_path_names_the_bad_value(self):
-        with pytest.raises(ValueError, match=r"accuracy .* got 250\.0"):
-            ObservationSeries.from_columns([5, 10], [50.0, 250.0])
-        for position in (True, 5.0, 2**63):
-            with pytest.raises(ValueError, match=rf"got {position!r}"):
-                ObservationSeries.from_columns([1, position], [50.0, 60.0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ObservationSeries.from_columns([5, 5], [50.0, 60.0])
-        with pytest.raises(ValueError, match="2 positions but 1 accuracies"):
-            ObservationSeries.from_columns([5, 6], [50.0])
+        def grow(k):
+            try:
+                for i, parent in enumerate(parents):
+                    started[k] = i
+                    while started[1 - k] < i:
+                        pass  # the other thread reaches this parent too
+                    children[k].append(parent.with_point(points[k]))
+            finally:
+                started[k] = rounds  # a thread that raised holds the other up no longer
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for own, grown in zip(points, children):
+            assert [child.points for child in grown] == [(first, own)] * rounds
+        assert all(parent.points == (first,) for parent in parents)
 
     @settings(max_examples=60, deadline=None)
     @given(start=st.integers(1, 2**62), steps=st.lists(st.integers(1, 2**40), max_size=40),
@@ -308,14 +291,13 @@ class TestSeriesColumns:
     def test_offsets_are_log_x_over_x0(self, start, steps, copies, cut):
         """``offsets`` equals ``logs - logs[0]`` bit for bit, with ``logs``
         numpy's log of the positions column, read-only, on every path that
-        builds or grows a buffer: the constructor, ``from_columns``, copies,
-        appends in place and by copy, and prefixes of each."""
+        builds or grows a buffer: the constructor, copies, appends in place
+        and by copy, and prefixes of each."""
         positions = np.cumsum([start, *steps]).tolist()
         accuracies = [1.0 + i % 99 for i in range(len(positions))]
         points = list(map(Observation, positions, accuracies))
         built = ObservationSeries(points)
         made = [ObservationSeries(()), built, ObservationSeries(iter(points)),
-                ObservationSeries.from_columns(positions, accuracies),
                 pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
         grown = ObservationSeries(())
         for point, copied in zip(points, copies):

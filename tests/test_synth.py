@@ -1,12 +1,16 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecast import synth
 from curvecast.anchoring import AnchorPolicy
 from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams, verticality_limit
-from curvecast.model import PowerLawParams
+from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
 from curvecast.synth import (
     CheckResult,
     NoiseSpec,
@@ -82,6 +86,76 @@ class TestGenerateSeries:
             NoiseSpec("gaussian", sigma=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec("bumps", magnitude=0.0, count=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 2.5), ("count", 2.0), ("count", True), ("max_position", 5e3),
+        ("max_position", None),
+    ])
+    def test_noise_counts_and_positions_are_integers(self, field, value):
+        # A float count used to pass here and fail in generate_series as a
+        # slice index.
+        with pytest.raises(ValueError, match="must be integers"):
+            NoiseSpec("bumps", magnitude=1.0, **{"count": 2, field: value})
+
+
+class TestSynthSpec:
+    @pytest.mark.parametrize("value", [5000.0, 2.5, 0, -1, True, None])
+    @pytest.mark.parametrize("field", ["kernel", "step", "count"])
+    def test_schedule_is_integers_from_one(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SynthSpec(REFERENCE_FIT, **{field: value})
+
+    @pytest.mark.parametrize("kernel, step, count", [
+        (2**63, 1, 1), (2**63 - 1, 1, 2), (5000, 2**62, 3),
+    ])
+    def test_last_position_is_below_2_63(self, kernel, step, count):
+        with pytest.raises(ValueError, match="not below 2\\*\\*63"):
+            SynthSpec(REFERENCE_FIT, kernel=kernel, step=step, count=count)
+
+    def test_last_position_can_be_the_largest_int64(self):
+        series = generate_series(SynthSpec(REFERENCE_FIT, kernel=2**63 - 2, step=1, count=2))
+        assert series.positions.tolist() == [2**63 - 2, 2**63 - 1]
+
+    @pytest.mark.parametrize("true", [
+        PowerLawParams(1772, 0.366, 74.86),  # about -3.6 at the kernel
+        PowerLawParams(1, 0.01, 101),  # above 100 at every position
+    ], ids=["below-zero-at-the-kernel", "above-100-at-the-end"])
+    def test_curve_outside_the_accuracy_range_is_rejected(self, true):
+        with pytest.raises(ValueError, match="the curve runs from"):
+            SynthSpec(true)
+
+    def test_curve_of_exactly_100_is_accepted(self):
+        # 100 is an accuracy and is not clipped; one ulp more is rejected.
+        top = PowerLawParams(1.0, 1.0, 100.0 + 1.0 / 5000)
+        assert eval_pattern(top, 5000) == 100.0
+        assert generate_series(SynthSpec(top, count=1)).accuracies.tolist() == [100.0]
+        with pytest.raises(ValueError, match="the curve runs from"):
+            SynthSpec(dataclasses.replace(top, c=math.nextafter(top.c, 200.0)), count=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(50, 2000), b=st.floats(0.1, 1), c=st.floats(60, 99.5),
+       kernel=st.sampled_from([100, 1000, 5000]), count=st.integers(3, 60))
+def test_spec_is_valid_exactly_when_its_ideal_curve_is(a, b, c, kernel, count):
+    """Over a wide draw of curves and schedules, ``SynthSpec`` raises
+    exactly when some sampled ideal value is not an accuracy; otherwise the
+    noiseless series holds ``eval_pattern``'s values bit for bit, in the
+    columns the constructor builds from the same observations."""
+    true = PowerLawParams(a, b, c)
+    positions = [kernel + kernel * i for i in range(count)]
+    ideal = [eval_pattern(true, x) for x in positions]
+    if not all(synth._MIN_ACCURACY <= value <= 100.0 for value in ideal):
+        with pytest.raises(ValueError, match="the curve runs from"):
+            SynthSpec(true, kernel=kernel, step=kernel, count=count)
+        return
+    series = generate_series(SynthSpec(true, kernel=kernel, step=kernel, count=count))
+    assert series.accuracies.tobytes() == np.array(ideal).tobytes()
+    expected = ObservationSeries(map(Observation, positions, ideal))
+    for name in ("positions", "accuracies", "offsets"):
+        column = getattr(series, name)
+        assert column.dtype == getattr(expected, name).dtype
+        assert column.tobytes() == getattr(expected, name).tobytes()
+    assert series._buffer.log_x0 == expected._buffer.log_x0
 
 
 class TestTheoremSuite:
