@@ -1,6 +1,6 @@
 """curvecast: learning-curve prediction with convergence-aware stopping."""
 
-from .anchoring import AnchorPolicy, fit_anchored_trend, next_canonical_anchor
+from .anchoring import AnchorPolicy
 from .controller import (
     RunConfig,
     RunState,
@@ -68,13 +68,11 @@ __all__ = [
     "eval_pattern",
     "evaluate_runs",
     "extend_trace",
-    "fit_anchored_trend",
     "fit_power_law",
     "generate_series",
     "ingest",
     "mape",
     "new_run",
-    "next_canonical_anchor",
     "percentage_error",
     "prediction_level",
     "predict",

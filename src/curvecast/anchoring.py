@@ -8,10 +8,12 @@ feeds each new trend the asymptote of the previous anchored one, which
 damps backbone irregularities without touching the underlying fitter.
 :func:`next_canonical_anchor` reads the next link off a trace and its
 working level, and :func:`fit_anchored_trend` is the link's fit, started
-from the decay it is given. No caller computes an anchor: given the working
-level, :func:`~curvecast.trace.extend_trace` fits the next link with both,
-and :func:`~curvecast.trace.anchored_chain` builds the chain over a
-reference trace that way.
+from the decay it is given. Both are internals of
+:func:`~curvecast.trace.extend_trace`, which fits the next link with them
+given the working level, so no caller computes an anchor;
+:func:`~curvecast.trace.anchored_chain` builds the chain over a reference
+trace that way. The package exports one fit: an anchored fit from it is
+``fit_power_law(points, anchor=...)``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,11 @@
 
 Subcommands: ``fit`` (one-off prefix fit), ``run`` (full run with stopping),
 ``evaluate`` (reliability metrics over finished runs) and ``simulate``
-(synthetic series and convergence checks).
+(synthetic series and convergence checks). ``run --plot`` marks the
+levels the report flags, at their positions. ``simulate`` checks its whole
+spec before it writes anything: a seed below 0, a curve that is not an
+accuracy on its schedule, and bumps that the schedule cannot all place at
+or below ``MAXPOS`` are input errors.
 
 Exit codes: 0 success, 1 failed checks, 2 input/parse error, 3 run never
 reached the convergence level, 4 fit failure.
@@ -146,12 +150,10 @@ def _cmd_run(args) -> int:
     report = build_run_report(state, predict_at=positions)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     # The plot is written first: a plot path that cannot be written fails
-    # the command before any of the report is.
+    # the command before any of the report is. Its markers are the report's
+    # level flags.
     if args.plot:
-        markers = {label: pos for label, pos in (("working", state.wposition),
-                                                 ("prediction", state.pposition),
-                                                 ("convergence", state.cposition))
-                   if pos is not None}
+        markers = {flag: row["position"] for row in report["levels"] for flag in row["flags"]}
         svg = render_svg(state.trace, state.series, selected=state.selected_trend,
                          markers=markers)
         Path(args.plot).write_text(svg, encoding="utf-8")

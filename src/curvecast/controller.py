@@ -58,9 +58,10 @@ class RunConfig:
         # tau == 0 is allowed and means "never stop": layers are strictly
         # positive, so the threshold is unreachable. The chained test also
         # rejects NaN, and inf, which a report could not write as JSON; a
-        # huge finite tau stops at the prediction level.
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        # huge finite tau stops at the prediction level. A bool is not a
+        # threshold: the report would write it as JSON true or false.
+        if type(self.tau) is bool or not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be a finite number >= 0, got {self.tau!r}")
         if self.end_position is not None and (
                 type(self.end_position) is not int or self.end_position < 1):
             raise ValueError(

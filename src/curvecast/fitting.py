@@ -196,7 +196,8 @@ def fit_power_law(
 ) -> LearningTrend:
     """Trend of ``points``, a series or any sequence of observations (which
     is first made a series): the least-squares fit of the curve, at level
-    ``len(points)`` and the last observation's position.
+    ``len(points)`` and the last observation's position. It is the one fit
+    the package exports, anchored or not.
 
     ``anchor`` adds one pseudo-observation at infinity. Its residual, the
     anchor minus ``c``, is the trend's ``anchor_residual`` and counts in
@@ -217,18 +218,13 @@ def fit_power_law(
         raise ValueError(f"start_b must be finite and > 0, got {start_b}")
     t_mean, tt, evaluate = _projection(offsets, targets, anchor)
     slack = _COST_TOLERANCE * tt
-    # Constants the loop reads on every iteration, bound as locals.
     lo, hi = _LOG_B_RANGE
-    halvings = range(_MAX_HALVINGS)
-    gauss_newton_share, param_tolerance, cost_tolerance = (
-        _MIN_GAUSS_NEWTON_SHARE, _PARAM_TOLERANCE, _COST_TOLERANCE)
-
     v = min(max(math.log(start_b), lo), hi)
     a, cost, slope, curvature, gauss_newton, e_mean = evaluate(v)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        if not curvature > 0.0 or 0.0 < gauss_newton < gauss_newton_share * curvature:
+        if not curvature > 0.0 or 0.0 < gauss_newton < _MIN_GAUSS_NEWTON_SHARE * curvature:
             curvature = gauss_newton
         if not curvature > 0.0:
             converged = slope == 0.0  # no step to take: a minimum if flat
@@ -236,11 +232,11 @@ def fit_power_law(
         target = v - slope / curvature
         target = lo if target < lo else hi if target > hi else target
         step = target - v
-        if (abs(step) <= param_tolerance * (1.0 + abs(v))
-                or slope * slope <= 2.0 * curvature * cost_tolerance * max(cost, 1e-300)):
+        if (abs(step) <= _PARAM_TOLERANCE * (1.0 + abs(v))
+                or slope * slope <= 2.0 * curvature * _COST_TOLERANCE * max(cost, 1e-300)):
             converged = True
             break
-        for _ in halvings:
+        for _ in range(_MAX_HALVINGS):
             trial = evaluate(target)
             if trial[1] <= cost + slack:
                 break

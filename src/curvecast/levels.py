@@ -3,15 +3,15 @@
 The working level is the first level from which the backbone's consecutive
 slopes stay under a verticality bound over a look-ahead window; the
 prediction level is the first level at or after it whose asymptote is a
-feasible accuracy (<= 100).
+feasible accuracy (<= 100). Both rules take the level number of every
+backbone entry: a backbone read off a trace's converged view skips the
+levels whose fit did not converge, so an entry's index is not its level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-from .model import FIRST_LEVEL
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,22 @@ def working_level(
     backbone: Sequence[float],
     positions: Sequence[int],
     params: LevelParams,
-    levels: Sequence[int] | None = None,
+    levels: Sequence[int],
 ) -> int | None:
     """Smallest level whose full look-ahead window keeps every slope under
     the verticality limit, or None if no window passes yet.
 
-    ``levels`` maps backbone entries to their level numbers; by default the
-    first entry is level ``model.FIRST_LEVEL`` (3) and entries are
-    consecutive. A window is only judged once all of it is observable, so
-    the answer is stable under data growth: later entries can never retract
-    an already-reported level.
+    ``levels`` holds the level number of each backbone entry. A window is
+    only judged once all of it is observable, so the answer is stable under
+    data growth: later entries can never retract an already-reported level.
 
-    Raises ``ValueError`` when the lengths differ, or when two neighbouring
-    positions do not strictly increase: each pair is checked as its slope
-    is read, so pairs past the window that names the level are not read.
+    Raises ``ValueError`` when the three lengths differ, or when two
+    neighbouring positions do not strictly increase: each pair is checked
+    as its slope is read, so pairs past the window that names the level are
+    not read.
     """
-    if len(backbone) != len(positions):
-        raise ValueError("backbone and positions must have equal length")
-    if levels is None:
-        levels = range(FIRST_LEVEL, FIRST_LEVEL + len(backbone))
+    if not len(backbone) == len(positions) == len(levels):
+        raise ValueError("backbone, positions and levels must have equal length")
     limit = verticality_limit(params)
     window = params.lookahead + 1
     run = 0  # consecutive slopes under the limit, ending at entry i
@@ -78,11 +75,10 @@ def working_level(
 def prediction_level(
     backbone: Sequence[float],
     omega: int,
-    levels: Sequence[int] | None = None,
+    levels: Sequence[int],
 ) -> int | None:
-    """Smallest level >= ``omega`` whose asymptote is <= 100, or None."""
-    if levels is None:
-        levels = range(FIRST_LEVEL, FIRST_LEVEL + len(backbone))
+    """Smallest level >= ``omega`` whose asymptote is <= 100, or None;
+    ``levels`` holds the level number of each backbone entry."""
     for level, alpha in zip(levels, backbone):
         if level >= omega and alpha <= 100.0:
             return level

@@ -1,12 +1,13 @@
 """Deterministic SVG rendering of a run: observations, the selected trend,
 its asymptote and the level milestones.
 
-The curve samples and the observations are scaled to pixels as numpy arrays,
-with the same order of operations as the scalar formula, so every
-coordinate rounds exactly as it would one at a time. The 257-point path is
-written by one ``%`` template and every other element by one f-string that
-formats its numbers inline, all with ``.3f``, so identical inputs produce
-byte-identical files. Marker labels are XML-escaped.
+Each axis has one pixel formula. It scales the curve samples and the
+observations as numpy arrays and every other coordinate as a float, with
+the same operations in the same order, so every coordinate rounds exactly
+as it would one at a time. The 257-point path is written by one ``%``
+template and every other element by one f-string that formats its numbers
+inline, all with ``.3f``, so identical inputs produce byte-identical files.
+Marker labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ def render_svg(
     a, b, c = trend.params.a, trend.params.b, trend.params.c
     markers = markers or {}
 
-    # The x range starts at 0, so a position's pixel column is
-    # MARGIN_L + position / x_span * PLOT_W.
     obs_x = series.positions.tolist()
     obs_y = series.accuracies.tolist()
     positions = obs_x + [t.position for t in trace.trends.values()]
@@ -122,16 +121,16 @@ def render_svg(
     xs = x_start + (x_hi - x_start) * _SAMPLE_STEPS / CURVE_SAMPLES
     ys = np.array([c - a * x ** -b for x in xs.tolist()])
     path = np.empty(2 * CURVE_SAMPLES + 2)
-    path[0::2] = MARGIN_L + xs / x_span * PLOT_W
-    path[1::2] = BASE_Y - (np.minimum(np.maximum(ys, y_lo), y_hi) - y_lo) / y_span * PLOT_H
+    path[0::2] = px(xs)
+    path[1::2] = py(np.minimum(np.maximum(ys, y_lo), y_hi))
     parts.append(
         f'<path class="trend" d="{_PATH % tuple(path.tolist())}" fill="none" '
         'stroke="#1f77b4" stroke-width="1.5"/>'
     )
 
     # observations
-    cx = MARGIN_L + np.array(obs_x, dtype=float) / x_span * PLOT_W
-    cy = BASE_Y - (np.minimum(np.maximum(obs_y, y_lo), y_hi) - y_lo) / y_span * PLOT_H
+    cx = px(np.array(obs_x, dtype=float))
+    cy = py(np.minimum(np.maximum(obs_y, y_lo), y_hi))
     parts.extend(
         f'<circle class="obs" cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#d62728"/>'
         for x, y in zip(cx.tolist(), cy.tolist())

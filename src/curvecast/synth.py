@@ -4,8 +4,9 @@ The generator samples an ideal curve on a kernel + constant-step schedule,
 optionally distorted by seeded Gaussian noise or by deterministic
 concavity-breaking bumps on the earliest observations. A ``SynthSpec`` is
 valid by construction: it rejects a schedule that is not made of integers
->= 1 or that reaches 2**63, and a curve that is not an accuracy at every
-sampled position, so only noise is clipped into range. The check suite
+>= 1 or that reaches 2**63, a seed that is not an integer >= 0, bumps that
+the schedule cannot all place, and a curve that is not an accuracy at
+every sampled position, so only noise is clipped into range. The check suite
 turns the convergence guarantees of the construction into pass/fail
 properties evaluated against the known true curve, always under the
 construction itself: default level detection and canonical analytic
@@ -52,7 +53,9 @@ class NoiseSpec:
 
     ``gaussian`` adds seeded N(0, sigma) noise; ``bumps`` adds
     ``magnitude``-sized deviations of alternating sign to the first
-    ``count`` observations located at or below ``max_position``.
+    ``count`` observations, which must all lie at or below
+    ``max_position``: a :class:`SynthSpec` whose schedule places fewer
+    than ``count`` positions there raises.
     """
 
     kind: str = "none"
@@ -82,9 +85,11 @@ class SynthSpec:
     ``kernel`` in steps of ``step``, then distorted by ``noise``.
 
     Checked whole: the schedule is integers >= 1 whose last position is
-    below 2**63, and the ideal curve is an accuracy at every position, at
-    least ``_MIN_ACCURACY`` (1e-6) at the kernel and at most 100 at the
-    last position. The curve increases, so its two ends decide.
+    below 2**63, the seed is an integer >= 0, with or without noise, every
+    bump asked for has a position at or below its ``max_position``, and the
+    ideal curve is an accuracy at every position, at least
+    ``_MIN_ACCURACY`` (1e-6) at the kernel and at most 100 at the last
+    position. The curve increases, so its two ends decide.
     """
 
     true_params: PowerLawParams
@@ -95,13 +100,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("kernel", "step", "count"):
+        for name, least in (("kernel", 1), ("step", 1), ("count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         last = self.kernel + self.step * (self.count - 1)
         if last >= 2**63:
             raise ValueError(f"the last position {last} is not below 2**63")
+        placed = len(range(self.kernel, min(last, self.noise.max_position) + 1, self.step))
+        if self.noise.kind == "bumps" and placed < self.noise.count:
+            raise ValueError(f"{self.noise.count} bumps need as many positions at or below "
+                             f"{self.noise.max_position}, the schedule has {placed}")
         low, high = (eval_pattern(self.true_params, x) for x in (self.kernel, last))
         if not (_MIN_ACCURACY <= low and high <= 100.0):
             raise ValueError(f"the curve runs from {low!r} at {self.kernel} to {high!r} at "
@@ -116,9 +125,9 @@ def generate_series(spec: SynthSpec) -> ObservationSeries:
         rng = np.random.default_rng(spec.seed)
         values = values + rng.normal(0.0, spec.noise.sigma, size=spec.count)
     elif spec.noise.kind == "bumps":
-        eligible = [i for i, x in enumerate(positions) if x <= spec.noise.max_position]
-        for k, i in enumerate(eligible[: spec.noise.count]):
-            values[i] += spec.noise.magnitude * (1 if k % 2 == 0 else -1)
+        # The spec has checked that the first count positions are eligible.
+        for k in range(spec.noise.count):
+            values[k] += spec.noise.magnitude * (1 if k % 2 == 0 else -1)
     # Clips only noise: the spec has checked that the ideal curve is in range.
     values = np.clip(values, _MIN_ACCURACY, 100.0)
     return _series_of_columns(np.array(positions, dtype=np.int64), values)

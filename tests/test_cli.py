@@ -94,12 +94,22 @@ class TestSimulate:
         ["--a", "500", "--b", "0.45", "--c", "96", "--step", "0"],
         ["--a", "500", "--b", "0.45", "--c", "96", "--step", "-5000"],
         ["--a", "500", "--b", "0.45", "--c", "96", "--kernel", str(2**63 - 1), "--count", "2"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--seed", "-1"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--seed", "-1", "--noise", "gaussian:0.05"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--count", "5", "--noise", "bumps:1:2:4999"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--count", "5", "--noise", "bumps:1:6"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--noise", "gaussian"],
+        ["--a", "500", "--b", "0.45", "--c", "96", "--noise", "bumps:1"],
     ], ids=["below-zero-at-the-kernel", "above-100-at-the-end", "kernel-0", "kernel-negative",
-            "step-0", "step-negative", "past-int64"])
+            "step-0", "step-negative", "past-int64", "seed-negative", "seed-negative-gaussian",
+            "bumps-past-max-position", "bumps-past-the-series", "gaussian-without-sigma",
+            "bumps-without-count"])
     @pytest.mark.parametrize("theorems", [False, True], ids=["series", "theorems"])
     def test_unsampleable_spec_is_input_error(self, capsys, flags, theorems):
-        # The curve or schedule is rejected before any row is printed,
-        # instead of printing clipped values.
+        # The spec is rejected before any row is printed, instead of
+        # printing clipped values. A negative seed used to print a noiseless
+        # series and fail in numpy with noise; bumps with no position to go
+        # to used to leave the series noiseless.
         rc = main(["simulate", *flags] + ["--theorems"] * theorems)
         captured = capsys.readouterr()
         assert rc == 2
@@ -381,6 +391,27 @@ class TestEvaluate:
                    "--controls", "100000"])
         assert rc == 2
 
+    def test_no_run_files_is_input_error(self, capsys):
+        rc = main(["evaluate", "--runs", ",", "--truth", ",", "--controls", "100000"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: need at least one run\n"
+
+    def test_two_run_files_of_one_stem_is_input_error(self, tmp_path, capsys):
+        # Runs are named by their file stem, so two such files would be one run.
+        obs = make_obs_file(tmp_path, count=40)
+        paths = [tmp_path / "a" / "run.json", tmp_path / "b" / "run.json"]
+        for path in paths:
+            path.parent.mkdir()
+        assert main(["run", "--input", str(obs), "--tau", "6.0",
+                     "--output", str(paths[0])]) == 0
+        paths[1].write_bytes(paths[0].read_bytes())
+        rc = main(["evaluate", "--runs", ",".join(map(str, paths)),
+                   "--truth", f"{obs},{obs}", "--controls", "100000"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: run report file names must be distinct\n"
+
     @pytest.mark.parametrize("damage, message", [
         (lambda report: report.pop("summary"), "report has no summary"),
         (lambda report: report.pop("levels"), "report has no levels"),
@@ -395,6 +426,10 @@ class TestEvaluate:
                      "summary levels are not integers", id="clevel-true"),
         pytest.param(lambda report: report["levels"][0].update(level=True),
                      "level row 0 lacks level, c or converged", id="row-level-true"),
+        pytest.param(lambda report: next(row for row in report["levels"]
+                                         if row["level"] == report["summary"]["clevel"]
+                                         ).pop("a"),
+                     "lacks its parameters", id="clevel-row-without-a"),
     ])
     def test_malformed_report_is_input_error(self, tmp_path, capsys, damage, message):
         obs = make_obs_file(tmp_path, count=40)

@@ -451,6 +451,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tau=math.inf)  # a report could not write it as JSON
     RunConfig(tau=0.0)  # "never stop" is allowed
+    for flag in (True, False):  # a report would write it as JSON true or false
+        with pytest.raises(ValueError, match="tau must be a finite number >= 0"):
+            RunConfig(tau=flag)
+    assert RunConfig(tau=1).tau == 1
     for end in (0, -5, 2.5e5, 5000.0, True):  # a horizon is a position: an integer >= 1
         with pytest.raises(ValueError):
             RunConfig(tau=1.0, end_position=end)

@@ -16,6 +16,11 @@ def positions_for(n, step=5000):
     return [step * (i + 1) for i in range(n)]
 
 
+def levels_for(n):
+    """Level numbers of a backbone with no gap, from level 3."""
+    return list(range(3, 3 + n))
+
+
 class TestVerticalityLimit:
     def test_default_reading(self):
         # nu**(1/slowdown) / (1 - nu) with the shipped defaults
@@ -50,36 +55,40 @@ class TestVerticalityLimit:
 class TestWorkingLevel:
     def test_constant_backbone_starts_at_first_operative_level(self):
         backbone = [95.0] * 10
-        assert working_level(backbone, positions_for(10), LevelParams(lookahead=5)) == 3
+        assert working_level(backbone, positions_for(10), LevelParams(lookahead=5),
+                             levels_for(10)) == 3
 
     def test_jump_then_flat(self):
         # one huge early jump: the slope between the first two entries
         # violates the limit, everything after is quiet
         backbone = [80.0, 95.0] + [95.0001 + i * 1e-6 for i in range(8)]
-        omega = working_level(backbone, positions_for(10), LevelParams(lookahead=2))
+        omega = working_level(backbone, positions_for(10), LevelParams(lookahead=2),
+                              levels_for(10))
         assert omega == 4  # first level after the jump
 
     def test_zero_lookahead_is_single_slope(self):
         backbone = [80.0, 95.0, 95.00001, 95.00002]
         params = LevelParams(lookahead=0)
-        assert working_level(backbone, positions_for(4), params) == 4
+        assert working_level(backbone, positions_for(4), params, levels_for(4)) == 4
 
     def test_absent_when_window_incomplete(self):
         backbone = [95.0] * 6  # lookahead 5 needs 7 entries
-        assert working_level(backbone, positions_for(6), LevelParams(lookahead=5)) is None
+        assert working_level(backbone, positions_for(6), LevelParams(lookahead=5),
+                             levels_for(6)) is None
 
     def test_absent_when_always_violating(self):
         backbone = [80.0 + (i % 2) for i in range(12)]  # sawtooth
-        assert working_level(backbone, positions_for(12), LevelParams(lookahead=3)) is None
+        assert working_level(backbone, positions_for(12), LevelParams(lookahead=3),
+                             levels_for(12)) is None
 
     def test_stable_under_growth(self):
         backbone = [90.0, 94.0, 95.0, 95.0001, 95.0002, 95.00025, 95.0003,
                     95.00032, 95.00033, 95.00034, 95.00035, 95.00036]
         params = LevelParams(lookahead=3)
-        full = working_level(backbone, positions_for(12), params)
+        full = working_level(backbone, positions_for(12), params, levels_for(12))
         assert full is not None
         for n in range(3, 13):
-            prefix = working_level(backbone[:n], positions_for(n), params)
+            prefix = working_level(backbone[:n], positions_for(n), params, levels_for(n))
             if prefix is not None:
                 assert prefix == full
 
@@ -93,8 +102,10 @@ class TestWorkingLevel:
         assert omega == 3
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            working_level([95.0, 95.0], positions_for(3), LevelParams())
+        with pytest.raises(ValueError, match="must have equal length"):
+            working_level([95.0, 95.0], positions_for(3), LevelParams(), levels_for(2))
+        with pytest.raises(ValueError, match="must have equal length"):
+            working_level([95.0, 95.0], positions_for(2), LevelParams(), levels_for(3))
 
     @pytest.mark.parametrize("backbone, positions, lookahead, message", [
         ([95.0, 95.0, 95.0], [5, 5, 6], 0, "positions 5, 5 do not increase"),
@@ -104,13 +115,14 @@ class TestWorkingLevel:
     def test_positions_that_do_not_increase_rejected(self, backbone, positions, lookahead,
                                                      message):
         with pytest.raises(ValueError, match=message):
-            working_level(backbone, positions, LevelParams(lookahead=lookahead))
+            working_level(backbone, positions, LevelParams(lookahead=lookahead),
+                          levels_for(len(backbone)))
 
 
 @st.composite
 def _backbones(draw):
-    """Level params, a backbone, its positions and its levels (None for the
-    default numbering). Backbones run from empty to longer than the window.
+    """Level params, a backbone, its positions and its levels (consecutive
+    from 3, or with gaps). Backbones run from empty to longer than the window.
     Half the draws take nu = 0.5, whose limit is exactly 1.0, with whole
     alphas on position steps of 1 or 2, so that slopes land exactly on the
     limit; the others step each alpha by a multiple of the limit near 1."""
@@ -132,7 +144,7 @@ def _backbones(draw):
             alphas.append(alphas[-1] + factor * limit * step)
         alphas = alphas[:count]
     positions = [sum(steps[:i + 1]) for i in range(count)]
-    levels = None
+    levels = levels_for(count)
     if draw(st.booleans()):
         levels = sorted(draw(st.sets(st.integers(3, 60), min_size=count, max_size=count)))
     return params, alphas, positions, levels
@@ -142,30 +154,36 @@ def _backbones(draw):
 @given(_backbones())
 def test_working_level_matches_the_all_windows_scan(drawn):
     params, alphas, positions, levels = drawn
-    expected = working_level_scan(
-        levels if levels is not None else range(3, 3 + len(alphas)), alphas, positions,
-        params.nu, params.slowdown, params.lookahead)
+    expected = working_level_scan(levels, alphas, positions,
+                                  params.nu, params.slowdown, params.lookahead)
     assert working_level(alphas, positions, params, levels=levels) == expected
 
 
 class TestPredictionLevel:
     def test_equals_working_level_when_feasible(self):
         backbone = [99.0, 99.1, 99.2, 99.3]
-        assert prediction_level(backbone, omega=3) == 3
+        assert prediction_level(backbone, omega=3, levels=levels_for(4)) == 3
 
     def test_waits_for_feasible_asymptote(self):
         backbone = [102.0, 101.0, 99.5]
-        assert prediction_level(backbone, omega=3) == 5
+        assert prediction_level(backbone, omega=3, levels=levels_for(3)) == 5
 
     def test_absent_when_never_feasible(self):
         backbone = [104.0, 103.0, 102.0, 101.0]
-        assert prediction_level(backbone, omega=3) is None
+        assert prediction_level(backbone, omega=3, levels=levels_for(4)) is None
 
     def test_ignores_entries_before_working_level(self):
         backbone = [99.0, 102.0, 101.0, 99.8]
-        assert prediction_level(backbone, omega=4) == 6
+        assert prediction_level(backbone, omega=4, levels=levels_for(4)) == 6
+
+    def test_levels_mapping_with_gaps(self):
+        # converged levels 3, 4, 7 (levels 5 and 6 dropped): the feasible
+        # entry is level 7, not the third level from 3
+        backbone = [101.0, 100.5, 99.5]
+        assert prediction_level(backbone, omega=3, levels=[3, 4, 7]) == 7
 
     def test_determinism(self):
         backbone = [101.0, 100.0, 99.9]
-        first = prediction_level(backbone, omega=3)
-        assert all(prediction_level(backbone, omega=3) == first for _ in range(5))
+        first = prediction_level(backbone, omega=3, levels=levels_for(3))
+        assert all(prediction_level(backbone, omega=3, levels=levels_for(3)) == first
+                   for _ in range(5))

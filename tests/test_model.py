@@ -124,6 +124,18 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ObservationSeries(pts[:1] * 2)
 
+    def test_series_is_read_only_and_equals_only_a_series(self):
+        series = ObservationSeries([Observation(5000, 90.0), Observation(10000, 91.0)])
+        with pytest.raises(AttributeError, match="ObservationSeries is read-only"):
+            series._length = 1
+        assert len(series) == 2
+        assert series != object() and not series == object()
+
+    def test_trend_needs_three_observations(self):
+        series = ObservationSeries([Observation(5000, 90.0), Observation(10000, 91.0)])
+        with pytest.raises(ValueError, match="a trend needs at least 3 observations"):
+            LearningTrend(series, PowerLawParams(1.0, 1.0, 95.0), u_scale=1.0)
+
     def test_constructor_returns_a_series_as_it_is(self):
         pts = [Observation(5000, 90.0), Observation(10000, 91.0)]
         series = ObservationSeries(pts)

@@ -1,5 +1,7 @@
 import types
 
+import pytest
+
 import curvecast
 
 
@@ -19,3 +21,15 @@ def test_star_import():
     namespace = {}
     exec("from curvecast import *", namespace)
     assert set(curvecast.__all__) <= namespace.keys()
+
+
+def test_the_package_exports_one_fit():
+    # An anchored fit is fit_power_law(points, anchor=...); the anchoring
+    # helpers stay in their module, where extend_trace calls them.
+    import curvecast.anchoring
+
+    for name in ("fit_anchored_trend", "next_canonical_anchor"):
+        assert name not in curvecast.__all__
+        with pytest.raises(ImportError):
+            exec(f"from curvecast import {name}", {})
+        assert callable(getattr(curvecast.anchoring, name))

@@ -93,6 +93,13 @@ class TestRunReport:
         assert report["summary"]["clevel"] is None
         assert report["summary"]["predicted_accuracy_at"] == {}
 
+    def test_integer_tau_is_reported_as_a_number(self):
+        # A bool tau is rejected by RunConfig; an int is a threshold.
+        state = run_stream(RunConfig(tau=1), exact_series_points(REFERENCE_FIT, 5))
+        report = build_run_report(state)
+        jsonschema.validate(report, load_report_schema())
+        assert type(report["config"]["tau"]) is int and report["summary"]["tau"] == 1
+
     def test_milestone_flags(self, finished_state):
         report = build_run_report(finished_state)
         flagged = {f: row["level"] for row in report["levels"] for f in row["flags"]}
@@ -230,6 +237,16 @@ class TestJsonText:
         else:
             report["summary"]["predicted_accuracy_at"]["300000"] = bad
         with pytest.raises(ValueError):
+            report_to_json(report)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"],
+                             ids=["object", "set", "bytes"])
+    def test_value_json_cannot_hold_raises_type_error(self, value):
+        # As json.dumps does.
+        report = {"config": {"tau": 1.0}, "summary": {"extra": [value]}}
+        with pytest.raises(TypeError):
+            _stdlib_json(report)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
             report_to_json(report)
 
     @pytest.mark.parametrize("edit", [

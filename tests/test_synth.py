@@ -105,6 +105,38 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             SynthSpec(REFERENCE_FIT, **{field: value})
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("gaussian", sigma=0.05)],
+                             ids=["noiseless", "gaussian"])
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, -1, None])
+    def test_seed_is_an_integer_from_zero(self, seed, noise):
+        # Checked with or without noise: a bad seed used to construct and
+        # fail in numpy once a noisy series was generated.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SynthSpec(REFERENCE_FIT, noise=noise, seed=seed)
+
+    def test_seed_zero_and_a_large_seed_are_accepted(self):
+        noise = NoiseSpec("gaussian", sigma=0.05)
+        for seed in (0, 2**64):
+            assert len(generate_series(SynthSpec(REFERENCE_FIT, count=4, noise=noise,
+                                                 seed=seed))) == 4
+
+    @pytest.mark.parametrize("count, bumps, max_position, placed", [
+        (60, 10, 20000, 4),  # the schedule places 4 of 10 at or below 20000
+        (5, 2, 4999, 0),  # none: the kernel is past max_position
+        (5, 6, 100_000, 5),  # the series is shorter than the bump count
+    ])
+    def test_every_bump_asked_for_is_placed(self, count, bumps, max_position, placed):
+        noise = NoiseSpec("bumps", magnitude=1.0, count=bumps, max_position=max_position)
+        with pytest.raises(ValueError, match=f"the schedule has {placed}$"):
+            SynthSpec(REFERENCE_FIT, count=count, noise=noise)
+
+    def test_bumps_that_just_fit_are_all_placed(self):
+        noise = NoiseSpec("bumps", magnitude=1.0, count=4, max_position=20000)
+        bumped = generate_series(SynthSpec(REFERENCE_FIT, count=6, noise=noise))
+        clean = generate_series(SynthSpec(REFERENCE_FIT, count=6))
+        deltas = (bumped.accuracies - clean.accuracies).tolist()
+        assert deltas == pytest.approx([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("kernel, step, count", [
         (2**63, 1, 1), (2**63 - 1, 1, 2), (5000, 2**62, 3),
     ])

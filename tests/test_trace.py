@@ -408,6 +408,13 @@ class TestEpsilonBound:
         with pytest.raises(ValueError):
             epsilon_bound(trace, 3)
 
+    @pytest.mark.parametrize("missing", [4, 5], ids=["previous", "current"])
+    def test_requires_both_levels_present(self, missing):
+        trace, _ = build_noiseless_trace(count=6)
+        del trace.trends[missing]
+        with pytest.raises(ValueError, match="levels 4 and 5 must both be present"):
+            epsilon_bound(trace, 5)
+
     def test_decreasing_synthetic_sequence_is_monotone_to_zero(self):
         trace = decreasing_synthetic_trace(levels=14)
         values = [epsilon_bound(trace, lv) for lv in range(4, 15)]
