@@ -13,12 +13,11 @@ Because milestones are one-time and a stored trend never changes after that
 one rebuild, each ingest checks only what its new level can change: the one
 look-ahead window ending at the newest converged level while the working
 level is open, then the newest trend alone for the prediction and
-convergence levels. The window is read from its newest slope back and the
-read stops at the first slope over the verticality limit; only a window
-whose every slope passes goes to :func:`~curvecast.levels.working_level`,
-which stays the rule and names the level. All levels from the working
-level on are scanned once, on the ingest that declares it, so no ingest
-rescans the trace. The offline path folds the same ingests, so it stops
+convergence levels. That window goes whole to
+:func:`~curvecast.levels.working_level`, the one statement of the rule,
+which the offline audit calls on the whole backbone. All levels from the
+working level on are scanned once, on the ingest that declares it, so no
+ingest rescans the trace. The offline path folds the same ingests, so it stops
 fitting at the ingest where the online run stops.
 
 Every run starts from one shared empty series, built once at import: its
@@ -33,7 +32,7 @@ from typing import Iterable
 
 from .anchoring import AnchorPolicy
 from .errors import NotStoppedError, SequencingError
-from .levels import LevelParams, prediction_level, verticality_limit, working_level
+from .levels import LevelParams, prediction_level, working_level
 from .model import FIRST_LEVEL, LearningTrend, Observation, ObservationSeries, eval_pattern
 from .trace import (
     LearningTrace,
@@ -155,36 +154,24 @@ def _newest_working_level(trace: LearningTrace, params: LevelParams) -> int | No
     Every earlier window was judged, and failed, when its last level
     arrived, and no trend changes before the working level is declared; so
     only a converged newest trend can complete a new window. The window is
-    read from its newest slope back, each slope as :func:`working_level`
-    computes it, and the first slope over the limit ends the scan: only a
-    full window whose every slope passes goes to :func:`working_level`,
-    which names the level.
+    the newest ``lookahead + 2`` converged levels, collected from the
+    newest back, and :func:`working_level` judges it and names the level.
     """
     trends = trace.trends
     last = trace.last_level
-    newest = trends[last]
-    if not newest.converged:
+    if not trends[last].converged:
         return None
-    limit = verticality_limit(params)
-    needed = params.lookahead + 2
-    alpha, position = newest.params.c, newest.position
-    levels, alphas, positions = [last], [alpha], [position]
-    for level in range(last - 1, FIRST_LEVEL - 1, -1):
-        trend = trends[level]
-        if not trend.converged:
-            continue
-        earlier_alpha, earlier_position = trend.params.c, trend.position
-        if abs(alpha - earlier_alpha) / (position - earlier_position) > limit:
-            return None
-        levels.append(level)
-        alphas.append(earlier_alpha)
-        positions.append(earlier_position)
-        if len(levels) == needed:
-            break
-        alpha, position = earlier_alpha, earlier_position
+    window = []
+    for level in range(last, FIRST_LEVEL - 1, -1):
+        if trends[level].converged:
+            window.append(level)
+            if len(window) == params.lookahead + 2:
+                break
     else:
         return None
-    return working_level(alphas[::-1], positions[::-1], params, levels=levels[::-1])
+    window.reverse()
+    return working_level([trends[level].params.c for level in window],
+                         [trends[level].position for level in window], params, levels=window)
 
 
 def _declare_working_level(state: RunState, omega: int) -> None:

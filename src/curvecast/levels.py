@@ -78,7 +78,12 @@ def prediction_level(
     levels: Sequence[int],
 ) -> int | None:
     """Smallest level >= ``omega`` whose asymptote is <= 100, or None;
-    ``levels`` holds the level number of each backbone entry."""
+    ``levels`` holds the level number of each backbone entry.
+
+    Raises ``ValueError`` when ``backbone`` and ``levels`` differ in length.
+    """
+    if len(backbone) != len(levels):
+        raise ValueError("backbone and levels must have equal length")
     for level, alpha in zip(levels, backbone):
         if level >= omega and alpha <= 100.0:
             return level

@@ -317,10 +317,10 @@ def _anchored_checks(record, reference, anchored, omega, config):
                        and anchored.trends[lv].converged]
 
     # Residual balance: anchor residual cancels the observation residuals.
-    # The sums run over Python floats: summing the array's numpy scalars
-    # one by one is slower and, on Python 3.12+, not the same summation.
-    # Residuals are computed on read, so each level's are summed once.
-    sums = {lv: sum(anchored.trends[lv].residuals.tolist()) for lv in anchored_levels}
+    # numpy's pairwise sum gives the same bits on every supported Python;
+    # a float sum() is compensated on 3.12+ and plain before. Residuals are
+    # computed on read, so each level's are summed once.
+    sums = {lv: float(np.add.reduce(anchored.trends[lv].residuals)) for lv in anchored_levels}
     bad_balance = 0
     for lv in anchored_levels:
         total = sums[lv] + anchored.trends[lv].anchor_residual

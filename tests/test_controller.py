@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -34,11 +35,12 @@ from curvecast.model import (
     PowerLawParams,
     eval_pattern,
 )
-from curvecast.synth import NoiseSpec, SynthSpec, generate_series
+from curvecast.synth import NoiseSpec, SynthSpec, build_traces, generate_series
 from curvecast.trace import LearningTrace, convergence_layer, convergence_layer_bounded
 
 from conftest import REFERENCE_FIT, exact_series_points, steep_params
 from oracles import full_rescan_run
+from same_bits import bench_workloads
 
 
 def noisy_points(true, rng, count=40, sigma=0.05):
@@ -401,8 +403,8 @@ def _window_traces(draw):
 @settings(max_examples=200, deadline=None)
 @given(drawn=_window_traces())
 def test_newest_working_level_follows_the_window_rule(drawn):
-    # The scan that stops at the first slope over the limit answers what
-    # working_level answers on the window ending at the newest level.
+    # The run's check answers what working_level answers on the newest
+    # lookahead + 2 converged levels, when they end at the newest level.
     trace, params = drawn
     converged = [level for level in trace.levels() if trace.trends[level].converged]
     window = converged[-(params.lookahead + 2):]
@@ -412,6 +414,21 @@ def test_newest_working_level_follows_the_window_rule(drawn):
                                  [trace.trends[level].position for level in window],
                                  params, levels=window)
     assert _newest_working_level(trace, params) == expected
+
+
+@pytest.mark.parametrize("seed", [7, 7331])
+@pytest.mark.parametrize("mode", ["none", "canonical"])
+def test_run_declares_the_working_level_the_audit_finds(seed, mode):
+    # The run judges one window per ingest and the audit its whole
+    # reference backbone, both through levels.working_level.
+    workloads = bench_workloads()
+    spec = workloads.SPECS["offline-audit"]
+    items = workloads.make_items(dataclasses.replace(spec, pool=20), seed)
+    config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode=mode))
+    for item in items:
+        state = run_stream(config, item.series.points)
+        _, omega, _ = build_traces(item.series, config.level_params, config.anchor_policy)
+        assert omega is not None and state.wlevel == omega, item.index
 
 
 class TestAnchoredRuns:

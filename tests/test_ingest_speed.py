@@ -3,9 +3,10 @@
 ``test_run_to_stop_speed`` times one 60-point run ingested until it stops,
 with no report or plot: what ``fleet-stop`` does per series before its
 output. ``test_newest_working_level_speed`` times the working-level check on
-a 20-level trace whose newest window fails only at its oldest slope, so
-the whole window is read ("noisy"), and on one whose every slope passes, so
-``working_level`` judges it too ("exact"). To keep the numbers:
+a 20-level trace: it collects the newest window's converged levels and
+hands them to ``working_level``, which reads every slope when the window
+fails only at its oldest slope ("noisy") and when every slope passes
+("exact"). To keep the numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         tests/test_ingest_speed.py --benchmark-json=out.json

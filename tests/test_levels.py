@@ -182,6 +182,14 @@ class TestPredictionLevel:
         backbone = [101.0, 100.5, 99.5]
         assert prediction_level(backbone, omega=3, levels=[3, 4, 7]) == 7
 
+    @pytest.mark.parametrize("backbone, levels", [
+        ([101.0, 99.0], [3]),  # the feasible entry has no level
+        ([101.0], [3, 4]),  # a level has no entry
+    ], ids=["short-levels", "short-backbone"])
+    def test_length_mismatch_rejected(self, backbone, levels):
+        with pytest.raises(ValueError, match="backbone and levels must have equal length"):
+            prediction_level(backbone, omega=3, levels=levels)
+
     def test_determinism(self):
         backbone = [101.0, 100.0, 99.9]
         first = prediction_level(backbone, omega=3, levels=levels_for(3))
