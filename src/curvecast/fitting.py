@@ -61,10 +61,8 @@ with ``converged=False``.
 A fit is the :class:`~curvecast.model.LearningTrend` of its level: the
 prefix, the parameters, the scale of ``u``, the anchor row's residual (the
 anchor minus ``c``, a scalar) and the fit's ``converged`` and
-``iterations``, built without the constructor's length check, which the
-fit has already made. Its parameters are set through their slots once they
-pass the checks of the :class:`~curvecast.model.PowerLawParams`
-constructor, which raises for any that do not. The fit makes no residual
+``iterations``, built through the constructors of the trend and of its
+:class:`~curvecast.model.PowerLawParams`. The fit makes no residual
 pass: the trend computes its residuals and ``final_cost`` on read, with
 the same arithmetic. The anchor keeps a column of the buffer instead of
 entering the sums as scalars after the product: that way the target mean
@@ -81,13 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .model import (
-    FIRST_LEVEL,
-    Observation,
-    ObservationSeries,
-    _fitted_params,
-    _fitted_trend,
-)
+from .model import FIRST_LEVEL, LearningTrend, Observation, ObservationSeries, PowerLawParams
 
 # Range of the log-decay walk; generous enough never to bind on an
 # identified fit, tight enough to keep x**(-b) away from overflow.
@@ -255,15 +247,15 @@ def fit_power_law(
     # top rail.
     log_scale = math.log(a) + b * lx0 if a > 0.0 else math.inf
     if log_scale < _LOG_FLOAT_MAX:
-        params = _fitted_params(math.exp(log_scale), b, t_mean + a * (1.0 + e_mean))
+        params = PowerLawParams(math.exp(log_scale), b, t_mean + a * (1.0 + e_mean))
         converged = (converged and v not in _LOG_B_RANGE
                      and b * float(offsets[1]) <= _MAX_IDENTIFIED_DECAY)
         u_scale = a
     else:
-        params = _fitted_params(_DEGENERATE_A, start_b, t_mean)
+        params = PowerLawParams(_DEGENERATE_A, start_b, t_mean)
         converged = False
         # At start_b the power term a * x**(-b) is a * x0**(-b) times u.
         u_scale = params.a * math.exp(-start_b * lx0)
     # The anchor row's residual is anchor - c + u_scale*0, bit for bit.
     anchor_residual = float(anchor) - params.c if anchor is not None else None
-    return _fitted_trend(series, params, u_scale, anchor_residual, converged, iterations)
+    return LearningTrend(series, params, u_scale, anchor_residual, converged, iterations)

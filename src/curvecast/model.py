@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -204,32 +204,39 @@ def _series_of_columns(positions: np.ndarray, accuracies: np.ndarray) -> Observa
                          log_x0).series(len(positions))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PowerLawParams:
     """Parameters of one fitted curve: scale ``a``, decay ``b``, asymptote ``c``.
 
     ``c`` is intentionally not capped at 100: early fits may overshoot, and
     the prediction level is precisely the point where the asymptote first
-    drops back into the feasible range. Slotted, so that a fit can set the
-    values it has checked without the constructor (:func:`_fitted_params`).
+    drops back into the feasible range. The constructor checks that all
+    three are finite and ``a`` and ``b`` are > 0, then sets the frozen
+    slots through their descriptors.
     """
 
     a: float
     b: float
     c: float
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            name = "a" if not math.isfinite(a) else "b" if not math.isfinite(b) else "c"
-            raise ValueError(f"{name} must be finite")
-        if a <= 0.0:
-            raise ValueError(f"a must be > 0, got {a}")
-        if b <= 0.0:
-            raise ValueError(f"b must be > 0, got {b}")
+    def __init__(self, a: float, b: float, c: float):
+        # One chained test passes every valid triple; NaN fails it too.
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf and -math.inf < c < math.inf):
+            for name, value in (("a", a), ("b", b), ("c", c)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+            raise ValueError(f"a must be > 0, got {a}" if a <= 0.0 else f"b must be > 0, got {b}")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
 
 
-@dataclass(frozen=True, slots=True)
+# The slot setters of each field, in field order: a frozen dataclass's own
+# __setattr__ raises, so its constructor sets the slots through these.
+_set_a, _set_b, _set_c = (getattr(PowerLawParams, f.name).__set__ for f in fields(PowerLawParams))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LearningTrend:
     """Curve fitted to the observations of ``series``, as
     :func:`~curvecast.fitting.fit_power_law` returns it; its ``level`` and
@@ -250,9 +257,17 @@ class LearningTrend:
     converged: bool = True
     iterations: int = 0
 
-    def __post_init__(self):
-        if len(self.series) < FIRST_LEVEL:
+    def __init__(self, series: ObservationSeries, params: PowerLawParams, u_scale: float,
+                 anchor_residual: float | None = None, converged: bool = True,
+                 iterations: int = 0):
+        if len(series) < FIRST_LEVEL:
             raise ValueError(f"a trend needs at least {FIRST_LEVEL} observations")
+        _set_series(self, series)
+        _set_params(self, params)
+        _set_u_scale(self, u_scale)
+        _set_anchor_residual(self, anchor_residual)
+        _set_converged(self, converged)
+        _set_iterations(self, iterations)
 
     @property
     def level(self) -> int:
@@ -283,41 +298,8 @@ class LearningTrend:
         return float(rows @ rows)
 
 
-_PARAMS_SLOTS = tuple(getattr(PowerLawParams, name).__set__ for name in ("a", "b", "c"))
-
-
-def _fitted_params(a: float, b: float, c: float) -> PowerLawParams:
-    """The parameters a fit returns. Values that pass the constructor's
-    checks (all finite, ``a`` and ``b`` > 0) are set through the slots;
-    any other goes through the constructor, which raises its error."""
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf and -math.inf < c < math.inf):
-        return PowerLawParams(a, b, c)
-    params = object.__new__(PowerLawParams)
-    set_a, set_b, set_c = _PARAMS_SLOTS
-    set_a(params, a)
-    set_b(params, b)
-    set_c(params, c)
-    return params
-
-
-_TREND_SLOTS = tuple(getattr(LearningTrend, name).__set__ for name in (
-    "series", "params", "u_scale", "anchor_residual", "converged", "iterations"))
-
-
-def _fitted_trend(series, params, u_scale, anchor_residual, converged, iterations):
-    """The trend a fit returns, built without ``__post_init__``: the fit has
-    already rejected a series too short for a trend. Every other caller
-    goes through the constructor and its check."""
-    trend = object.__new__(LearningTrend)
-    set_series, set_params, set_u_scale, set_anchor, set_converged, set_iterations = (
-        _TREND_SLOTS)
-    set_series(trend, series)
-    set_params(trend, params)
-    set_u_scale(trend, u_scale)
-    set_anchor(trend, anchor_residual)
-    set_converged(trend, converged)
-    set_iterations(trend, iterations)
-    return trend
+(_set_series, _set_params, _set_u_scale, _set_anchor_residual, _set_converged,
+ _set_iterations) = (getattr(LearningTrend, f.name).__set__ for f in fields(LearningTrend))
 
 
 def eval_pattern(params: PowerLawParams, x: float) -> float:

@@ -16,6 +16,7 @@ anchors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,16 +161,32 @@ class TheoremSuiteConfig:
     fail on distorted data; ``monotone_tolerance`` is the absolute backbone
     fluctuation treated as absorbed rather than as a direction violation
     (the verticality limit times the step is the natural scale). Keep both
-    at 0 for ideal input.
+    at 0 for ideal input. Checked whole: the budget is a real number in
+    [0, 1], the tolerance a finite real number >= 0 (a bool is neither) and
+    ``true_params`` a :class:`~curvecast.model.PowerLawParams`.
     """
 
     true_params: PowerLawParams
     violation_budget: float = 0.0
     monotone_tolerance: float = 0.0
 
+    def __post_init__(self):
+        if not isinstance(self.true_params, PowerLawParams):
+            raise ValueError(f"true_params must be a PowerLawParams, got {self.true_params!r}")
+        budget, tolerance = self.violation_budget, self.monotone_tolerance
+        if not _is_real(budget) or not 0 <= budget <= 1:
+            raise ValueError(f"violation_budget must be a number in [0, 1], got {budget!r}")
+        if not _is_real(tolerance) or not 0 <= tolerance < math.inf:
+            raise ValueError(f"monotone_tolerance must be a finite number >= 0, got "
+                             f"{tolerance!r}")
+
     @property
     def direction_tol(self) -> float:
         return max(_EQUAL_TOL, self.monotone_tolerance)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and type(value) is not bool
 
 
 def build_traces(

@@ -16,12 +16,15 @@ one-ulp move of any fitted value changes the digest. Two checkouts compute
 the same bits when they print the same lines. Run from the repository
 root::
 
-    python tests/same_bits.py --seed 7 [--src DIR]
+    python tests/same_bits.py --seed 7 [--src DIR] [--against DIR]
 
 ``--src`` imports ``curvecast`` from another checkout's ``src/`` (for
-example an export of the parent commit); the pools and the benchmark's
-run code always come from this checkout's ``bench/``. The name keeps
-pytest from collecting the file.
+example an export of the parent commit). ``--against`` loads a second
+tree's ``src/`` beside it, under another name, and prints for each
+workload ``equal`` or the first record that differs: its item, its line
+and that line from each tree. Each tree builds its pools with its own
+``synth``; the pools and the benchmark's run code always come from this
+checkout's ``bench/``. The name keeps pytest from collecting the file.
 """
 
 from __future__ import annotations
@@ -29,11 +32,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAM_SERIES = 2  # stream-long series digested: each is 1,000 ingests
+SHOWN_CHARACTERS = 200  # of a differing line, as printed
 
 
 def bench_workloads():
@@ -42,6 +48,37 @@ def bench_workloads():
     if str(ROOT / "bench") not in sys.path:
         sys.path.insert(0, str(ROOT / "bench"))
     import workloads
+    return workloads
+
+
+def load_workloads(src: Path, name: str):
+    """``bench/workloads`` bound to the ``curvecast`` package in ``src``,
+    which is loaded as the package ``name``, so that two trees load side by
+    side under distinct names. ``curvecast`` and its modules resolve to that
+    package only while ``bench/workloads.py`` is imported."""
+    package_dir = Path(src).resolve() / "curvecast"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    aliases = {"curvecast": package}
+    for path in sorted(package_dir.glob("*.py")):
+        if path.stem != "__init__":
+            aliases[f"curvecast.{path.stem}"] = importlib.import_module(f"{name}.{path.stem}")
+    saved = {key: sys.modules.get(key) for key in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(f"{name}_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        for key, module in saved.items():
+            if module is None:
+                del sys.modules[key]
+            else:
+                sys.modules[key] = module
     return workloads
 
 
@@ -90,21 +127,50 @@ LINES = {"fleet-stop": _fleet_stop_lines, "offline-audit": _offline_audit_lines,
          "stream-long": _stream_long_lines}
 
 
-def digest(workload: str, seed: int, pool: int | None = None) -> str:
-    """SHA-256 over the workload's pool for ``seed``, or its first ``pool``
-    series."""
-    workloads = bench_workloads()
+def records(workload: str, seed: int, pool: int | None = None, workloads=None):
+    """``(item index, lines)`` for each series of the workload's pool for
+    ``seed``, or of its first ``pool`` series; ``workloads`` defaults to
+    :func:`bench_workloads`."""
+    workloads = workloads or bench_workloads()
     spec = workloads.SPECS[workload]
     count = STREAM_SERIES if workload == "stream-long" else spec.pool
     if pool is not None:
         count = min(count, pool)
-    sha = hashlib.sha256()
     for item in workloads.make_items(dataclasses.replace(spec, pool=count), seed):
-        sha.update(f"item {item.index}\n".encode())
-        for line in LINES[workload](workloads, item):
+        yield item.index, [line for record in LINES[workload](workloads, item)
+                           for line in record.split("\n")]
+
+
+def digest(workload: str, seed: int, pool: int | None = None, workloads=None) -> str:
+    """SHA-256 over the :func:`records` of the workload's pool."""
+    sha = hashlib.sha256()
+    for index, lines in records(workload, seed, pool, workloads):
+        sha.update(f"item {index}\n".encode())
+        for line in lines:
             sha.update(line.encode())
             sha.update(b"\n")
     return sha.hexdigest()
+
+
+def first_difference(left, right):
+    """The first line that differs between two runs of :func:`records`:
+    None when they are equal, else ``(item index, line number, left line,
+    right line)``, a line one side lacks read as None."""
+    for (index, left_lines), (_, right_lines) in zip(left, right, strict=True):
+        for number, (one, other) in enumerate(zip_longest(left_lines, right_lines), 1):
+            if one != other:
+                return index, number, one, other
+    return None
+
+
+def describe(workload: str, difference) -> str:
+    """``workload: equal``, or the item and line of the first difference
+    and that line from each side (``-`` the first, ``+`` the second)."""
+    if difference is None:
+        return f"{workload}: equal"
+    index, number, one, other = difference
+    shown = [("<none>" if line is None else line)[:SHOWN_CHARACTERS] for line in (one, other)]
+    return f"{workload}: item {index}, line {number}\n  - {shown[0]}\n  + {shown[1]}"
 
 
 def main(argv: list[str]) -> int:
@@ -112,12 +178,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that holds the curvecast package")
+    parser.add_argument("--against", type=Path,
+                        help="a second tree's directory that holds the curvecast package")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import curvecast
-    print(f"curvecast from {Path(curvecast.__file__).parent}", file=sys.stderr)
+    left = load_workloads(args.src, "curvecast_src")
+    print(f"curvecast from {Path(left.model.__file__).parent}", file=sys.stderr)
+    if args.against is None:
+        for workload in LINES:
+            print(f"{digest(workload, args.seed, workloads=left)}  {workload}")
+        return 0
+    right = load_workloads(args.against, "curvecast_against")
+    print(f"curvecast from {Path(right.model.__file__).parent} (against)", file=sys.stderr)
     for workload in LINES:
-        print(f"{digest(workload, args.seed)}  {workload}")
+        print(describe(workload, first_difference(records(workload, args.seed, workloads=left),
+                                                  records(workload, args.seed, workloads=right))))
     return 0
 
 

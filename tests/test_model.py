@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from curvecast.model import (
     Observation,
     ObservationSeries,
     PowerLawParams,
-    _fitted_params,
     eval_pattern,
 )
 
-from conftest import REFERENCE_FIT, SERIES_BUILDS
+from conftest import REFERENCE_FIT, SERIES_BUILDS, steep_params
 from oracles import residuals_as_read
 
 params_st = st.builds(
@@ -421,8 +421,8 @@ _TREND_SOURCES = {
 
 class TestTrendReads:
     """The trend's position is one element read off the buffer, and a fit
-    sets its parameters through the slots: the same values and types as
-    the slice and the constructor."""
+    builds its trend and parameters through the constructors: the same
+    values and types as the slice and a rebuild."""
 
     points = [Observation(5000 * i + 3 * i * i, eval_pattern(REFERENCE_FIT, 5000 * i)
                           + 0.02 * (-1) ** i) for i in range(1, 13)]
@@ -455,23 +455,75 @@ class TestTrendReads:
         assert type(params) is PowerLawParams
         assert params == built and hash(params) == hash(built)
         assert [type(v) for v in (params.a, params.b, params.c)] == [float] * 3
+        assert _rebuilt(trend) == trend
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.a = 1.0
 
-    @pytest.mark.parametrize("a, b, c", [
-        (math.nan, 0.5, 90.0), (math.inf, 0.5, 90.0), (0.0, 0.5, 90.0), (-1.0, 0.5, 90.0),
-        (1.0, math.nan, 90.0), (1.0, math.inf, 90.0), (1.0, 0.0, 90.0), (1.0, -0.5, 90.0),
-        (1.0, 0.5, math.nan), (1.0, 0.5, math.inf), (1.0, 0.5, -math.inf),
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 60),
+           shape=st.sampled_from(["steep", "noisy", "flat", "falling"]),
+           anchored=st.booleans(), warm=st.booleans())
+    def test_fit_trends_equal_the_constructors(self, seed, count, shape, anchored, warm):
+        # Every trend a fit returns, degenerate ones included, is the trend
+        # the public constructors build from its values.
+        rng = np.random.default_rng(seed)
+        xs = np.cumsum(rng.integers(1, 20_000, size=count)) + int(rng.integers(1, 10_000))
+        if shape == "flat":  # the best a is 0: the degenerate path
+            ys = np.full(count, float(rng.uniform(50, 99)))
+        elif shape == "falling":  # the best a is < 0: the degenerate path
+            ys = 95.0 - 1e-4 * (xs - xs[0]) + rng.normal(0, 0.01, size=count)
+        else:
+            true = steep_params(rng)
+            sigma = 0.05 if shape == "steep" else 1.0
+            ys = [eval_pattern(true, int(x)) + rng.normal(0, sigma) for x in xs]
+        series = ObservationSeries(Observation(int(x), float(min(max(y, 0.01), 100.0)))
+                                   for x, y in zip(xs, ys))
+        anchor = float(rng.uniform(60, 100)) if anchored else None
+        start_b = float(rng.uniform(0.01, 5.0)) if warm else None
+        trend = fit_power_law(series, anchor, start_b=start_b)
+        if shape in ("flat", "falling") and not anchored:
+            assert not trend.converged
+        rebuilt = _rebuilt(trend)
+        assert rebuilt == trend and rebuilt.params == trend.params
+        assert rebuilt.residuals.tobytes() == trend.residuals.tobytes()
+        assert [type(v) for v in (trend.params.a, trend.params.b, trend.params.c,
+                                  trend.u_scale)] == [float] * 4
+
+    @pytest.mark.parametrize("build, message", [
+        *(pytest.param(partial(PowerLawParams, *args), message, id="-".join(map(str, args)))
+          for args, message in [
+              ((math.nan, 0.5, 90.0), "a must be finite"),
+              ((math.inf, 0.5, 90.0), "a must be finite"),
+              ((0.0, 0.5, 90.0), "a must be > 0, got 0.0"),
+              ((-1.0, 0.5, 90.0), "a must be > 0, got -1.0"),
+              ((1.0, math.nan, 90.0), "b must be finite"),
+              ((1.0, math.inf, 90.0), "b must be finite"),
+              ((1.0, 0.0, 90.0), "b must be > 0, got 0.0"),
+              ((1.0, -0.5, 90.0), "b must be > 0, got -0.5"),
+              ((1.0, 0.5, math.nan), "c must be finite"),
+              ((1.0, 0.5, math.inf), "c must be finite"),
+              ((1.0, 0.5, -math.inf), "c must be finite"),
+          ]),
+        pytest.param(partial(LearningTrend, ObservationSeries(
+            [Observation(5000, 90.0), Observation(10000, 91.0)]), REFERENCE_FIT, 1.0),
+            "a trend needs at least 3 observations", id="trend-of-2-points"),
     ])
-    def test_values_the_constructor_rejects_still_raise(self, a, b, c):
-        with pytest.raises(ValueError) as expected:
-            PowerLawParams(a, b, c)
+    def test_values_the_constructor_rejects_still_raise(self, build, message):
         with pytest.raises(ValueError) as raised:
-            _fitted_params(a, b, c)
-        assert str(raised.value) == str(expected.value)
+            build()
+        assert str(raised.value) == message
 
     def test_checked_values_are_set_as_given(self):
         for a, b, c in [(5e-324, 1e-300, -1e308), (1e308, 1e308, 0.0), (1.0, 0.5, 105.0)]:
-            params = _fitted_params(a, b, c)
+            params = PowerLawParams(a, b, c)
             assert (params.a, params.b, params.c) == (a, b, c)
-            assert params == PowerLawParams(a, b, c)
+            assert params == dataclasses.replace(params)
+            assert params == pickle.loads(pickle.dumps(params)) == copy.deepcopy(params)
+
+
+def _rebuilt(trend: LearningTrend) -> LearningTrend:
+    """The trend built again through the public constructors."""
+    params = trend.params
+    return LearningTrend(trend.series, PowerLawParams(params.a, params.b, params.c),
+                         trend.u_scale, trend.anchor_residual, trend.converged,
+                         trend.iterations)

@@ -191,6 +191,39 @@ def test_spec_is_valid_exactly_when_its_ideal_curve_is(a, b, c, kernel, count):
 
 
 class TestTheoremSuite:
+    @pytest.mark.parametrize("true_params, budget, tolerance, error", [
+        # The CLI's ideal and noisy configs (the latter the benchmark's too)
+        # and the tests' configs.
+        (REFERENCE_FIT, 0.0, 0.0, None),
+        (REFERENCE_FIT, 0.05, 0.1, None),
+        (REFERENCE_FIT, 0.05, FLUCTUATION_BAND, None),
+        (REFERENCE_FIT, 0.0, FLUCTUATION_BAND, None),
+        (REFERENCE_FIT, 1, 0, None),
+        (REFERENCE_FIT, math.nan, 0.0, "violation_budget"),
+        (REFERENCE_FIT, math.inf, 0.0, "violation_budget"),
+        (REFERENCE_FIT, -0.5, 0.0, "violation_budget"),
+        (REFERENCE_FIT, 2.0, 0.0, "violation_budget"),
+        (REFERENCE_FIT, False, 0.0, "violation_budget"),
+        (REFERENCE_FIT, "0.05", 0.0, "violation_budget"),
+        (REFERENCE_FIT, None, 0.0, "violation_budget"),
+        (REFERENCE_FIT, 0.0, math.nan, "monotone_tolerance"),
+        (REFERENCE_FIT, 0.0, math.inf, "monotone_tolerance"),
+        (REFERENCE_FIT, 0.0, -1.0, "monotone_tolerance"),
+        (REFERENCE_FIT, 0.0, True, "monotone_tolerance"),
+        (REFERENCE_FIT, 0.0, "0.1", "monotone_tolerance"),
+        ((542.5451, 0.3838, 99.2876), 0.0, 0.0, "true_params"),
+        (None, 0.0, 0.0, "true_params"),
+    ], ids=lambda value: "true" if value is REFERENCE_FIT else repr(value))
+    def test_config_is_checked_whole(self, true_params, budget, tolerance, error):
+        def build():
+            return TheoremSuiteConfig(true_params=true_params, violation_budget=budget,
+                                      monotone_tolerance=tolerance)
+        if error is None:
+            assert build().violation_budget == budget
+        else:
+            with pytest.raises(ValueError, match=f"^{error} must be "):
+                build()
+
     def test_all_checks_pass_on_ideal_data(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=30))
         report = theorem_suite(series, TheoremSuiteConfig(true_params=REFERENCE_FIT))
