@@ -20,6 +20,10 @@ working level on are scanned once, on the ingest that declares it, so no
 ingest rescans the trace. The offline path folds the same ingests, so it stops
 fitting at the ingest where the online run stops.
 
+The layer checked against tau is :func:`stopping_layer`: the
+horizon-bounded layer where :func:`~curvecast.trace.convergence_layer_bounded`
+gives one, the plain layer otherwise.
+
 Every run starts from one shared empty series, built once at import: its
 buffer has no room, so a run's first ingest copies into a buffer of its own.
 """
@@ -113,11 +117,11 @@ def new_run(config: RunConfig) -> RunState:
 
 
 def stopping_layer(trend: LearningTrend, end_position: int | None) -> float:
-    """Layer checked against tau: horizon-bounded when a horizon is set and
-    still ahead of the trend, plain otherwise."""
-    if end_position is not None and end_position > trend.position:
-        return convergence_layer_bounded(trend, end_position)
-    return convergence_layer(trend)
+    """Layer checked against tau: the horizon-bounded layer where
+    :func:`~curvecast.trace.convergence_layer_bounded` gives one, the plain
+    layer otherwise."""
+    bounded = convergence_layer_bounded(trend, end_position)
+    return convergence_layer(trend) if bounded is None else bounded
 
 
 def ingest(state: RunState, observation: Observation) -> RunState:

@@ -89,7 +89,14 @@ def _config_block(config: RunConfig) -> dict:
 
 
 def build_run_report(state: RunState, predict_at: Iterable[float] = ()) -> dict:
-    """Structured report of a finished (or exhausted) run."""
+    """Structured report of a finished (or exhausted) run.
+
+    A level row's ``layer_bounded`` is the level's
+    :func:`~curvecast.trace.convergence_layer_bounded`, null where no
+    horizon lies ahead of the level; a stopped run's summary adds the
+    selected level's :func:`~curvecast.controller.stopping_layer`, which
+    is that row's ``layer_bounded``, or its ``layer`` where that is null.
+    """
     trace = state.trace
     level_rows = []
     for level in trace.levels():
@@ -101,9 +108,6 @@ def build_run_report(state: RunState, predict_at: Iterable[float] = ()) -> dict:
             flags.append("prediction")
         if level == state.clevel:
             flags.append("convergence")
-        bounded = None
-        if state.config.end_position is not None and state.config.end_position > trend.position:
-            bounded = convergence_layer_bounded(trend, state.config.end_position)
         level_rows.append({
             "level": level,
             "position": trend.position,
@@ -111,7 +115,7 @@ def build_run_report(state: RunState, predict_at: Iterable[float] = ()) -> dict:
             "b": _disp(trend.params.b),
             "c": _disp(trend.params.c),
             "layer": _disp(convergence_layer(trend)),
-            "layer_bounded": _disp(bounded),
+            "layer_bounded": _disp(convergence_layer_bounded(trend, state.config.end_position)),
             "anchored": trend.anchor_residual is not None,
             "converged": trend.converged,
             "flags": flags,

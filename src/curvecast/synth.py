@@ -57,6 +57,11 @@ class NoiseSpec:
     ``count`` observations, which must all lie at or below
     ``max_position``: a :class:`SynthSpec` whose schedule places fewer
     than ``count`` positions there raises.
+
+    Valid by construction, whatever the kind: ``sigma`` and ``magnitude``
+    are finite real numbers >= 0 (not bools), ``count`` an integer >= 0
+    and ``max_position`` an integer >= 1; bumps need a positive
+    ``magnitude`` and ``count``.
     """
 
     kind: str = "none"
@@ -71,11 +76,13 @@ class NoiseSpec:
         if type(self.count) is not int or type(self.max_position) is not int:
             raise ValueError(f"count and max_position must be integers, got {self.count!r}, "
                              f"{self.max_position!r}")
-        if not (math.isfinite(self.sigma) and math.isfinite(self.magnitude)):
-            raise ValueError(f"sigma and magnitude must be finite, got {self.sigma}, "
-                             f"{self.magnitude}")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if self.count < 0 or self.max_position < 1:
+            raise ValueError(f"count must be >= 0 and max_position >= 1, got {self.count}, "
+                             f"{self.max_position}")
+        for name in ("sigma", "magnitude"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.kind == "bumps" and (self.magnitude <= 0 or self.count < 1):
             raise ValueError("bumps need a positive magnitude and count")
 

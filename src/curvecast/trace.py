@@ -1,6 +1,10 @@
 """Learning trace: one trend per level, its asymptote backbone, convergence
 layers, trend intersections and the correctness bound derived from them.
 
+A finite horizon counts for a trend's bounded layer only while it lies
+ahead of the trend. :func:`convergence_layer_bounded` alone decides that,
+and returns None where no horizon lies ahead.
+
 A trace grows from itself: :func:`extend_trace` fits the level after its
 last, started from the previous trend's decay when that trend converged
 and, given the working level, anchored at the canonical anchor the trace
@@ -135,13 +139,16 @@ def convergence_layer(trend: LearningTrend) -> float:
     return abs(eval_pattern(trend.params, trend.position) - trend.params.c)
 
 
-def convergence_layer_bounded(trend: LearningTrend, end_position: int) -> float:
+def convergence_layer_bounded(trend: LearningTrend, end_position: int | None) -> float | None:
     """Layer against the value reached at a finite horizon instead of the
-    asymptote; converges to the plain layer as the horizon grows."""
-    if end_position <= trend.position:
-        raise ValueError(
-            f"end_position {end_position} must exceed the trend position {trend.position}"
-        )
+    asymptote; converges to the plain layer as the horizon grows.
+
+    A horizon counts only while it lies ahead of the trend: for
+    ``end_position`` None, or at or behind ``trend.position``, there is no
+    bounded layer and the result is None.
+    """
+    if end_position is None or end_position <= trend.position:
+        return None
     return abs(
         eval_pattern(trend.params, trend.position) - eval_pattern(trend.params, end_position)
     )

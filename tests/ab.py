@@ -10,11 +10,16 @@ each workload it runs the op the benchmark times on the same items:
 - ``stream-long``: one ``ingest`` of a 1000-point stream (every ingest of
   each series is a sample).
 
+A single process has a bias of its own, which can follow the order in
+which it loaded the two packages, so the rounds run twice, each time in a
+fresh child process: once with the parent's package loaded first and once
+with the change's.
 Per item, both sides run the item in turn; the side that runs first
 alternates per item and per round. Each round prints the change/parent
-ratio of the op's p90 and of its mean, and the workload ends with their
-min-max over the rounds and ``same_bits``' first difference between the
-two sides (``equal`` when there is none). Run from the repository root::
+ratio of the op's p90 and of its mean, labelled with the side its process
+loaded first, and the workload ends with their min-max pooled over both
+processes and ``same_bits``' first difference between the two sides
+(``equal`` when there is none). Run from the repository root::
 
     python tests/ab.py (--parent REV | --parent-src DIR) [--workload W] [--seed S]
                        [--pool N] [--rounds R]
@@ -22,7 +27,8 @@ two sides (``equal`` when there is none). Run from the repository root::
 ``--parent`` exports ``src/`` at ``REV`` into ``.bench_build/``;
 ``--parent-src`` names a directory that holds a ``curvecast`` package.
 ``--pool`` is the items per workload (default: 200 ``fleet-stop``, 100
-``offline-audit``, 8 ``stream-long``); ``--rounds`` defaults to 5. A ratio
+``offline-audit``, 8 ``stream-long``); ``--rounds`` is the rounds per
+process and defaults to 5. A ratio
 below 1 means the change is faster. The name keeps pytest from collecting
 the file.
 """
@@ -32,10 +38,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import multiprocessing
 import subprocess
 import sys
 import tarfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,7 @@ import numpy as np
 from same_bits import LINES, ROOT, describe, first_difference, load_workloads, records
 
 DEFAULT_POOL = {"fleet-stop": 200, "offline-audit": 100, "stream-long": 8}
+FIRST_LOADED = ("parent", "change")  # one child process each, in this order
 
 
 def export_src(rev: str) -> Path:
@@ -117,6 +126,18 @@ def compare(workload: str, sides, seed: int, pool: int, rounds: int):
                float(parent_p90), float(parent.mean()))
 
 
+def time_in_process(first: str, parent_src: Path, pools: dict, seed: int, rounds: int):
+    """Loads both trees, the side ``first`` first, and returns for each
+    workload in ``pools`` the rounds of :func:`compare`."""
+    trees = {"parent": (parent_src, "curvecast_parent"),
+             "change": (ROOT / "src", "curvecast_change")}
+    second = "change" if first == "parent" else "parent"
+    loaded = {side: load_workloads(*trees[side]) for side in (first, second)}
+    sides = (loaded["parent"], loaded["change"])
+    return {workload: list(compare(workload, sides, seed, pool, rounds))
+            for workload, pool in pools.items()}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parent = parser.add_mutually_exclusive_group(required=True)
@@ -132,21 +153,31 @@ def main(argv: list[str]) -> int:
     if (args.pool is not None and args.pool < 1) or args.rounds < 1:
         parser.error("--pool and --rounds must be >= 1")
     parent_src = export_src(args.parent) if args.parent else args.parent_src
+    pools = {workload: args.pool or DEFAULT_POOL[workload]
+             for workload in args.workload or list(LINES)}
+    # One fresh process per load order, run one after the other so that the
+    # two never share the machine.
+    with ProcessPoolExecutor(max_workers=1, max_tasks_per_child=1,
+                             mp_context=multiprocessing.get_context("spawn")) as executor:
+        futures = {first: executor.submit(time_in_process, first, parent_src, pools,
+                                          args.seed, args.rounds)
+                   for first in FIRST_LOADED}
+        timings = {first: future.result() for first, future in futures.items()}
     sides = (load_workloads(parent_src, "curvecast_parent"),
              load_workloads(ROOT / "src", "curvecast_change"))
     for name, workloads in zip(("parent", "change"), sides):
         print(f"{name}: curvecast from {Path(workloads.model.__file__).parent}")
-    for workload in args.workload or list(LINES):
-        pool = args.pool or DEFAULT_POOL[workload]
+    for workload, pool in pools.items():
         p90s, means = [], []
-        for number, (p90, mean, parent_p90, parent_mean) in enumerate(
-                compare(workload, sides, args.seed, pool, args.rounds), 1):
-            p90s.append(p90)
-            means.append(mean)
-            print(f"{workload} round {number}: p90 {p90:.4f} mean {mean:.4f} "
-                  f"(parent p90 {parent_p90 * 1e3:.4f} ms, mean {parent_mean * 1e3:.4f} ms)")
+        for first, rounds in timings.items():
+            for number, (p90, mean, parent_p90, parent_mean) in enumerate(rounds[workload], 1):
+                p90s.append(p90)
+                means.append(mean)
+                print(f"{workload} {first}-first round {number}: p90 {p90:.4f} mean {mean:.4f} "
+                      f"(parent p90 {parent_p90 * 1e3:.4f} ms, mean {parent_mean * 1e3:.4f} ms)")
         print(f"{workload}: p90 {min(p90s):.4f}-{max(p90s):.4f} "
-              f"mean {min(means):.4f}-{max(means):.4f} over {args.rounds} rounds of {pool} items")
+              f"mean {min(means):.4f}-{max(means):.4f} over {len(timings)} processes of "
+              f"{args.rounds} rounds of {pool} items")
         difference = first_difference(*(records(workload, args.seed, pool, side)
                                         for side in sides))
         print(f"same bits, {describe(workload, difference)}", flush=True)

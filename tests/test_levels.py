@@ -172,6 +172,11 @@ class TestPredictionLevel:
         backbone = [104.0, 103.0, 102.0, 101.0]
         assert prediction_level(backbone, omega=3, levels=levels_for(4)) is None
 
+    def test_asymptote_of_exactly_100_is_feasible(self):
+        # the feasibility bound is inclusive: 100.0 itself is an accuracy
+        backbone = [100.5, 100.0, 99.0]
+        assert prediction_level(backbone, omega=3, levels=levels_for(3)) == 4
+
     def test_ignores_entries_before_working_level(self):
         backbone = [99.0, 102.0, 101.0, 99.8]
         assert prediction_level(backbone, omega=4, levels=levels_for(4)) == 6

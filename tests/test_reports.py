@@ -19,6 +19,7 @@ from curvecast.reports import (
     report_to_json,
 )
 from curvecast.synth import NoiseSpec, SynthSpec, generate_series
+from curvecast.trace import convergence_layer_bounded
 
 from conftest import REFERENCE_FIT, SERIES_BUILDS, exact_series_points, steep_params
 
@@ -119,6 +120,37 @@ class TestRunReport:
         state = run_stream(RunConfig(tau=1e9), exact_series_points(REFERENCE_FIT, 10))
         report = build_run_report(state)
         assert all(row["layer_bounded"] is None for row in report["levels"])
+
+    @pytest.mark.parametrize("observation, tau, nulls", [
+        (11, 6.0, 15),  # stops at level 25, past the horizon
+        (30, 0.1, 0),  # stops at level 29, before it
+        (30, 0.0, 1),  # never stops
+    ])
+    def test_layer_bounded_null_from_the_horizon_on(self, observation, tau, nulls):
+        # the horizon is the position of the given observation
+        points = generate_series(SynthSpec(REFERENCE_FIT, count=30,
+                                           noise=NoiseSpec("gaussian", sigma=0.05),
+                                           seed=4)).points
+        end = points[observation - 1].position
+        state = run_stream(RunConfig(tau=tau, anchor_policy=AnchorPolicy(mode="canonical"),
+                                     end_position=end), points)
+        report = build_run_report(state)
+        rows = report["levels"]
+        for row in rows:
+            if row["position"] >= end:
+                assert row["layer_bounded"] is None
+            else:
+                trend = state.trace.trends[row["level"]]
+                assert row["layer_bounded"] == round(convergence_layer_bounded(trend, end), 6)
+        assert sum(row["layer_bounded"] is None for row in rows) == nulls
+        assert state.stopped == (tau > 0.0)
+        if state.stopped:
+            selected = next(row for row in rows if row["level"] == state.clevel)
+            bounded = selected["layer_bounded"]
+            assert report["summary"]["stopping_layer"] == (
+                selected["layer"] if bounded is None else bounded)
+        else:
+            assert "stopping_layer" not in report["summary"]
 
     def test_anchored_column_tracks_working_level(self, finished_state):
         report = build_run_report(finished_state)

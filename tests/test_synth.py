@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from curvecast import synth
 from curvecast.anchoring import AnchorPolicy
+from curvecast.cli import _parse_noise
 from curvecast.fitting import fit_power_law
 from curvecast.levels import LevelParams, verticality_limit
 from curvecast.model import Observation, ObservationSeries, PowerLawParams, eval_pattern
@@ -97,6 +98,31 @@ class TestGenerateSeries:
         with pytest.raises(ValueError, match="must be integers"):
             NoiseSpec("bumps", magnitude=1.0, **{"count": 2, field: value})
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("gaussian", {"sigma": True}),
+        ("bumps", {"magnitude": True, "count": 1}),
+        ("none", {"sigma": -5.0}),
+        ("none", {"magnitude": -1.0}),
+        ("gaussian", {"magnitude": -2.0}),
+        ("none", {"count": -3}),
+        ("bumps", {"magnitude": 1.0, "count": 1, "max_position": -1}),
+    ])
+    def test_noise_sizes_are_checked_whatever_the_kind(self, kind, fields):
+        # Every kind carries every field, so each field is checked even
+        # where the kind does not read it.
+        with pytest.raises(ValueError, match="must be"):
+            NoiseSpec(kind, **fields)
+
+    @pytest.mark.parametrize("text, fields", [
+        ("none", {}),  # the defaults
+        ("gaussian:0.05", {"kind": "gaussian", "sigma": 0.05}),  # the benchmark's noise
+        ("gaussian:0", {"kind": "gaussian"}),
+        ("bumps:1:2", {"kind": "bumps", "magnitude": 1.0, "count": 2}),
+        ("bumps:0.5:3:20000", {"kind": "bumps", "magnitude": 0.5, "count": 3,
+                               "max_position": 20000}),
+    ])
+    def test_cli_noise_and_the_defaults_construct(self, text, fields):
+        assert _parse_noise(text) == NoiseSpec(**fields)
 
 class TestSynthSpec:
     @pytest.mark.parametrize("value", [5000.0, 2.5, 0, -1, True, None])

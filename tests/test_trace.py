@@ -100,9 +100,11 @@ class TestBoundedLayer:
         assert convergence_layer_bounded(trend, 40000) == pytest.approx(0.5, rel=1e-12)
 
     def test_requires_horizon_beyond_trend(self):
+        # no horizon, one at the trend and one behind it: no bounded layer
         trend = make_trend(100, 0.5, 95, level=5, position=10000)
-        with pytest.raises(ValueError):
-            convergence_layer_bounded(trend, 10000)
+        for end_position in (None, 10000, 9999):
+            assert convergence_layer_bounded(trend, end_position) is None
+        assert convergence_layer_bounded(trend, 10001) > 0
 
     def test_approaches_plain_layer_monotonically(self, rng):
         trend = make_trend(300, 0.45, 96, level=6, position=30000)
