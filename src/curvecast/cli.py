@@ -25,7 +25,7 @@ from .controller import RunConfig, run_stream
 from .fitting import fit_power_law
 from .levels import LevelParams
 from .metrics import ControlSequence, evaluate_runs
-from .model import PowerLawParams, eval_pattern
+from .model import ObservationSeries, PowerLawParams, eval_pattern
 from .plotting import render_svg
 from .reports import (
     build_run_report,
@@ -111,7 +111,7 @@ def _parse_noise(text: str) -> NoiseSpec:
 
 
 def _cmd_fit(args) -> int:
-    series = read_observations(args.input)
+    series = ObservationSeries(read_observations(args.input))
     level = args.level if args.level is not None else len(series)
     result = fit_power_law(series.prefix(level))
     payload = {
@@ -137,7 +137,7 @@ def _parse_positions(text: str | None) -> list[float]:
 
 
 def _cmd_run(args) -> int:
-    series = read_observations(args.input)
+    observations = read_observations(args.input)
     positions = _parse_positions(args.predict_at)
     config = RunConfig(
         tau=args.tau,
@@ -146,7 +146,7 @@ def _cmd_run(args) -> int:
         anchor_policy=AnchorPolicy(mode=args.anchors),
         end_position=args.end_position,
     )
-    state = run_stream(config, series.points)
+    state = run_stream(config, observations)
     report = build_run_report(state, predict_at=positions)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     # The plot is written first: a plot path that cannot be written fails
@@ -219,8 +219,7 @@ def _cmd_evaluate(args) -> int:
             report = json.load(fh)
         summary, rows, selected = _selected_row(name, report)
         params = PowerLawParams(selected["a"], selected["b"], selected["c"])
-        truth = read_observations(truth_path)
-        truth_map = dict(zip(truth.positions.tolist(), truth.accuracies.tolist()))
+        truth_map = {obs.position: obs.accuracy for obs in read_observations(truth_path)}
         missing = [c for c in controls if c not in truth_map]
         if missing:
             raise ValueError(f"truth for {name!r} lacks control positions {missing}")

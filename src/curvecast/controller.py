@@ -228,11 +228,14 @@ def run_stream(config: RunConfig, observations) -> RunState:
 def run_batch(config: RunConfig, observations) -> RunState:
     """Offline path over a finished log.
 
-    The whole log is validated as one series, then folded through
-    :func:`run_stream`, so it stops fitting at the ingest where the online
-    run stops and yields the identical state from the same fits.
+    The log is taken once and checked whole, as one series, before any
+    fit; then the same observations are folded through :func:`run_stream`,
+    so it stops fitting at the ingest where the online run stops and yields
+    the identical state from the same fits.
     """
-    return run_stream(config, ObservationSeries(observations).points)
+    observations = tuple(observations)
+    ObservationSeries(observations)
+    return run_stream(config, observations)
 
 
 def backbone_segment(state: RunState, from_level: int, to_level: int) -> list[float]:

@@ -31,15 +31,15 @@ class ObservationFileError(ValueError):
     """Malformed observation file."""
 
 
-def parse_observations(text: str) -> ObservationSeries:
-    """Parse CSV text into a series; rejects unsorted or duplicate
-    positions and out-of-range accuracies."""
+def parse_observations(text: str) -> tuple[Observation, ...]:
+    """Parse CSV text into the observations, each checked and in order;
+    rejects unsorted or duplicate positions and out-of-range accuracies,
+    naming the line."""
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip().lower() for c in rows[0]] != ["position", "accuracy"]:
         raise ObservationFileError("expected header 'position,accuracy'")
     points = []
-    last_position = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ObservationFileError(f"line {lineno}: expected two columns")
@@ -47,16 +47,14 @@ def parse_observations(text: str) -> ObservationSeries:
             point = Observation(int(row[0].strip()), float(row[1].strip()))
         except ValueError as exc:
             raise ObservationFileError(f"line {lineno}: {exc}") from exc
-        if point.position <= last_position:
-            raise ObservationFileError(
-                f"line {lineno}: position {point.position} not greater than {last_position}"
-            )
+        if points and point.position <= points[-1].position:
+            raise ObservationFileError(f"line {lineno}: position {point.position} "
+                                       f"not greater than {points[-1].position}")
         points.append(point)
-        last_position = point.position
-    return ObservationSeries(points)
+    return tuple(points)
 
 
-def read_observations(path) -> ObservationSeries:
+def read_observations(path) -> tuple[Observation, ...]:
     with open(path, encoding="utf-8") as fh:
         return parse_observations(fh.read())
 

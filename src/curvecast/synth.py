@@ -237,8 +237,12 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
         allowed = math.floor(budget * checks)
         results[name] = CheckResult(violations <= allowed, violations, checks, detail)
 
-    ref_levels, ref_alphas, _ = reference.converged_view()
-    post = [a for lv, a in zip(ref_levels, ref_alphas) if omega is not None and lv >= omega]
+    # The backbone and layer guarantees are stated past the working level,
+    # where the backbone has settled under the verticality limit: those
+    # checks read the converged levels from omega on, and none without it.
+    post_levels = [lv for lv in reference.converged_view()[0]
+                   if omega is not None and lv >= omega]
+    post = [reference.alpha(lv) for lv in post_levels]
 
     # Backbone monotone past the working level, approaching the true
     # asymptote.
@@ -274,8 +278,7 @@ def theorem_suite(series: ObservationSeries, config: TheoremSuiteConfig) -> Theo
                f"defined={len(oracle_gaps)}")
 
     # Layers cross any threshold exactly once (equivalently: decreasing).
-    layers = [convergence_layer(reference.trends[lv]) for lv in ref_levels
-              if omega is None or lv >= omega]
+    layers = [convergence_layer(reference.trends[lv]) for lv in post_levels]
     bad_lay, steps_lay = _monotone_violations(layers, direction=-1,
                                               tol=config.direction_tol)
     record("layer_single_threshold_crossing",

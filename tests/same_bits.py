@@ -16,7 +16,9 @@ one-ulp move of any fitted value changes the digest. Two checkouts compute
 the same bits when they print the same lines. Run from the repository
 root::
 
-    python tests/same_bits.py --seed 7 [--src DIR] [--against DIR]
+    python tests/same_bits.py --seed 7 [--pool N] [--src DIR] [--against DIR]
+    python tests/same_bits.py --seed 7 [--pool N] --decisions [--dump FILE]
+    python tests/same_bits.py --compare FILE FILE
 
 ``--src`` imports ``curvecast`` from another checkout's ``src/`` (for
 example an export of the parent commit). ``--against`` loads a second
@@ -24,18 +26,35 @@ tree's ``src/`` beside it, under another name, and prints for each
 workload ``equal`` or the first record that differs: its item, its line
 and that line from each tree. Each tree builds its pools with its own
 ``synth``; the pools and the benchmark's run code always come from this
-checkout's ``bench/``. The name keeps pytest from collecting the file.
+checkout's ``bench/``. ``--pool`` keeps the first ``N`` series of each
+pool.
+
+Bits are the same only within one machine and numpy build: another BLAS
+kernel or CPU dispatch moves parameters in their last digits. What must
+not move are the decisions. ``--decisions`` digests only those: the
+milestones, ``used``, each trend's level and its anchored and
+``converged`` flags, and each ``theorem_suite`` check's outcome, violations
+and checks. Iterations stay out, since a moved last digit can end a fit
+one iteration sooner. ``--dump FILE`` also writes every trend record, after
+a line naming the OpenBLAS kernel and numpy's enabled SIMD targets, and
+``--compare`` prints the largest relative difference of ``a``, ``b`` or
+``c`` between two dumps of the same pools. The name keeps pytest from
+collecting the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import importlib.util
 import sys
+from contextlib import nullcontext
 from itertools import zip_longest
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAM_SERIES = 2  # stream-long series digested: each is 1,000 ingests
@@ -141,15 +160,85 @@ def records(workload: str, seed: int, pool: int | None = None, workloads=None):
                            for line in record.split("\n")]
 
 
-def digest(workload: str, seed: int, pool: int | None = None, workloads=None) -> str:
-    """SHA-256 over the :func:`records` of the workload's pool."""
+def decision(line: str) -> str | None:
+    """The decisions a record line holds, None for report, CSV and SVG text:
+    a trend's level and its anchored and ``converged`` flags, a check's
+    name, outcome, violations and checks, and milestone and ``used`` lines
+    whole."""
+    fields = line.split(" ")
+    if fields[0] == "trend":
+        return f"trend {fields[1]} {fields[6] != 'None'} {fields[7]}"
+    if fields[0] == "check":
+        return " ".join(fields[:5])
+    return line if fields[0] in ("milestones", "used") else None
+
+
+def digest(workload: str, seed: int, pool: int | None = None, workloads=None, *,
+           decisions: bool = False, dump=None) -> str:
+    """SHA-256 over the :func:`records` of the workload's pool, or over
+    their :func:`decision` lines; each trend record also goes to ``dump``,
+    a text file, as ``workload item record``."""
     sha = hashlib.sha256()
     for index, lines in records(workload, seed, pool, workloads):
         sha.update(f"item {index}\n".encode())
         for line in lines:
+            if dump is not None and line.startswith("trend "):
+                dump.write(f"{workload} {index} {line}\n")
+            if decisions:
+                line = decision(line)
+                if line is None:
+                    continue
             sha.update(line.encode())
             sha.update(b"\n")
     return sha.hexdigest()
+
+
+def environment() -> str:
+    """``blas=CORE simd=T1,T2,...``: the OpenBLAS kernel numpy runs, read
+    from the OpenBLAS library bundled with it, and the SIMD targets numpy
+    dispatches to; ``unknown`` where one cannot be read."""
+    core = "unknown"
+    for path in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        library = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            function = getattr(library, name, None)
+            if function is not None:
+                function.restype = ctypes.c_char_p
+                core = function().decode()
+                break
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = ",".join(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+    except ImportError:
+        simd = "unknown"
+    return f"blas={core} simd={simd or 'none'}"
+
+
+def read_dump(path) -> tuple[str, list[str]]:
+    """(environment, trend records) of a ``--dump`` file."""
+    header, *lines = Path(path).read_text().splitlines()
+    return header.removeprefix("environment "), lines
+
+
+def largest_relative_difference(left: list[str], right: list[str]):
+    """``(difference, workload, item, level, name)`` of the largest
+    relative difference ``|x - y| / max(|x|, |y|)`` of one of ``a``, ``b``
+    and ``c`` between two dumps' trend records, or None for no records.
+    Raises ``ValueError`` when the dumps do not hold the same trends."""
+    if len(left) != len(right):
+        raise ValueError(f"the dumps hold {len(left)} and {len(right)} trends")
+    largest = None
+    for one, other in zip(left, right):
+        one, other = one.split(), other.split()
+        if one[:4] != other[:4]:
+            raise ValueError(f"the dumps pair {' '.join(one[:4])} with {' '.join(other[:4])}")
+        for name, x, y in zip("abc", one[4:7], other[4:7]):
+            x, y = float.fromhex(x), float.fromhex(y)
+            difference = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            if largest is None or difference > largest[0]:
+                largest = (difference, one[0], int(one[1]), int(one[3]), name)
+    return largest
 
 
 def first_difference(left, right):
@@ -175,23 +264,45 @@ def describe(workload: str, difference) -> str:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--pool", type=int, help="series per pool (default: all)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that holds the curvecast package")
     parser.add_argument("--against", type=Path,
                         help="a second tree's directory that holds the curvecast package")
+    parser.add_argument("--decisions", action="store_true",
+                        help="digest only milestones, used, flags and check outcomes")
+    parser.add_argument("--dump", type=Path, help="write every trend record here")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar="DUMP",
+                        help="print the largest relative parameter difference of two dumps")
     args = parser.parse_args(argv)
+    if args.compare:
+        (left_env, left), (right_env, right) = map(read_dump, args.compare)
+        print(f"environments: {left_env} | {right_env}")
+        largest = largest_relative_difference(left, right)
+        print("no trends" if largest is None else
+              "largest relative parameter difference {:.3g}: {} item {} level {} {}".format(
+                  *largest))
+        return 0
+    if args.seed is None:
+        parser.error("--seed is required unless --compare is given")
     left = load_workloads(args.src, "curvecast_src")
     print(f"curvecast from {Path(left.model.__file__).parent}", file=sys.stderr)
     if args.against is None:
-        for workload in LINES:
-            print(f"{digest(workload, args.seed, workloads=left)}  {workload}")
+        with open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext() as dump:
+            if dump is not None:
+                dump.write(f"environment {environment()}\n")
+            for workload in LINES:
+                sha = digest(workload, args.seed, args.pool, left, decisions=args.decisions,
+                             dump=dump)
+                print(f"{sha}  {workload}")
         return 0
     right = load_workloads(args.against, "curvecast_against")
     print(f"curvecast from {Path(right.model.__file__).parent} (against)", file=sys.stderr)
     for workload in LINES:
-        print(describe(workload, first_difference(records(workload, args.seed, workloads=left),
-                                                  records(workload, args.seed, workloads=right))))
+        print(describe(workload, first_difference(
+            records(workload, args.seed, args.pool, left),
+            records(workload, args.seed, args.pool, right))))
     return 0
 
 

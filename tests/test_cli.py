@@ -64,12 +64,23 @@ class TestSimulate:
         obs = tmp_path / "obs.csv"
         obs.write_text(capsys.readouterr().out)
         assert rc == 0
-        series = read_observations(obs)
-        assert len(series) == 30 and min(series.accuracies) == 1e-6
+        observations = read_observations(obs)
+        assert len(observations) == 30 and min(o.accuracy for o in observations) == 1e-6
         rc = main(["run", "--input", str(obs), "--tau", "0.5"])
         captured = capsys.readouterr()
         assert rc in (0, 3) and not captured.err.startswith("error: ")
         assert len(json.loads(captured.out)["levels"]) == 28  # one row per level from 3
+
+    def test_theorems_without_a_working_level_check_no_layer(self, capsys):
+        # No working level emerges on this noisy series, so the layer check,
+        # like the backbone checks, reads no level.
+        rc = main(["simulate", "--a", "500", "--b", "0.4", "--c", "95", "--noise",
+                   "gaussian:0.3", "--count", "20", "--seed", "10", "--theorems"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert rc == 0
+        assert checks["backbone_monotone_after_working_level"]["detail"] == "omega=None"
+        assert checks["layer_single_threshold_crossing"] == {
+            "passed": True, "violations": 0, "checks": 0, "detail": ""}
 
     def test_bad_noise_spec_is_input_error(self, capsys):
         rc = main(["simulate", "--a", "1", "--b", "1", "--c", "99",
@@ -207,7 +218,7 @@ class TestRun:
         assert set(report["summary"]["predicted_accuracy_at"]) == {"300000", "500000"}
         assert plot.read_text().startswith("<?xml")
         state = run_stream(RunConfig(tau=6.0, anchor_policy=AnchorPolicy(mode="canonical")),
-                           read_observations(path).points)
+                           read_observations(path))
         markers = {"working": state.wposition, "prediction": state.pposition,
                    "convergence": state.cposition}
         assert plot.read_text(encoding="utf-8") == naive_render_svg(
@@ -267,7 +278,7 @@ class TestRun:
         path = make_obs_file(tmp_path)
         main(["run", "--input", str(path), "--tau", "1"])
         report = json.loads(capsys.readouterr().out)
-        state = run_stream(RunConfig(tau=1.0), read_observations(path).points)
+        state = run_stream(RunConfig(tau=1.0), read_observations(path))
         assert report["config"] == build_run_report(state)["config"]
 
     def test_unknown_flag_is_usage_error(self, tmp_path):

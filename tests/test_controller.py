@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvecast.anchoring
+import curvecast.controller
 import curvecast.fitting
 import curvecast.trace
 from curvecast.anchoring import AnchorPolicy
@@ -289,6 +290,29 @@ class TestDeterminismAndEquivalence:
         with pytest.raises(SequencingError):
             run_stream(config, points)
         assert len(calls) == bad - 2 if mode == "none" else len(calls) >= bad - 2
+
+    def test_offline_folds_the_callers_observations(self, rng, monkeypatch):
+        # The log is taken once, a one-shot iterable included, and checked
+        # as a series without rebuilding a point: each ingest receives the
+        # caller's own Observation.
+        points = noisy_points(steep_params(rng), rng, count=20)
+        config = RunConfig(tau=0.0, anchor_policy=AnchorPolicy(mode="canonical"))
+        online = run_stream(config, points)
+
+        def rebuilt(series):
+            raise AssertionError("ObservationSeries.points was read")
+
+        ingested = []
+
+        def recorded(state, observation):
+            ingested.append(observation)
+            return ingest(state, observation)
+
+        monkeypatch.setattr(ObservationSeries, "points", property(rebuilt))
+        monkeypatch.setattr(curvecast.controller, "ingest", recorded)
+        assert run_batch(config, iter(points)) == online
+        assert len(ingested) == len(points)
+        assert all(mine is theirs for mine, theirs in zip(ingested, points))
 
 
 _MILESTONES = ("wlevel", "wposition", "plevel", "pposition", "clevel", "cposition",

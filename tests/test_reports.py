@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curvecast.anchoring import AnchorPolicy
 from curvecast.controller import RunConfig, run_stream
-from curvecast.model import ObservationSeries
+from curvecast.model import Observation, ObservationSeries
 from curvecast.reports import (
     ObservationFileError,
     build_run_report,
@@ -41,7 +41,8 @@ class TestObservationFiles:
         series = generate_series(SynthSpec(REFERENCE_FIT, count=12))
         text = format_observations(series)
         parsed = parse_observations(text)
-        assert format_observations(parsed) == text
+        assert [obs.position for obs in parsed] == series.positions.tolist()
+        assert format_observations(ObservationSeries(parsed)) == text
 
     def test_same_text_for_every_build(self):
         points = exact_series_points(REFERENCE_FIT, count=7)
@@ -51,35 +52,42 @@ class TestObservationFiles:
         assert texts["constructor"].splitlines()[:2] == ["position,accuracy", "5000,78.644679"]
 
     def test_header_required(self):
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError, match="^expected header 'position,accuracy'$"):
             parse_observations("pos,acc\n5000,90.0\n")
 
     def test_rejects_unsorted_positions(self):
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError,
+                           match="^line 3: position 5000 not greater than 10000$"):
             parse_observations("position,accuracy\n10000,90.0\n5000,91.0\n")
 
     def test_rejects_duplicate_positions(self):
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError,
+                           match="^line 3: position 5000 not greater than 5000$"):
             parse_observations("position,accuracy\n5000,90.0\n5000,91.0\n")
 
     def test_rejects_out_of_range_accuracy(self):
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError, match=r"^line 2: accuracy must be in \(0, 100\]"):
             parse_observations("position,accuracy\n5000,0.0\n")
-        with pytest.raises(ObservationFileError):
-            parse_observations("position,accuracy\n5000,100.01\n")
+        with pytest.raises(ObservationFileError, match="^line 3: accuracy must be in"):
+            parse_observations("position,accuracy\n5000,90.0\n10000,100.01\n")
 
     def test_rejects_malformed_rows(self):
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError, match="^line 2: expected two columns$"):
             parse_observations("position,accuracy\n5000\n")
-        with pytest.raises(ObservationFileError):
+        with pytest.raises(ObservationFileError, match="^line 2: invalid literal for int"):
             parse_observations("position,accuracy\nfive,90.0\n")
         # A row the Observation constructor rejects names its line too.
-        with pytest.raises(ObservationFileError, match="line 3"):
+        with pytest.raises(ObservationFileError,
+                           match=r"^line 3: position must be an integer in \[1, 2\*\*63\)"):
             parse_observations(f"position,accuracy\n5000,90.0\n{2**63},91.0\n")
 
-    def test_empty_file_parses_to_empty_series(self):
-        series = parse_observations("position,accuracy\n")
-        assert isinstance(series, ObservationSeries) and len(series) == 0
+    def test_header_only_file_parses_to_no_observations(self):
+        assert parse_observations("position,accuracy\n") == ()
+
+    def test_parses_to_a_tuple_of_the_checked_observations(self):
+        parsed = parse_observations("position,accuracy\n5000,90.5\n\n 10000 , 91.25\n")
+        assert parsed == (Observation(5000, 90.5), Observation(10000, 91.25))
+        assert type(parsed) is tuple and all(type(obs) is Observation for obs in parsed)
 
 
 class TestRunReport:

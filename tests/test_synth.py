@@ -274,6 +274,29 @@ class TestTheoremSuite:
             assert report.results[name] == CheckResult(True, 0, 0, "no working level")
         assert report.results["backbone_monotone_after_working_level"].detail == "omega=None"
 
+    def test_layer_check_reads_the_backbone_checks_levels(self):
+        # The backbone and layer guarantees are stated past the working
+        # level, so all three checks read the converged levels from it on,
+        # and none where no working level emerged, as on this noisy series
+        # under the CLI's noisy budgets.
+        true = PowerLawParams(500.0, 0.4, 95.0)
+        noisy = generate_series(SynthSpec(true, count=20, seed=10,
+                                          noise=NoiseSpec("gaussian", sigma=0.3)))
+        report = theorem_suite(noisy, TheoremSuiteConfig(
+            true_params=true, violation_budget=0.05, monotone_tolerance=0.1))
+        assert build_traces(noisy, LevelParams(), AnchorPolicy())[1] is None
+        assert report.results["backbone_monotone_after_working_level"] == CheckResult(
+            True, 0, 0, "omega=None")
+        assert report.results["layer_single_threshold_crossing"] == CheckResult(True, 0, 0)
+        assert report.all_passed, report.results
+
+        ideal = generate_series(SynthSpec(REFERENCE_FIT, count=30))
+        results = theorem_suite(ideal, TheoremSuiteConfig(true_params=REFERENCE_FIT)).results
+        steps = results["backbone_monotone_after_working_level"].checks
+        assert steps > 0 and results["backbone_approaches_true_asymptote"].checks == steps
+        # One monotonicity step and one threshold sweep per step.
+        assert results["layer_single_threshold_crossing"].checks == 2 * steps
+
     def test_noisy_data_within_budget(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=40,
                                            noise=NoiseSpec("gaussian", sigma=0.05),
