@@ -151,8 +151,10 @@ def _cmd_run(args) -> int:
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     # The plot is written first: a plot path that cannot be written fails
     # the command before any of the report is. Its markers are the report's
-    # level flags.
-    if args.plot:
+    # level flags. A log too short for a trend has nothing to plot.
+    if args.plot and not state.trace.trends:
+        print("no trend to plot", file=sys.stderr)
+    elif args.plot:
         markers = {flag: row["position"] for row in report["levels"] for flag in row["flags"]}
         svg = render_svg(state.trace, state.series, selected=state.selected_trend,
                          markers=markers)

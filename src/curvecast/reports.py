@@ -36,11 +36,12 @@ def parse_observations(text: str) -> tuple[Observation, ...]:
     rejects unsorted or duplicate positions and out-of-range accuracies,
     naming the line."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows or [c.strip().lower() for c in rows[0]] != ["position", "accuracy"]:
+    # Blank rows are skipped, so each row keeps the file line it ends on.
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    if not rows or [c.strip().lower() for c in rows[0][1]] != ["position", "accuracy"]:
         raise ObservationFileError("expected header 'position,accuracy'")
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 2:
             raise ObservationFileError(f"line {lineno}: expected two columns")
         try:

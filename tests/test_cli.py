@@ -72,15 +72,18 @@ class TestSimulate:
         assert len(json.loads(captured.out)["levels"]) == 28  # one row per level from 3
 
     def test_theorems_without_a_working_level_check_no_layer(self, capsys):
-        # No working level emerges on this noisy series, so the layer check,
-        # like the backbone checks, reads no level.
-        rc = main(["simulate", "--a", "500", "--b", "0.4", "--c", "95", "--noise",
-                   "gaussian:0.3", "--count", "20", "--seed", "10", "--theorems"])
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert rc == 0
-        assert checks["backbone_monotone_after_working_level"]["detail"] == "omega=None"
-        assert checks["layer_single_threshold_crossing"] == {
-            "passed": True, "violations": 0, "checks": 0, "detail": ""}
+        # No working level emerges on these noisy series, so the layer and
+        # proximity checks, like the backbone checks, read no level.
+        for noise, seed in (("gaussian:0.3", "10"), ("gaussian:1.0", "1")):
+            rc = main(["simulate", "--a", "500", "--b", "0.4", "--c", "95", "--noise",
+                       noise, "--count", "20", "--seed", seed, "--theorems"])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert rc == 0, checks
+            assert checks["backbone_monotone_after_working_level"]["detail"] == "omega=None"
+            assert checks["layer_single_threshold_crossing"] == {
+                "passed": True, "violations": 0, "checks": 0, "detail": ""}
+            assert checks["correctness_bound_decreasing"] == {
+                "passed": True, "violations": 0, "checks": 0, "detail": "defined=0"}
 
     def test_bad_noise_spec_is_input_error(self, capsys):
         rc = main(["simulate", "--a", "1", "--b", "1", "--c", "99",
@@ -246,6 +249,20 @@ class TestRun:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert captured.out == ""
             assert not plot.parent.exists() and not report.exists()
+
+    def test_log_too_short_for_a_trend_plots_nothing(self, tmp_path, capsys):
+        # With or without --plot, the run writes its report and exits 3.
+        path = make_obs_file(tmp_path, count=2)
+        plot = tmp_path / "view.svg"
+        outputs = []
+        for extra in ([], ["--plot", str(plot)]):
+            rc = main(["run", "--input", str(path), "--tau", "6.0"] + extra)
+            captured = capsys.readouterr()
+            assert rc == 3
+            assert captured.err == ("no trend to plot\n" if extra else "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["levels"] == []
+        assert not plot.exists()
 
     def test_csv_format(self, tmp_path, capsys):
         path = make_obs_file(tmp_path)

@@ -70,6 +70,9 @@ class TestObservationFiles:
             parse_observations("position,accuracy\n5000,0.0\n")
         with pytest.raises(ObservationFileError, match="^line 3: accuracy must be in"):
             parse_observations("position,accuracy\n5000,90.0\n10000,100.01\n")
+        # Blank lines count: the message names the row's own file line.
+        with pytest.raises(ObservationFileError, match="^line 5: accuracy must be in"):
+            parse_observations("position,accuracy\n5000,90\n\n\n10000,0.0\n")
 
     def test_rejects_malformed_rows(self):
         with pytest.raises(ObservationFileError, match="^line 2: expected two columns$"):

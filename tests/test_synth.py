@@ -275,10 +275,11 @@ class TestTheoremSuite:
         assert report.results["backbone_monotone_after_working_level"].detail == "omega=None"
 
     def test_layer_check_reads_the_backbone_checks_levels(self):
-        # The backbone and layer guarantees are stated past the working
-        # level, so all three checks read the converged levels from it on,
-        # and none where no working level emerged, as on this noisy series
-        # under the CLI's noisy budgets.
+        # The backbone, layer and proximity guarantees are stated past the
+        # working level, so all four checks read the converged levels from
+        # it on, and none where no working level emerged, as on this noisy
+        # series under the CLI's noisy budgets. The oracle reads the whole
+        # converged trace.
         true = PowerLawParams(500.0, 0.4, 95.0)
         noisy = generate_series(SynthSpec(true, count=20, seed=10,
                                           noise=NoiseSpec("gaussian", sigma=0.3)))
@@ -288,6 +289,9 @@ class TestTheoremSuite:
         assert report.results["backbone_monotone_after_working_level"] == CheckResult(
             True, 0, 0, "omega=None")
         assert report.results["layer_single_threshold_crossing"] == CheckResult(True, 0, 0)
+        assert report.results["correctness_bound_decreasing"] == CheckResult(
+            True, 0, 0, "defined=0")
+        assert report.results["correctness_bound_true_curve_oracle"].checks == 1
         assert report.all_passed, report.results
 
         ideal = generate_series(SynthSpec(REFERENCE_FIT, count=30))
@@ -296,6 +300,8 @@ class TestTheoremSuite:
         assert steps > 0 and results["backbone_approaches_true_asymptote"].checks == steps
         # One monotonicity step and one threshold sweep per step.
         assert results["layer_single_threshold_crossing"].checks == 2 * steps
+        # One bound per level past the working level: one per step.
+        assert results["correctness_bound_decreasing"].detail == f"defined={steps}"
 
     def test_noisy_data_within_budget(self):
         series = generate_series(SynthSpec(REFERENCE_FIT, count=40,
