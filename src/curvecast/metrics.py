@@ -22,6 +22,8 @@ class ControlSequence:
     runs: Mapping[str, tuple[Pair, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.positions:
+            raise ValueError("need at least one control position")
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("control positions must be strictly increasing")
         for name, pairs in self.runs.items():

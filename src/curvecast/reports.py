@@ -1,11 +1,12 @@
 """Observation files, run reports and their serialization.
 
-Observation files are UTF-8 CSV with a ``position,accuracy`` header and
-dot-decimal values, positions strictly ascending. Reports serialize
-deterministically: insertion-ordered keys and values displayed with six
-decimal digits (full precision lives in the in-memory objects only). The
-JSON text equals ``json.dumps(report, indent=2)`` byte for byte, but is
-assembled from leaves the C encoder writes, since CPython indents only
+Observation files are UTF-8 CSV, with or without a byte-order mark, with a
+``position,accuracy`` header and dot-decimal values, positions strictly
+ascending. Reports serialize deterministically: insertion-ordered keys and
+values displayed with six decimal digits (full precision lives in the
+in-memory objects only). The JSON text equals ``json.dumps(report,
+indent=2)`` byte for byte: the stdlib writes every block but the level rows,
+which are assembled from one C-encoder call, since CPython indents only
 with its pure-Python encoder.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from importlib import resources
 from json.encoder import encode_basestring
 from typing import Iterable
@@ -56,7 +56,8 @@ def parse_observations(text: str) -> tuple[Observation, ...]:
 
 
 def read_observations(path) -> tuple[Observation, ...]:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet programs may write.
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_observations(fh.read())
 
 
@@ -150,45 +151,18 @@ def _position_key(position: float) -> str:
 
 # Writes the level rows' leaves, all in one call.
 _LEAF_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-
-
-def _json_text(value, pad: str) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)``
-    for a value nested at indent ``pad``, without the stdlib's pure-Python
-    indenting encoder."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# ``json.dumps(indent=2, ensure_ascii=False, allow_nan=False)``, built once.
+_INDENTED = json.JSONEncoder(indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def _level_rows_text(rows: list) -> str:
-    """The ``levels`` list at depth 1. Every row has the same keys, and every
-    value but the last (``flags``) is an int, float, bool or None, so one
+    """The ``levels`` list at depth 1, the one block not written by the
+    stdlib's indenting encoder. Every row has the same keys, and every value
+    but the last (``flags``) is an int, float, bool or None, so one
     C-encoder call writes all those leaves and ``", "`` splits its output
-    back into them; a ``%s`` template per row puts them in place."""
+    back into them; a ``%s`` template per row puts them in place. A
+    ``flags`` value is ``[]`` where it is an empty list and the stdlib's
+    text, re-indented to its depth, otherwise."""
     if not rows:
         return "[]"
     names = tuple(rows[0])
@@ -200,7 +174,8 @@ def _level_rows_text(rows: list) -> str:
             raise ValueError("level rows differ in their keys")
         *leading, last = row.values()
         scalars += leading
-        lasts.append(_json_text(last, "      "))
+        lasts.append("[]" if isinstance(last, list) and not last
+                     else _INDENTED.encode(last).replace("\n", "\n      "))
     leaves = _LEAF_ENCODER.encode(scalars)[1:-1].split(", ")
     width = len(names) - 1
     if len(leaves) != width * len(rows):
@@ -214,17 +189,23 @@ def _level_rows_text(rows: list) -> str:
 
 def report_to_json(report: dict) -> str:
     """Strict JSON of a run report: byte for byte ``json.dumps(report,
-    indent=2, ensure_ascii=False, allow_nan=False) + "\\n"``, and a
-    non-finite value raises ``ValueError`` instead of being written.
+    indent=2, ensure_ascii=False, allow_nan=False) + "\\n"``. A non-finite
+    value raises ``ValueError`` instead of being written, and a value JSON
+    cannot hold raises ``TypeError``, as ``json.dumps`` does. A ``levels``
+    list whose rows differ in their keys, or hold anything but a number,
+    bool or null before their last value, raises ``ValueError``.
 
-    CPython indents only with its pure-Python encoder, so the text is
-    assembled here from leaves written by the C encoder (the level rows) or
-    by the type's own ``__repr__``, in the report's fixed layout: flat
-    ``config``, flat ``levels`` rows ending in ``flags``, nested ``summary``.
+    The stdlib writes every block but the ``levels`` list, each as a
+    one-entry dict whose braces are cut off, so the block sits at its own
+    depth and its key is written as the stdlib writes any key. CPython
+    indents only with its pure-Python encoder, which is slow on the many
+    level rows, so :func:`_level_rows_text` writes those from one C-encoder
+    call.
     """
     items = [
-        f"{encode_basestring(key)}: "
-        + (_level_rows_text(value) if key == "levels" else _json_text(value, "  "))
+        (encode_basestring(key) + ": " + _level_rows_text(value))
+        if key == "levels" and isinstance(value, list)
+        else _INDENTED.encode({key: value})[4:-2]
         for key, value in report.items()
     ]
     return "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"

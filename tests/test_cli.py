@@ -179,6 +179,14 @@ class TestFit:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv"]) == 2
 
+    def test_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        path = make_obs_file(tmp_path)
+        assert main(["fit", "--input", str(path)]) == 0
+        plain = capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["fit", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_nonconverged_fit_is_exit_four(self, tmp_path, capsys, monkeypatch):
         import curvecast.cli as cli
         from curvecast.model import LearningTrend
@@ -403,6 +411,17 @@ class TestEvaluate:
         rc = main(["evaluate", "--runs", str(out), "--truth", str(obs),
                    "--controls", "123457"])
         assert rc == 2
+
+    def test_no_control_positions_is_input_error(self, tmp_path, capsys):
+        obs = make_obs_file(tmp_path, count=40)
+        out = tmp_path / "run.json"
+        assert main(["run", "--input", str(obs), "--tau", "6.0",
+                     "--output", str(out)]) == 0
+        rc = main(["evaluate", "--runs", str(out), "--truth", str(obs),
+                   "--controls", ""])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: need at least one control position\n"
 
     def test_unstopped_run_is_input_error(self, tmp_path, capsys):
         obs = make_obs_file(tmp_path, count=20)

@@ -183,6 +183,10 @@ class TestControlSequenceAndReport:
         with pytest.raises(ValueError):
             ControlSequence(positions=(100,), runs={"x": ((-1.0, 95.0),)})
 
+    def test_no_control_positions_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one control position$"):
+            ControlSequence(positions=())
+
     def test_evaluate_runs_cross_module(self):
         seq = ControlSequence(
             positions=(1000, 2000),

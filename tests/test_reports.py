@@ -15,6 +15,7 @@ from curvecast.reports import (
     format_observations,
     load_report_schema,
     parse_observations,
+    read_observations,
     report_to_csv,
     report_to_json,
 )
@@ -24,8 +25,7 @@ from curvecast.trace import convergence_layer_bounded
 from conftest import REFERENCE_FIT, SERIES_BUILDS, exact_series_points, steep_params
 
 
-@pytest.fixture
-def finished_state():
+def _finished_state():
     points = generate_series(SynthSpec(REFERENCE_FIT, count=30,
                                        noise=NoiseSpec("gaussian", sigma=0.05),
                                        seed=4)).points
@@ -34,6 +34,16 @@ def finished_state():
     state = run_stream(config, points)
     assert state.stopped
     return state
+
+
+@pytest.fixture
+def finished_state():
+    return _finished_state()
+
+
+@pytest.fixture(scope="module")
+def finished_report():
+    return build_run_report(_finished_state(), predict_at=[300000, 2.5e5 + 0.5])
 
 
 class TestObservationFiles:
@@ -86,6 +96,15 @@ class TestObservationFiles:
 
     def test_header_only_file_parses_to_no_observations(self):
         assert parse_observations("position,accuracy\n") == ()
+
+    def test_byte_order_mark_reads_as_the_same_rows(self, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark.
+        rows = "position,accuracy\n5000,90\n10000,91.5\n".encode("utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows)
+        assert read_observations(marked) == read_observations(plain) == (
+            Observation(5000, 90.0), Observation(10000, 91.5))
 
     def test_parses_to_a_tuple_of_the_checked_observations(self):
         parsed = parse_observations("position,accuracy\n5000,90.5\n\n 10000 , 91.25\n")
@@ -244,6 +263,20 @@ def _stdlib_json(report):
     return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+# Text leaning on what JSON escapes or passes through: quotes, backslashes,
+# control characters, newlines and non-ASCII.
+_json_strings = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x7fé€\u2028😀'),
+                                  st.characters()), max_size=8)
+_json_keys = st.one_of(_json_strings, st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False))
+# Floats include NaN and the infinities, which the writer must refuse.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_json_keys, children, max_size=4)),
+    max_leaves=20)
+
+
 class TestJsonText:
     """``report_to_json`` writes the stdlib's indented text byte for byte."""
 
@@ -304,3 +337,31 @@ class TestJsonText:
         edit(report["levels"])
         with pytest.raises(ValueError):
             report_to_json(report)
+
+    @pytest.mark.parametrize("levels", [None, {}, (), 0], ids=["null", "dict", "tuple", "int"])
+    def test_levels_that_are_not_a_list_are_written_as_the_stdlib_writes_them(
+            self, finished_report, levels):
+        report = dict(finished_report, levels=levels)
+        assert report_to_json(report) == _stdlib_json(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=st.one_of(_json_values, st.dictionaries(_json_keys, _json_values)),
+           summary=st.one_of(_json_values, st.dictionaries(_json_keys, _json_values)),
+           extend=st.booleans())
+    def test_any_config_and_summary_are_written_as_the_stdlib_writes_them(
+            self, finished_report, config, summary, extend):
+        # The drawn blocks replace the report's, or extend them where both
+        # are dicts; keys may be str, int, bool, None or float, as json.dumps
+        # takes them.
+        report = dict(finished_report, config=config, summary=summary)
+        if extend:
+            for block in ("config", "summary"):
+                if isinstance(report[block], dict):
+                    report[block] = {**finished_report[block], **report[block]}
+        try:
+            expected = _stdlib_json(report)
+        except ValueError:  # a non-finite float was drawn
+            with pytest.raises(ValueError):
+                report_to_json(report)
+        else:
+            assert report_to_json(report) == expected
